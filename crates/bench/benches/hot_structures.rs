@@ -1,13 +1,13 @@
 //! Micro-benchmarks for the slab-indexed hot paths and the sharded oracle.
 //!
-//! The experiment-level bench harness (`experiments --bench-json`) measures
-//! whole cells; this bench isolates the data structures those cells hammer —
-//! zpool store/fault/release, flash store/fault/release, oracle
-//! lookup/admit, and the word-wide compression kernels (timed against the
-//! retired scalar loops they replaced) — so a regression in one of them is
-//! attributable directly instead of showing up as a diffuse slowdown across
-//! every cell. CI runs it as a smoke step and uploads the output as an
-//! artifact.
+//! The repository benchmark (`perfbench/`, declared by `BENCHMARK.json`)
+//! times whole workloads; this bench isolates the data structures those
+//! workloads hammer — zpool store/fault/release, flash store/fault/release,
+//! oracle lookup/admit, and the word-wide compression kernels (timed against
+//! the retired scalar loops they replaced) — so a regression in one of them
+//! is attributable directly instead of showing up as a diffuse slowdown
+//! across every workload. CI runs it as a smoke step and uploads the output
+//! as an artifact.
 
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize};
@@ -112,7 +112,7 @@ fn oracle_lookup_admit(c: &mut Criterion) {
                 assert!(oracle
                     .lookup(&pages, algorithm, ChunkSize::k4(), 0)
                     .is_none());
-                oracle.admit(&pages, algorithm, ChunkSize::k4(), 0, lens, None);
+                oracle.admit(&pages, algorithm, ChunkSize::k4(), 0, lens);
             }
             let mut hits = 0usize;
             for round in 0..4 {

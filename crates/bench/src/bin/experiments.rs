@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! experiments [--quick] [--scale N] [--seed N] [--json] [--serial] [--list]
-//!             [--no-oracle] [--thermal-off] [--bench-json PATH]
-//!             [--bench-compare BASELINE] [--trace-out PATH]
+//!             [--no-oracle] [--thermal-off] [--trace-out PATH]
 //!             [--metrics-json PATH] [EXPERIMENT ... | status]
 //! ```
 //!
@@ -16,13 +15,11 @@
 //! `--json` emits one machine-readable JSON document instead of plain-text
 //! tables; `--list` prints the catalog (honouring `--json`).
 //!
-//! The perf harness: `--bench-json PATH` times every experiment cell (host
-//! wall-clock; the run is forced serial so each cell's time is its own) and
-//! writes the `BENCH_*.json` trajectory document; `--bench-compare BASELINE`
-//! additionally fails the run when any cell regresses more than 2× over the
-//! recorded baseline. `--no-oracle` disables the memoized compression
-//! oracle — output is byte-identical, only wall-clock changes, which is
-//! exactly what the harness measures.
+//! `--no-oracle` disables the memoized compression oracle. Output is
+//! byte-identical, only host wall-clock changes; the disabled oracle is the
+//! reference the oracle-equivalence suite and CI's identity diff compare
+//! against. Host time itself is measured from outside the simulator by the
+//! benchmark in `perfbench/` (see `BENCHMARK.json`).
 //!
 //! `--thermal-off` forces the thermal model off in every experiment. For
 //! everything except `lifetime` (whose default is the sustained-load
@@ -38,8 +35,7 @@
 //! (pinned by the `obs_identity` suite). `experiments status` prints a
 //! one-shot device health report instead of running the catalog.
 
-use ariadne_bench::perf::{self, BenchCell, BenchMeta, BenchReport, PhaseMillis};
-use ariadne_obs::{profile, MetricsHandle, Phase, TraceHandle};
+use ariadne_obs::{MetricsHandle, TraceHandle};
 use ariadne_sim::experiments::{catalog, runner, status, ExperimentOptions};
 use ariadne_sim::report::json_string;
 use std::process::ExitCode;
@@ -49,8 +45,6 @@ struct OutputOptions {
     json: bool,
     serial: bool,
     list: bool,
-    bench_json: Option<String>,
-    bench_compare: Option<String>,
     trace_out: Option<String>,
     metrics_json: Option<String>,
 }
@@ -87,13 +81,6 @@ fn parse_args() -> Result<(ExperimentOptions, OutputOptions, Vec<String>), Strin
             "--json" => output.json = true,
             "--serial" => output.serial = true,
             "--list" => output.list = true,
-            "--bench-json" => {
-                output.bench_json = Some(args.next().ok_or("--bench-json needs a path")?);
-            }
-            "--bench-compare" => {
-                output.bench_compare =
-                    Some(args.next().ok_or("--bench-compare needs a baseline path")?);
-            }
             "--trace-out" => {
                 output.trace_out = Some(args.next().ok_or("--trace-out needs a path")?);
             }
@@ -103,18 +90,14 @@ fn parse_args() -> Result<(ExperimentOptions, OutputOptions, Vec<String>), Strin
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--quick] [--scale N] [--seed N] [--json] [--serial] \
-                     [--list] [--no-oracle] [--thermal-off] [--bench-json PATH] \
-                     [--bench-compare BASELINE] [--trace-out PATH] [--metrics-json PATH] \
-                     [EXPERIMENT ... | status]"
+                     [--list] [--no-oracle] [--thermal-off] [--trace-out PATH] \
+                     [--metrics-json PATH] [EXPERIMENT ... | status]"
                 );
                 std::process::exit(0);
             }
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             name => names.push(name.to_string()),
         }
-    }
-    if output.bench_compare.is_some() && output.bench_json.is_none() {
-        return Err("--bench-compare requires --bench-json (it compares the timed run)".into());
     }
     Ok((opts, output, names))
 }
@@ -184,45 +167,8 @@ fn main() -> ExitCode {
         ariadne_obs::install_ambient(trace_handle, metrics_handle.clone());
     }
 
-    // The perf harness forces a serial run so each cell's wall-clock is its
-    // own (parallel neighbours would otherwise share the cores).
-    let mut bench_cells: Vec<BenchCell> = Vec::new();
-    let results: Vec<(String, Option<ariadne_sim::Table>)> = if output.bench_json.is_some() {
-        profile::enable(true);
-        selected
-            .iter()
-            .map(|name| {
-                profile::reset();
-                let (table, timing) =
-                    perf::time_cell_stable(|| ariadne_sim::experiments::run_by_name(name, &opts));
-                // The profiler accumulated across every sample iteration;
-                // report the per-iteration share next to the mean.
-                let breakdown = profile::snapshot();
-                let per_iter = f64::from(timing.samples.max(1));
-                let codec = breakdown.millis(Phase::Codec) / per_iter;
-                let zpool = breakdown.millis(Phase::Zpool) / per_iter;
-                let io = breakdown.millis(Phase::Io) / per_iter;
-                let queue = breakdown.millis(Phase::Queue) / per_iter;
-                if table.is_some() {
-                    bench_cells.push(BenchCell {
-                        name: name.clone(),
-                        millis: timing.mean,
-                        min: Some(timing.min),
-                        stddev: Some(timing.stddev),
-                        phases: Some(PhaseMillis {
-                            codec,
-                            zpool,
-                            io,
-                            queue,
-                            other: (timing.mean - codec - zpool - io - queue).max(0.0),
-                        }),
-                    });
-                }
-                (name.clone(), table)
-            })
-            .collect()
-    } else if output.serial || observing {
-        // Observed runs are forced serial too: the trace ring is shared, so
+    let results: Vec<(String, Option<ariadne_sim::Table>)> = if output.serial || observing {
+        // Observed runs are forced serial: the trace ring is shared, so
         // parallel cells would interleave events nondeterministically.
         selected
             .iter()
@@ -306,53 +252,6 @@ fn main() -> ExitCode {
             failures += 1;
         } else {
             eprintln!("metrics: written to {path}");
-        }
-    }
-    if let Some(path) = &output.bench_json {
-        let report = BenchReport {
-            seed: opts.seed,
-            scale: opts.scale,
-            mode: if opts.quick { "quick" } else { "full" }.to_string(),
-            oracle: opts.oracle,
-            meta: Some(BenchMeta::capture()),
-            cells: bench_cells,
-        };
-        if let Err(error) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: cannot write {path}: {error}");
-            failures += 1;
-        } else {
-            eprintln!(
-                "bench: {} cells, {:.0} ms total, written to {path}",
-                report.cells.len(),
-                report.total_millis()
-            );
-        }
-        if let Some(baseline_path) = &output.bench_compare {
-            match std::fs::read_to_string(baseline_path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| BenchReport::from_json(&text))
-            {
-                Ok(baseline) => {
-                    if let Err(message) = report.comparable_with(&baseline) {
-                        eprintln!("error: {message}");
-                        failures += 1;
-                    } else {
-                        let regressions =
-                            perf::regressions(&report, &baseline, perf::DEFAULT_REGRESSION_FACTOR);
-                        for message in &regressions {
-                            eprintln!("bench regression: {message}");
-                        }
-                        if regressions.is_empty() {
-                            eprintln!("bench: no cell regressed over {baseline_path}");
-                        }
-                        failures += regressions.len();
-                    }
-                }
-                Err(error) => {
-                    eprintln!("error: cannot read baseline {baseline_path}: {error}");
-                    failures += 1;
-                }
-            }
         }
     }
     if failures > 0 {

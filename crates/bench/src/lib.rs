@@ -1,15 +1,13 @@
 //! Shared helpers for the Ariadne benchmark suite.
 //!
 //! The actual entry points are the `experiments` binary (regenerates every
-//! table and figure of the paper via `ariadne-sim`, and doubles as the
-//! wall-clock perf harness via `--bench-json` / `--bench-compare`) and the
-//! Criterion benches under `benches/` (real wall-clock throughput of the
-//! codecs and of the simulator itself).
+//! table and figure of the paper via `ariadne-sim`) and the Criterion
+//! benches under `benches/` (micro-benchmarks of the codecs and hot
+//! structures). End-to-end host timing is the job of the benchmark in
+//! `perfbench/` (declared by `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod perf;
 
 use ariadne_mem::{AppId, PageId, Pfn, PAGE_SIZE};
 use ariadne_trace::{AppName, PageDataGenerator};

@@ -562,13 +562,12 @@ impl FlashDevice {
     /// Retire every command whose completion time has passed; its objects
     /// become at-rest flash data. Returns the number of commands retired.
     ///
-    /// Each retiring command walks its own [`CMD_CHANNEL`] chain — only the
+    /// Each retiring command walks its own `CMD_CHANNEL` chain — only the
     /// entries still live and in flight — and drains its parked fault tasks
     /// in one batch. Fault-cancelled slots left the chain at cancellation
     /// time, so a relaunch storm's worth of faults adds nothing to the
     /// retirement cost.
     pub fn retire_completed(&mut self, now_nanos: u128) -> usize {
-        let _io = ariadne_obs::profile::span(ariadne_obs::Phase::Io);
         let traced = self.trace.is_enabled();
         let mut retired = 0usize;
         while let Some((completes_at, _)) = self.outstanding.front() {
@@ -652,7 +651,6 @@ impl FlashDevice {
     /// pages; under [`FlashIoMode::Sync`] each request is written inline and
     /// its device time accumulates in [`FlushResult::sync_latency`].
     pub fn submit_writes(&mut self, requests: Vec<WriteRequest>, now_nanos: u128) -> FlushResult {
-        let _io = ariadne_obs::profile::span(ariadne_obs::Phase::Io);
         self.retire_completed(now_nanos);
         let mut result = FlushResult::default();
 
@@ -833,7 +831,6 @@ impl FlashDevice {
     ///
     /// Returns [`MemError::StaleHandle`] if the slot is free.
     pub fn fault_in(&mut self, slot: SwapSlot, now_nanos: u128) -> Result<FaultIn, MemError> {
-        let _io = ariadne_obs::profile::span(ariadne_obs::Phase::Io);
         self.retire_completed(now_nanos);
         let entry = self.take_entry(slot).ok_or(MemError::StaleHandle)?;
         self.used -= Self::footprint(entry.stored_bytes);
@@ -887,7 +884,6 @@ impl FlashDevice {
     /// gone), so [`FlashDevice::leak_check`] holds throughout. Returns
     /// `(slots freed, pages released)`.
     pub fn release_app(&mut self, app: crate::page::AppId, now_nanos: u128) -> (usize, usize) {
-        let _io = ariadne_obs::profile::span(ariadne_obs::Phase::Io);
         self.retire_completed(now_nanos);
         let Some(chain) = self.app_chains.get(&app) else {
             self.debug_check_invariants();

@@ -14,8 +14,8 @@
 //!   occupant (the classic ABA hazard of index reuse).
 //! * [`Chain`] — an intrusive doubly-linked list threaded *through* slab
 //!   slots. Every slot carries two independent link pairs ("channels"), so a
-//!   value can sit on two orders at once (e.g. an oracle entry on both the
-//!   recency list and the payload-budget list). Iteration order is insertion
+//!   value can sit on two orders at once (e.g. a flash entry on both its
+//!   app's chain and its write command's chain). Iteration order is insertion
 //!   order, which is exactly the deterministic order the `BTreeSet`-based
 //!   indices provided before (handles/slots are allocated in ascending order,
 //!   so ascending-key order ≡ insertion order).

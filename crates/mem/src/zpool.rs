@@ -250,7 +250,6 @@ impl Zpool {
         chunk_size: ChunkSize,
         hotness: Hotness,
     ) -> Result<ZpoolHandle, MemError> {
-        let _zpool = ariadne_obs::profile::span(ariadne_obs::Phase::Zpool);
         if pages.is_empty() {
             return Err(MemError::InvalidParameter {
                 parameter: "pages",
@@ -340,7 +339,6 @@ impl Zpool {
     ///
     /// Returns [`MemError::StaleHandle`] if the entry was already removed.
     pub fn remove(&mut self, handle: ZpoolHandle) -> Result<ZpoolEntry, MemError> {
-        let _zpool = ariadne_obs::profile::span(ariadne_obs::Phase::Zpool);
         let key = handle.key();
         if !self.entries.contains(key) {
             return Err(MemError::StaleHandle);
@@ -387,7 +385,6 @@ impl Zpool {
     /// chain (= store) order, the same deterministic order the old
     /// ascending-handle `BTreeSet` produced.
     pub fn release_app(&mut self, app: crate::page::AppId) -> (usize, usize) {
-        let _zpool = ariadne_obs::profile::span(ariadne_obs::Phase::Zpool);
         let Some(chain) = self.app_chains.remove(&app) else {
             return (0, 0);
         };

@@ -1,6 +1,6 @@
 //! Observability layer for the Ariadne reproduction.
 //!
-//! Three independent facilities, all built around the same contract —
+//! Two independent facilities, both built around the same contract —
 //! **observation never perturbs simulation**:
 //!
 //! * [`trace`] — a structured event stream (faults, compress/decompress,
@@ -13,19 +13,15 @@
 //!   merging two histograms is exactly bucket-wise addition, so per-cell
 //!   registries can be combined into fleet-level aggregates without losing
 //!   quantile fidelity beyond the bucket resolution (±25 %).
-//! * [`profile`] — a process-global self-profiler attributing the runner's
-//!   host wall-clock to simulator phases (codec vs zpool/LRU bookkeeping vs
-//!   event queue vs flash I/O model). It measures *host* time and is never
-//!   consulted by the simulation, so it cannot affect simulated time.
 //!
 //! The determinism rules every hook site obeys:
 //!
 //! 1. A disabled handle is a `None` — the entire off-path is one branch and
 //!    the event-construction closure is never run.
 //! 2. Sinks receive copies of simulation state; nothing flows back.
-//! 3. No host-clock reads on the simulated path: trace events are stamped
-//!    with *simulated* nanoseconds supplied by the caller, and profiler
-//!    spans read `Instant` only for host-side attribution.
+//! 3. No host-clock reads: trace events are stamped with *simulated*
+//!    nanoseconds supplied by the caller. Host time is measured only from
+//!    outside the simulator, by the benchmark under `perfbench/`.
 //!
 //! With that contract, simulation output is byte-identical with
 //! observability off and on — pinned by `crates/sim/tests/obs_identity.rs`.
@@ -34,11 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
 pub use metrics::{Histogram, MetricsHandle, MetricsRegistry};
-pub use profile::{Phase, PhaseBreakdown, PhaseSpan};
 pub use trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceHandle, TraceSink};
 
 use std::sync::OnceLock;

@@ -114,7 +114,6 @@ impl EventQueue {
     /// Schedule `event` at `at_nanos`. The class is derived from the event;
     /// the sequence number is assigned from the push counter.
     pub fn push(&mut self, at_nanos: u128, event: EngineEvent) {
-        let _queue = ariadne_obs::profile::span(ariadne_obs::Phase::Queue);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled {
@@ -131,7 +130,6 @@ impl EventQueue {
     /// restored with one bulk rebuild instead of one sift per event, which
     /// is what keeps scenario loads and relaunch storms cheap.
     pub fn push_batch<I: IntoIterator<Item = (u128, EngineEvent)>>(&mut self, events: I) {
-        let _queue = ariadne_obs::profile::span(ariadne_obs::Phase::Queue);
         let batch: Vec<Scheduled> = events
             .into_iter()
             .map(|(at_nanos, event)| {
@@ -156,7 +154,6 @@ impl EventQueue {
 
     /// Pop the next event in `(time, class, seq)` order.
     pub fn pop(&mut self) -> Option<Scheduled> {
-        let _queue = ariadne_obs::profile::span(ariadne_obs::Phase::Queue);
         self.heap.pop()
     }
 

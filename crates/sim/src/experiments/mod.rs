@@ -31,8 +31,9 @@ pub struct ExperimentOptions {
     /// Quick mode: fewer applications and smaller samples, for CI and tests.
     pub quick: bool,
     /// Whether simulations use the memoized compression oracle. Output is
-    /// byte-identical either way (pinned by `tests/oracle_equivalence.rs`);
-    /// the switch exists so the perf harness can measure the saving.
+    /// byte-identical either way; the disabled oracle is the reference that
+    /// `tests/oracle_equivalence.rs` and the `--no-oracle` identity diff
+    /// compare against.
     pub oracle: bool,
     /// Thermal-model override. `None` leaves each experiment's own choice in
     /// place (most run with the model off; `lifetime` turns it on); `Some`

@@ -58,9 +58,9 @@ pub struct SimulationConfig {
     /// the scenario arms lmkd ([`TimedScenario::lmkd`]).
     pub lmkd: LmkdConfig,
     /// Whether the memoized compression oracle is active. Results are
-    /// byte-identical either way (pinned by tests); disabling it only
-    /// forces every compression through a cold codec run, which is what the
-    /// perf harness compares against.
+    /// byte-identical either way (pinned by tests); disabling it forces
+    /// every compression through a cold codec run, the reference the
+    /// oracle-equivalence tests compare against.
     pub oracle: bool,
     /// The thermal throttling model (see
     /// [`ariadne_compress::ThermalConfig`]). Disabled by default, in which
@@ -294,8 +294,8 @@ pub struct MobileSystem {
     /// the DRAM fast path (page faults on compressed/swapped/absent data,
     /// on-demand (de)compression, flash stalls). Feeds the PSI signal.
     memory_stall: CostNanos,
-    /// Kills executed so far: `(simulated instant, victim)`.
-    kill_log: Vec<(u128, AppName)>,
+    /// Kills executed so far, in execution order.
+    kill_records: Vec<KillRecord>,
     /// Structured-event sink (disabled by default; see [`ariadne_obs`]).
     /// Observation never perturbs the simulation: every emission happens
     /// after the simulated outcome is already decided, and the disabled
@@ -342,7 +342,7 @@ impl MobileSystem {
             lmkd_enabled: false,
             lmkd_pending: false,
             memory_stall: CostNanos::zero(),
-            kill_log: Vec::new(),
+            kill_records: Vec::new(),
             trace: TraceHandle::disabled(),
             metrics: MetricsHandle::disabled(),
         };
@@ -524,26 +524,13 @@ impl MobileSystem {
     /// Number of applications lmkd has killed so far.
     #[must_use]
     pub fn kills(&self) -> usize {
-        self.kill_log.len()
-    }
-
-    /// Every kill executed so far: `(simulated instant, victim)`.
-    #[must_use]
-    #[deprecated(note = "use `kill_records()`, which returns typed `KillRecord`s")]
-    pub fn kill_log(&self) -> &[(u128, AppName)] {
-        &self.kill_log
+        self.kill_records.len()
     }
 
     /// Every kill executed so far, in execution order.
     #[must_use]
-    pub fn kill_records(&self) -> Vec<KillRecord> {
-        self.kill_log
-            .iter()
-            .map(|&(at, app)| KillRecord {
-                at: duration_from_nanos(at),
-                app,
-            })
-            .collect()
+    pub fn kill_records(&self) -> &[KillRecord] {
+        &self.kill_records
     }
 
     /// The lifecycle state of `app` (`None` if it never ran).
@@ -960,7 +947,10 @@ impl MobileSystem {
         if !self.procs.is_killed(app) {
             self.procs.on_kill(app);
             let at = self.clock.now().as_nanos();
-            self.kill_log.push((at, app));
+            self.kill_records.push(KillRecord {
+                at: duration_from_nanos(at),
+                app,
+            });
             // The trace sees kills through the exact code path that feeds
             // the kill ledger, so the two can never drift apart.
             self.metrics.count(metric_names::KILLS, 1);

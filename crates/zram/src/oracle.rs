@@ -20,15 +20,14 @@
 //!   buffer and the per-chunk codec scratch are all reused; only the first
 //!   sighting of a group allocates (to clone the key into the map).
 //! * **Bounded memory** — entries are kept in strict LRU order with a
-//!   configurable entry cap, and payload caching (storing the whole
-//!   [`CompressedImage`], off by default) is governed by a byte budget.
+//!   configurable entry cap.
 //!
-//! The oracle only memoizes *results* (sizes, and optionally payloads); the
-//! simulated latency of a compression is still charged by the schemes from
-//! the calibrated cost model, so experiment output is byte-identical with
-//! the oracle on or off — only the host wall-clock changes.
+//! The oracle only memoizes *results* (sizes); the simulated latency of a
+//! compression is still charged by the schemes from the calibrated cost
+//! model, so experiment output is byte-identical with the oracle on or off —
+//! only the host wall-clock changes.
 
-use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressedImage};
+use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressedLen};
 use ariadne_mem::{Chain, FxHashMap, FxHasher, PageId, Slab, PAGE_SIZE};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -52,10 +51,6 @@ struct OracleKey {
 
 /// Link channel of the recency chain (head = most recently used).
 const RECENCY_CHANNEL: usize = 0;
-/// Link channel of the payload chain: only slots still holding a
-/// [`CompressedImage`] are linked, in recency order, so payload eviction
-/// pops the least recently used payload straight off the tail.
-const PAYLOAD_CHANNEL: usize = 1;
 
 /// One memoized compression result, stored in the oracle's slab. The key is
 /// kept in the slot so LRU eviction can drop the index entry without a
@@ -63,12 +58,7 @@ const PAYLOAD_CHANNEL: usize = 1;
 #[derive(Debug, Clone)]
 struct OracleEntry {
     key: OracleKey,
-    original_len: usize,
-    compressed_len: usize,
-    chunk_count: usize,
-    /// The full compressed image, kept only while the payload byte budget
-    /// allows (metadata survives payload eviction).
-    image: Option<CompressedImage>,
+    lens: CompressedLen,
 }
 
 /// What one oracle consultation produced. The sizes are bit-identical
@@ -85,6 +75,17 @@ pub struct OracleOutcome {
     pub hit: bool,
 }
 
+impl OracleOutcome {
+    fn new(lens: CompressedLen, hit: bool) -> Self {
+        OracleOutcome {
+            original_len: lens.original_len,
+            compressed_len: lens.compressed_len,
+            chunk_count: lens.chunk_count,
+            hit,
+        }
+    }
+}
+
 /// Lifetime counters of one oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
@@ -96,8 +97,6 @@ pub struct OracleStats {
     pub bytes_saved: usize,
     /// Entries evicted by the LRU entry cap.
     pub evictions: usize,
-    /// Payloads dropped to stay within the payload byte budget.
-    pub payload_evictions: usize,
 }
 
 /// Reusable synthesis + codec state for cold compression runs: the group
@@ -114,16 +113,14 @@ pub struct CodecScratch {
 
 impl CodecScratch {
     /// Synthesize `pages` via `fill` and compress them, reusing this
-    /// scratch's buffers. Returns the sizes and, when `want_image`, the full
-    /// [`CompressedImage`] (the only allocating variant).
+    /// scratch's buffers, and return the sizes.
     pub fn compress(
         &mut self,
         pages: &[PageId],
         algorithm: Algorithm,
         chunk_size: ChunkSize,
-        want_image: bool,
         fill: &mut dyn FnMut(PageId, &mut [u8; PAGE_SIZE]),
-    ) -> (ariadne_compress::CompressedLen, Option<CompressedImage>) {
+    ) -> CompressedLen {
         let original_len = pages.len() * PAGE_SIZE;
         self.data.clear();
         self.data.resize(original_len, 0);
@@ -134,24 +131,11 @@ impl CodecScratch {
                 .expect("page-sized slice");
             fill(page, buf);
         }
-        let codec = self
-            .codecs
+        self.codecs
             .entry((algorithm, chunk_size))
-            .or_insert_with(|| ChunkedCodec::new(algorithm, chunk_size));
-        if want_image {
-            let image = codec.compress(&self.data).expect("compression cannot fail");
-            let lens = ariadne_compress::CompressedLen {
-                original_len: image.original_len(),
-                compressed_len: image.compressed_len(),
-                chunk_count: image.chunk_count(),
-            };
-            (lens, Some(image))
-        } else {
-            let lens = codec
-                .compressed_len_only(&self.data, &mut self.chunk)
-                .expect("compression cannot fail");
-            (lens, None)
-        }
+            .or_insert_with(|| ChunkedCodec::new(algorithm, chunk_size))
+            .compressed_len_only(&self.data, &mut self.chunk)
+            .expect("compression cannot fail")
     }
 }
 
@@ -175,11 +159,9 @@ impl CodecScratch {
 pub struct CompressionOracle {
     enabled: bool,
     max_entries: usize,
-    payload_budget: usize,
-    payload_bytes: usize,
-    /// Memoized results; the two intrusive link channels thread the recency
-    /// and payload LRU orders through the slots, so a hit is a hash probe
-    /// plus a handful of pointer updates — no tree rebalancing.
+    /// Memoized results; an intrusive link channel threads the recency
+    /// order through the slots, so a hit is a hash probe plus a handful of
+    /// pointer updates — no tree rebalancing.
     entries: Slab<OracleEntry>,
     /// Key → slab slot.
     index: FxHashMap<OracleKey, u32>,
@@ -187,8 +169,6 @@ pub struct CompressionOracle {
     /// victim, which keeps eviction order identical to the old tick-ordered
     /// map: strictly least recently used first.
     recency: Chain,
-    /// Recency order over the slots that still hold a payload.
-    payloads: Chain,
     /// Reused probe key: hits and the probe itself allocate nothing.
     key_scratch: OracleKey,
     /// Synthesis + codec scratch for the single-threaded convenience path
@@ -202,19 +182,15 @@ impl CompressionOracle {
     /// metadata, so the cap bounds the oracle to a few MiB of host memory.
     pub const DEFAULT_MAX_ENTRIES: usize = 1 << 16;
 
-    /// Create an enabled oracle with the default entry cap and payload
-    /// caching disabled (metadata only — what the swap schemes consume).
+    /// Create an enabled oracle with the default entry cap.
     #[must_use]
     pub fn new() -> Self {
         CompressionOracle {
             enabled: true,
             max_entries: Self::DEFAULT_MAX_ENTRIES,
-            payload_budget: 0,
-            payload_bytes: 0,
             entries: Slab::new(),
             index: FxHashMap::default(),
             recency: Chain::new(),
-            payloads: Chain::new(),
             key_scratch: OracleKey {
                 algorithm: Algorithm::Lzo,
                 chunk_size: ChunkSize::k4(),
@@ -244,14 +220,6 @@ impl CompressionOracle {
         self
     }
 
-    /// Enable payload caching: full [`CompressedImage`]s are kept alongside
-    /// the metadata while their total compressed size fits in `bytes`.
-    #[must_use]
-    pub fn with_payload_budget(mut self, bytes: usize) -> Self {
-        self.payload_budget = bytes;
-        self
-    }
-
     /// Whether memoization is active.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -268,12 +236,6 @@ impl CompressionOracle {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// Compressed bytes currently held by cached payloads.
-    #[must_use]
-    pub fn payload_bytes(&self) -> usize {
-        self.payload_bytes
     }
 
     /// Lifetime counters.
@@ -313,30 +275,10 @@ impl CompressionOracle {
         let slot = *self.index.get(&self.key_scratch)?;
         self.recency
             .move_front(&mut self.entries, RECENCY_CHANNEL, slot);
-        let entry = self.entries.value_at(slot);
-        let (original_len, outcome) = (
-            entry.original_len,
-            OracleOutcome {
-                original_len: entry.original_len,
-                compressed_len: entry.compressed_len,
-                chunk_count: entry.chunk_count,
-                hit: true,
-            },
-        );
-        if entry.image.is_some() {
-            self.payloads
-                .move_front(&mut self.entries, PAYLOAD_CHANNEL, slot);
-        }
+        let lens = self.entries.value_at(slot).lens;
         self.stats.hits += 1;
-        self.stats.bytes_saved += original_len;
-        Some(outcome)
-    }
-
-    /// Whether a cold run should build the full [`CompressedImage`] so it
-    /// can be admitted as a cached payload.
-    #[must_use]
-    pub fn caches_payloads(&self) -> bool {
-        self.enabled && self.payload_budget > 0
+        self.stats.bytes_saved += lens.original_len;
+        Some(OracleOutcome::new(lens, true))
     }
 
     /// Record a cold compression result computed by the caller (typically
@@ -350,15 +292,9 @@ impl CompressionOracle {
         algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
-        lens: ariadne_compress::CompressedLen,
-        image: Option<CompressedImage>,
+        lens: CompressedLen,
     ) -> OracleOutcome {
-        let outcome = OracleOutcome {
-            original_len: lens.original_len,
-            compressed_len: lens.compressed_len,
-            chunk_count: lens.chunk_count,
-            hit: false,
-        };
+        let outcome = OracleOutcome::new(lens, false);
         if !self.enabled {
             return outcome;
         }
@@ -371,28 +307,18 @@ impl CompressionOracle {
         if self.index.contains_key(&self.key_scratch) {
             return outcome;
         }
-        let image = image.filter(|i| i.compressed_len() <= self.payload_budget);
-        self.payload_bytes += image.as_ref().map_or(0, CompressedImage::compressed_len);
-        let has_image = image.is_some();
         let key = self.key_scratch.clone();
         let slot = self
             .entries
             .insert(OracleEntry {
                 key: key.clone(),
-                original_len: lens.original_len,
-                compressed_len: lens.compressed_len,
-                chunk_count: lens.chunk_count,
-                image,
+                lens,
             })
             .index();
         self.index.insert(key, slot);
         self.recency
             .push_front(&mut self.entries, RECENCY_CHANNEL, slot);
-        if has_image {
-            self.payloads
-                .push_front(&mut self.entries, PAYLOAD_CHANNEL, slot);
-        }
-        self.enforce_budgets();
+        self.enforce_cap();
         outcome
     }
 
@@ -412,37 +338,16 @@ impl CompressionOracle {
         if let Some(hit) = self.lookup(pages, algorithm, chunk_size, 0) {
             return hit;
         }
-        let want_image = self.caches_payloads();
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (lens, image) = scratch.compress(pages, algorithm, chunk_size, want_image, fill);
+        let lens = scratch.compress(pages, algorithm, chunk_size, fill);
         self.scratch = scratch;
-        self.admit(pages, algorithm, chunk_size, 0, lens, image)
+        self.admit(pages, algorithm, chunk_size, 0, lens)
     }
 
-    /// The cached compressed image for a group, if payload caching kept it.
-    #[must_use]
-    pub fn cached_image(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-        variant: u64,
-    ) -> Option<&CompressedImage> {
-        let key = OracleKey {
-            algorithm,
-            chunk_size,
-            variant,
-            pages: pages.to_vec(),
-        };
-        let slot = *self.index.get(&key)?;
-        self.entries.value_at(slot).image.as_ref()
-    }
-
-    /// Evict (a) whole entries beyond the LRU cap and (b) payloads beyond
-    /// the payload byte budget, both least-recently-used first: each victim
-    /// is the tail of the respective chain, so the cost is proportional to
-    /// what is actually evicted, not to the cache size.
-    fn enforce_budgets(&mut self) {
+    /// Evict whole entries beyond the LRU cap, least recently used first:
+    /// each victim is the tail of the recency chain, so the cost is
+    /// proportional to what is actually evicted, not to the cache size.
+    fn enforce_cap(&mut self) {
         while self.index.len() > self.max_entries {
             let slot = self
                 .recency
@@ -450,31 +355,12 @@ impl CompressionOracle {
                 .expect("non-empty cache has a recency tail");
             self.recency
                 .unlink(&mut self.entries, RECENCY_CHANNEL, slot);
-            if self.entries.value_at(slot).image.is_some() {
-                self.payloads
-                    .unlink(&mut self.entries, PAYLOAD_CHANNEL, slot);
-            }
             let entry = self
                 .entries
                 .remove(self.entries.key_at(slot))
                 .expect("recency tail names a live slot");
-            self.payload_bytes -= entry
-                .image
-                .as_ref()
-                .map_or(0, CompressedImage::compressed_len);
             self.index.remove(&entry.key);
             self.stats.evictions += 1;
-        }
-        while self.payload_bytes > self.payload_budget {
-            let Some(slot) = self.payloads.tail() else {
-                break;
-            };
-            self.payloads
-                .unlink(&mut self.entries, PAYLOAD_CHANNEL, slot);
-            let entry = self.entries.value_at_mut(slot);
-            let image = entry.image.take().expect("payload chain names a payload");
-            self.payload_bytes -= image.compressed_len();
-            self.stats.payload_evictions += 1;
         }
     }
 }
@@ -494,11 +380,11 @@ impl Default for CompressionOracle {
 /// taking any lock — so a given group always consults the same shard and
 /// memoization still never misses a repeat.
 ///
-/// Each shard keeps strict LRU order internally; capping and payload
-/// budgets are split evenly across shards. Eviction decisions therefore
-/// differ from a single-lock oracle with the same total budget, but the
-/// oracle only memoizes *results* (which are bit-identical wherever they
-/// come from), so this is invisible in experiment output — a property the
+/// Each shard keeps strict LRU order internally; the entry cap is split
+/// evenly across shards. Eviction decisions therefore differ from a
+/// single-lock oracle with the same total cap, but the oracle only
+/// memoizes *results* (which are bit-identical wherever they come from),
+/// so this is invisible in experiment output — a property the
 /// oracle-equivalence suite pins.
 #[derive(Debug)]
 pub struct OracleShards {
@@ -508,7 +394,6 @@ pub struct OracleShards {
     mask: u64,
     /// Uniform shard configuration, readable without a lock.
     enabled: bool,
-    caches_payloads: bool,
 }
 
 impl OracleShards {
@@ -516,23 +401,19 @@ impl OracleShards {
     pub const DEFAULT_SHARDS: usize = 8;
 
     /// Split `template`'s configuration across `shard_count` shards
-    /// (rounded up to a power of two, at least one). Entry and payload
-    /// budgets are divided evenly so the total stays what the template
-    /// asked for.
+    /// (rounded up to a power of two, at least one). The entry cap is
+    /// divided evenly so the total stays what the template asked for.
     #[must_use]
     pub fn new(template: CompressionOracle, shard_count: usize) -> Self {
         let count = shard_count.max(1).next_power_of_two();
         let per_shard_entries = template.max_entries.div_ceil(count).max(1);
-        let per_shard_payload = template.payload_budget.div_ceil(count);
         let enabled = template.enabled;
-        let caches_payloads = template.caches_payloads();
         let mut shards = Vec::with_capacity(count);
         // The template itself becomes shard 0 (preserving any entries it
         // already memoized); the rest start cold with the same config.
         let mut first = template;
         first.max_entries = per_shard_entries;
-        first.payload_budget = per_shard_payload;
-        first.enforce_budgets();
+        first.enforce_cap();
         shards.push(Mutex::new(first));
         for _ in 1..count {
             let mut shard = if enabled {
@@ -541,14 +422,12 @@ impl OracleShards {
                 CompressionOracle::disabled()
             };
             shard.max_entries = per_shard_entries;
-            shard.payload_budget = per_shard_payload;
             shards.push(Mutex::new(shard));
         }
         OracleShards {
             shards,
             mask: (count - 1) as u64,
             enabled,
-            caches_payloads,
         }
     }
 
@@ -562,13 +441,6 @@ impl OracleShards {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether cold runs should build the full [`CompressedImage`] so it can
-    /// be admitted as a cached payload (lock-free: uniform across shards).
-    #[must_use]
-    pub fn caches_payloads(&self) -> bool {
-        self.caches_payloads
     }
 
     /// The shard responsible for `(pages, algorithm, chunk_size, variant)`:
@@ -625,7 +497,6 @@ impl OracleShards {
             total.misses += stats.misses;
             total.bytes_saved += stats.bytes_saved;
             total.evictions += stats.evictions;
-            total.payload_evictions += stats.payload_evictions;
         }
         total
     }
@@ -779,49 +650,20 @@ mod tests {
 
         // Compute outside the oracle (the two-phase context path) and admit.
         let mut scratch = CodecScratch::default();
-        let (lens, image) =
-            scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), false, &mut fill);
-        assert!(image.is_none(), "payload caching is off by default");
-        let admitted = oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens, image);
+        let lens = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
+        let admitted = oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens);
         assert!(!admitted.hit);
 
         // A concurrent duplicate compute admits the same key again: counted
         // as a miss, entry kept once, later lookups hit.
-        let (lens2, _) =
-            scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), false, &mut fill);
+        let lens2 = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
         assert_eq!(lens, lens2, "duplicate computes are bit-identical");
-        oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens2, None);
+        oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens2);
         assert_eq!(oracle.len(), 1);
         assert_eq!(oracle.stats().misses, 2);
         let hit = oracle
             .lookup(&pages, Algorithm::Lzo, ChunkSize::k4(), 0)
             .expect("admitted entry must hit");
         assert_eq!(hit.compressed_len, lens.compressed_len);
-    }
-
-    #[test]
-    fn payload_budget_keeps_and_drops_whole_images() {
-        let mut oracle = CompressionOracle::new().with_payload_budget(2 * PAGE_SIZE);
-        let pages = [page(1)];
-        oracle.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        let image = oracle
-            .cached_image(&pages, Algorithm::Lzo, ChunkSize::k4(), 0)
-            .expect("payload cached within budget")
-            .clone();
-        // The cached payload is the real compression of the real bytes.
-        let mut data = vec![0u8; PAGE_SIZE];
-        fill(pages[0], (&mut data[..]).try_into().unwrap());
-        let codec = ChunkedCodec::new(Algorithm::Lzo, ChunkSize::k4());
-        assert_eq!(codec.decompress(&image).unwrap(), data);
-        assert_eq!(image, codec.compress(&data).unwrap());
-
-        // Fill past the byte budget: old payloads are dropped, metadata stays.
-        for pfn in 10..40 {
-            oracle.compress_pages(&[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        }
-        assert!(oracle.payload_bytes() <= 2 * PAGE_SIZE);
-        assert!(oracle.stats().payload_evictions > 0);
-        let hit = oracle.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        assert!(hit.hit, "metadata survives payload eviction");
     }
 }

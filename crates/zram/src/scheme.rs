@@ -17,7 +17,7 @@ use ariadne_mem::{
     PageLocation, ReclaimReason, ReclaimRequest, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::metrics::names as metric_names;
-use ariadne_obs::{profile, MetricsHandle, Phase, TraceEventKind, TraceHandle};
+use ariadne_obs::{MetricsHandle, TraceEventKind, TraceHandle};
 use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -431,8 +431,8 @@ impl SchemeContext {
     }
 
     /// Replace the oracle (e.g. [`CompressionOracle::disabled`] to pin that
-    /// results are byte-identical with memoization off, or one with a
-    /// payload budget). The context gets its own fresh cache.
+    /// results are byte-identical with memoization off). The context gets
+    /// its own fresh cache.
     #[must_use]
     pub fn with_oracle(mut self, oracle: CompressionOracle) -> Self {
         self.oracle = Arc::new(OracleShards::new(oracle, OracleShards::DEFAULT_SHARDS));
@@ -465,24 +465,8 @@ impl SchemeContext {
         OracleHandle(std::sync::Arc::clone(&self.oracle))
     }
 
-    /// The synthetic contents of `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page belongs to an application that was not part of the
-    /// workloads this context was built from.
-    #[must_use]
-    pub fn page_bytes(&self, page: PageId) -> Vec<u8> {
-        let profile = self
-            .profiles
-            .get(&page.app())
-            .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
-        self.data.page_bytes(profile, page)
-    }
-
     /// Synthesize the contents of `page` into a caller-provided buffer
-    /// without allocating (the zero-allocation variant of
-    /// [`SchemeContext::page_bytes`]).
+    /// without allocating.
     ///
     /// # Panics
     ///
@@ -494,17 +478,6 @@ impl SchemeContext {
             .get(&page.app())
             .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
         self.data.fill_page_bytes(profile, page, out);
-    }
-
-    /// Concatenated contents of several pages (what a multi-page compression
-    /// chunk operates on).
-    #[must_use]
-    pub fn pages_bytes(&self, pages: &[PageId]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(pages.len() * PAGE_SIZE);
-        for page in pages {
-            out.extend(self.page_bytes(*page));
-        }
-        out
     }
 
     /// Compress the concatenated contents of `pages` through the shared
@@ -525,8 +498,6 @@ impl SchemeContext {
         algorithm: Algorithm,
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
-        // Host-time attribution only; the simulated result is untouched.
-        let _codec = profile::span(Phase::Codec);
         let outcome = self.consult_oracle(pages, algorithm, chunk_size);
         if self.metrics.is_enabled() && outcome.original_len > 0 {
             self.metrics.count(
@@ -560,26 +531,24 @@ impl SchemeContext {
         // construction and `admit` keeps the first.
         let variant = self.content_variant(pages);
         let shard = self.oracle.shard(pages, algorithm, chunk_size, variant);
-        let want_image = {
-            let mut oracle = shard.lock().expect("oracle lock poisoned");
-            if let Some(hit) = oracle.lookup(pages, algorithm, chunk_size, variant) {
-                return hit;
-            }
-            oracle.caches_payloads()
-        };
-        let (lens, image) = CODEC_SCRATCH.with(|scratch| {
-            scratch.borrow_mut().compress(
-                pages,
-                algorithm,
-                chunk_size,
-                want_image,
-                &mut |page, buf| self.fill_page_bytes(page, buf),
-            )
+        let probe = shard
+            .lock()
+            .expect("oracle lock poisoned")
+            .lookup(pages, algorithm, chunk_size, variant);
+        if let Some(hit) = probe {
+            return hit;
+        }
+        let lens = CODEC_SCRATCH.with(|scratch| {
+            scratch
+                .borrow_mut()
+                .compress(pages, algorithm, chunk_size, &mut |page, buf| {
+                    self.fill_page_bytes(page, buf)
+                })
         });
         shard
             .lock()
             .expect("oracle lock poisoned")
-            .admit(pages, algorithm, chunk_size, variant, lens, image)
+            .admit(pages, algorithm, chunk_size, variant, lens)
     }
 
     /// The content-variant tag of a page group: one bit per page, set when
@@ -620,29 +589,6 @@ impl SchemeContext {
     #[must_use]
     pub fn oracle_stats(&self) -> OracleStats {
         self.oracle.stats()
-    }
-
-    /// A clone of the compressed image the oracle cached for `(pages,
-    /// algorithm, chunk_size)`, if payload caching kept one. Tests use this
-    /// to pin that cached payloads are bit-identical to fresh codec runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the oracle lock was poisoned by a panicking thread.
-    #[must_use]
-    pub fn cached_image(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-    ) -> Option<ariadne_compress::CompressedImage> {
-        let variant = self.content_variant(pages);
-        self.oracle
-            .shard(pages, algorithm, chunk_size, variant)
-            .lock()
-            .expect("oracle lock poisoned")
-            .cached_image(pages, algorithm, chunk_size, variant)
-            .cloned()
     }
 
     /// The profile of `app`, if it is part of the workload set.
@@ -936,9 +882,13 @@ mod tests {
         let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
         let ctx = SchemeContext::new(1, &workloads);
         let page = workloads[0].pages[0].page;
-        assert_eq!(ctx.page_bytes(page).len(), PAGE_SIZE);
-        assert_eq!(ctx.pages_bytes(&[page, page]).len(), 2 * PAGE_SIZE);
-        assert!(ctx.profile(page.app()).is_some());
+        let mut buf = [0u8; PAGE_SIZE];
+        ctx.fill_page_bytes(page, &mut buf);
+        let profile = ctx.profile(page.app()).expect("registered app");
+        assert_eq!(
+            buf.as_slice(),
+            PageDataGenerator::new(1).page_bytes(profile, page)
+        );
         assert!(ctx.profile(AppId::new(1)).is_none());
     }
 
@@ -992,7 +942,8 @@ mod tests {
     #[should_panic(expected = "no profile registered")]
     fn context_panics_for_unknown_apps() {
         let ctx = SchemeContext::new(1, &[]);
-        let _ = ctx.page_bytes(PageId::new(AppId::new(5), ariadne_mem::Pfn::new(0)));
+        let page = PageId::new(AppId::new(5), ariadne_mem::Pfn::new(0));
+        ctx.fill_page_bytes(page, &mut [0u8; PAGE_SIZE]);
     }
 
     #[test]

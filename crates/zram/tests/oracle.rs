@@ -1,11 +1,11 @@
 //! Property tests for the memoized compression oracle: a cache hit must be
 //! bit-identical to a cold codec run, for every algorithm × chunk size ×
-//! page group, with the oracle enabled, disabled, or payload-caching.
+//! page group, with the oracle enabled or disabled.
 
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
 use ariadne_mem::{PageId, PAGE_SIZE};
 use ariadne_trace::{AppName, WorkloadBuilder};
-use ariadne_zram::{CompressionOracle, SchemeContext};
+use ariadne_zram::SchemeContext;
 use proptest::prelude::*;
 
 /// The workload pages oracle groups are drawn from (two apps, so groups can
@@ -46,6 +46,15 @@ fn group(pages: &[PageId], picks: &[u16]) -> Vec<PageId> {
     out
 }
 
+/// The concatenated synthetic bytes of `group`, as a codec sees them.
+fn group_bytes(ctx: &SchemeContext, group: &[PageId]) -> Vec<u8> {
+    let mut bytes = vec![0u8; group.len() * PAGE_SIZE];
+    for (page, buf) in group.iter().zip(bytes.chunks_exact_mut(PAGE_SIZE)) {
+        ctx.fill_page_bytes(*page, buf.try_into().expect("page-sized chunk"));
+    }
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -75,7 +84,7 @@ proptest! {
         prop_assert!(!off.hit);
 
         let image = ChunkedCodec::new(algorithm, chunk_size)
-            .compress(&ctx.pages_bytes(&group))
+            .compress(&group_bytes(&ctx, &group))
             .expect("compression cannot fail");
 
         for outcome in [&cold, &hit, &off] {
@@ -84,34 +93,6 @@ proptest! {
             prop_assert_eq!(outcome.compressed_len, image.compressed_len());
             prop_assert_eq!(outcome.chunk_count, image.chunk_count());
         }
-    }
-
-    // Payload caching: the cached image is the genuine compression of the
-    // genuine page bytes — it decompresses back to them exactly and equals
-    // a fresh codec run chunk for chunk.
-    #[test]
-    fn cached_payloads_are_the_real_compressed_images(
-        picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..4),
-        alg_pick in 0u8..3,
-        chunk_pick in 0u8..11,
-    ) {
-        let (ctx, pages) = harness();
-        let ctx = ctx.with_oracle(CompressionOracle::new().with_payload_budget(1 << 20));
-        let group = group(&pages, &picks);
-        let algorithm = algorithm(alg_pick);
-        let chunk_size = chunk_size(chunk_pick);
-
-        let outcome = ctx.compress_pages(&group, algorithm, chunk_size);
-        let bytes = ctx.pages_bytes(&group);
-        let codec = ChunkedCodec::new(algorithm, chunk_size);
-        let fresh = codec.compress(&bytes).expect("compression cannot fail");
-        prop_assert_eq!(outcome.compressed_len, fresh.compressed_len());
-
-        let cached = ctx
-            .cached_image(&group, algorithm, chunk_size)
-            .expect("payload cached within the 1 MiB budget");
-        prop_assert_eq!(&cached, &fresh);
-        prop_assert_eq!(codec.decompress(&cached).expect("roundtrip"), bytes);
     }
 }
 
