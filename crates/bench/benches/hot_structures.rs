@@ -105,7 +105,7 @@ fn oracle_lookup_admit(c: &mut Criterion) {
     };
     c.bench_function("oracle_lookup_admit", |b| {
         b.iter(|| {
-            let mut oracle = CompressionOracle::new();
+            let oracle = CompressionOracle::new();
             let algorithm = ariadne_compress::Algorithm::Lzo;
             for pfn in 0..1024u64 {
                 let pages = [page(1, pfn)];

@@ -156,17 +156,13 @@ impl AriadneScheme {
             self.dram.remove(*page);
         }
 
-        self.stats.compression_ops += 1;
-        self.stats.pages_compressed += group.pages.len();
-        self.stats.bytes_before_compression += outcome.original_len;
-        self.stats.bytes_after_compression += compressed_len;
-        self.stats.compression_time += cost;
-        self.stats
-            .compression_log
-            .extend(group.pages.iter().copied());
-        self.stats.cpu.charge(CpuActivity::Compression, cost);
-        clock.charge_cpu(CpuActivity::Compression, cost);
-        self.stats.zpool = self.zpool.stats();
+        self.stats.record_compression(
+            group.pages.len(),
+            outcome.original_len,
+            compressed_len,
+            cost,
+            clock,
+        );
         cost + writeback_latency
     }
 
@@ -219,12 +215,8 @@ impl AriadneScheme {
 
         let scan = ctx.timing.reclaim_scan(victims.len());
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        self.stats.cpu.charge(CpuActivity::ReclaimScan, scan);
         let list_cpu = ctx.timing.lru_ops(victims.len());
         clock.charge_cpu(CpuActivity::ListMaintenance, list_cpu);
-        self.stats
-            .cpu
-            .charge(CpuActivity::ListMaintenance, list_cpu);
 
         let reclaimed = victims.len();
         let mut latency = CostNanos::zero();
@@ -260,7 +252,7 @@ impl AriadneScheme {
     }
 
     /// Decompress the zpool entry behind `handle` and make its pages
-    /// resident. Returns (latency, pages, hotness, sector).
+    /// resident. Returns (latency, pages, hotness).
     fn fault_in_entry(
         &mut self,
         handle: ZpoolHandle,
@@ -276,13 +268,8 @@ impl AriadneScheme {
             clock.now().as_nanos(),
         );
         latency += cost;
-        self.stats.decompression_ops += 1;
-        self.stats.pages_decompressed += entry.pages.len();
-        self.stats.decompression_time += cost;
-        self.stats.cpu.charge(CpuActivity::Decompression, cost);
-        clock.charge_cpu(CpuActivity::Decompression, cost);
-        self.stats.swapin_sector_trace.push(entry.sector.value());
-        self.stats.zpool = self.zpool.stats();
+        self.stats
+            .record_decompression(entry.pages.len(), cost, clock);
 
         // Proactive decompression: also decompress the entry at the next
         // sector (one page look-ahead, Insight 3) into the buffer. Its cost
@@ -317,12 +304,7 @@ impl AriadneScheme {
             entry.original_bytes,
             clock.now().as_nanos(),
         );
-        self.stats.decompression_ops += 1;
-        self.stats.pages_decompressed += 1;
-        self.stats.decompression_time += cost;
-        self.stats.cpu.charge(CpuActivity::Decompression, cost);
-        clock.charge_cpu(CpuActivity::Decompression, cost);
-        self.stats.zpool = self.zpool.stats();
+        self.stats.record_decompression(1, cost, clock);
 
         let page = entry.pages[0];
         self.buffer_meta.insert(
@@ -335,7 +317,6 @@ impl AriadneScheme {
         );
         if let Some(evicted) = self.buffer.insert(page) {
             self.recompress_buffered(evicted, clock, ctx);
-            self.stats.predecomp_wasted = self.buffer.wasted();
         }
     }
 
@@ -351,13 +332,8 @@ impl AriadneScheme {
             PAGE_SIZE,
             clock.now().as_nanos(),
         );
-        self.stats.compression_ops += 1;
-        self.stats.pages_compressed += 1;
-        self.stats.bytes_before_compression += PAGE_SIZE;
-        self.stats.bytes_after_compression += meta.compressed_bytes;
-        self.stats.compression_time += cost;
-        self.stats.cpu.charge(CpuActivity::Compression, cost);
-        clock.charge_cpu(CpuActivity::Compression, cost);
+        self.stats
+            .record_compression(1, PAGE_SIZE, meta.compressed_bytes, cost, clock);
         // Background work: any writeback the overflow triggers is queued
         // (or, under the sync model, paid by the background recompression
         // itself), never user-visible here.
@@ -375,7 +351,6 @@ impl AriadneScheme {
         {
             self.stats.dropped_pages += 1;
         }
-        self.stats.zpool = self.zpool.stats();
     }
 
     /// Up to `limit` hot-labelled single-page zpool entries, oldest (lowest
@@ -424,9 +399,6 @@ impl SwapScheme for AriadneScheme {
             self.org.insert(page, Hotness::Cold);
             let list_cpu = ctx.timing.lru_ops(1);
             clock.charge_cpu(CpuActivity::ListMaintenance, list_cpu);
-            self.stats
-                .cpu
-                .charge(CpuActivity::ListMaintenance, list_cpu);
         }
     }
 
@@ -452,7 +424,6 @@ impl SwapScheme for AriadneScheme {
         // Pre-decompression buffer hit: the data is already uncompressed.
         if self.buffer.take(page) {
             self.buffer_meta.remove(&page);
-            self.stats.predecomp_hits = self.buffer.hits();
             let mut latency = self.make_room_for(1, clock, ctx);
             let _ = self.dram.insert(page);
             self.note_access(page, kind);
@@ -505,14 +476,9 @@ impl SwapScheme for AriadneScheme {
                     clock.now().as_nanos(),
                 );
                 latency += cost;
-                self.stats.decompression_ops += 1;
-                self.stats.pages_decompressed += fault.pages.len();
-                self.stats.decompression_time += cost;
-                self.stats.cpu.charge(CpuActivity::Decompression, cost);
-                clock.charge_cpu(CpuActivity::Decompression, cost);
+                self.stats
+                    .record_decompression(fault.pages.len(), cost, clock);
             }
-            self.stats.flash = self.flash.stats();
-            self.stats.swapin_sector_trace.push(slot.value());
             for p in &fault.pages {
                 let _ = self.dram.insert(*p);
                 if *p != page {
@@ -618,11 +584,7 @@ impl SwapScheme for AriadneScheme {
                 clock.now().as_nanos(),
             );
             // Background CPU work: charged to the ledger, never user-visible.
-            self.stats.decompression_ops += 1;
-            self.stats.pages_decompressed += 1;
-            self.stats.decompression_time += cost;
-            self.stats.cpu.charge(CpuActivity::Decompression, cost);
-            clock.charge_cpu(CpuActivity::Decompression, cost);
+            self.stats.record_decompression(1, cost, clock);
 
             let page = entry.pages[0];
             self.buffer_meta.insert(
@@ -635,11 +597,9 @@ impl SwapScheme for AriadneScheme {
             );
             if let Some(evicted) = self.buffer.insert(page) {
                 self.recompress_buffered(evicted, clock, ctx);
-                self.stats.predecomp_wasted = self.buffer.wasted();
             }
             refilled += 1;
         }
-        self.stats.zpool = self.zpool.stats();
         refilled
     }
 
@@ -659,18 +619,14 @@ impl SwapScheme for AriadneScheme {
         for page in &buffered {
             self.buffer_meta.remove(page);
         }
-        self.stats.predecomp_wasted = self.buffer.wasted();
         self.tracker.discard(app);
 
         let (zpool_entries, zpool_pages) = self.zpool.release_app(app);
         let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
-        self.stats.zpool = self.zpool.stats();
-        self.stats.flash = self.flash.stats();
         let cost = ctx
             .timing
             .lru_ops(tracked.max(evicted.len()) + zpool_pages + flash_pages);
         clock.charge_cpu(CpuActivity::ListMaintenance, cost);
-        self.stats.cpu.charge(CpuActivity::ListMaintenance, cost);
         if self.foreground == Some(app) {
             self.foreground = None;
         }
@@ -714,8 +670,14 @@ impl SwapScheme for AriadneScheme {
         &self.dram
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn stats(&self) -> SchemeStats {
+        SchemeStats {
+            zpool: self.zpool.stats(),
+            flash: self.flash.stats(),
+            predecomp_hits: self.buffer.hits(),
+            predecomp_wasted: self.buffer.wasted(),
+            ..self.stats
+        }
     }
 }
 
@@ -753,6 +715,15 @@ mod tests {
         }
     }
 
+    /// The pages held in the zpool, in sector (compression) order.
+    fn zpool_pages(scheme: &AriadneScheme) -> Vec<PageId> {
+        scheme
+            .zpool
+            .iter()
+            .flat_map(|(_, entry)| entry.pages.iter().copied())
+            .collect()
+    }
+
     #[test]
     fn launch_accesses_build_the_hot_list() {
         let config = AriadneConfig::ehl_1k_2k_16k(tiny_memory(4096, 1024));
@@ -783,12 +754,9 @@ mod tests {
         let outcome = scheme.reclaim(request(8), &mut clock, &ctx);
         assert_eq!(outcome.pages_reclaimed, 8);
         // Hot pages survived in DRAM; cold pages were compressed.
-        assert_eq!(scheme.location_of(pages[0]), PageLocation::Dram);
-        assert!(scheme
-            .stats()
-            .compression_log
+        assert!(pages[..10]
             .iter()
-            .all(|p| !pages[..10].contains(p)));
+            .all(|&p| scheme.location_of(p) == PageLocation::Dram));
         // Cold data was grouped: 8 pages with 16K chunks -> 2 entries of 4 pages.
         assert_eq!(scheme.stats().compression_ops, 2);
         assert_eq!(scheme.stats().pages_compressed, 8);
@@ -806,9 +774,13 @@ mod tests {
         // via the last-resort path but only when nothing else is available.
         let outcome = scheme.reclaim(request(2), &mut clock, &ctx);
         assert_eq!(outcome.pages_reclaimed, 2);
-        // Small chunk size was used for the hot victims.
-        let entry_sizes: Vec<usize> = scheme.stats().compression_log.iter().map(|_| 1).collect();
-        assert_eq!(entry_sizes.len(), 2);
+        // Small chunk size was used for the hot victims, one page per entry.
+        let entries: Vec<(usize, ChunkSize)> = scheme
+            .zpool
+            .iter()
+            .map(|(_, entry)| (entry.pages.len(), entry.chunk_size))
+            .collect();
+        assert_eq!(entries, vec![(1, ChunkSize::k1()); 2]);
     }
 
     #[test]
@@ -819,12 +791,11 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
         }
         scheme.reclaim(request(8), &mut clock, &ctx);
-        let compressed = scheme.stats().compression_log.clone();
-        let target = compressed[0];
-        let outcome = scheme.access(target, AccessKind::Execution, &mut clock, &ctx);
+        let group = zpool_pages(&scheme)[..4].to_vec();
+        let outcome = scheme.access(group[0], AccessKind::Execution, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::Zpool);
         // The other pages of the same 16K group came back to DRAM too.
-        let resident_siblings = compressed[..4]
+        let resident_siblings = group
             .iter()
             .filter(|p| scheme.location_of(**p) == PageLocation::Dram)
             .count();
@@ -846,7 +817,7 @@ mod tests {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
         }
         scheme.reclaim(request(16), &mut clock, &ctx);
-        let compressed = scheme.stats().compression_log.clone();
+        let compressed = zpool_pages(&scheme);
         assert!(compressed.len() >= 2);
 
         // Fault the first compressed page: its zpool-sector neighbour should
@@ -877,7 +848,7 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
         }
         assert!(scheme.stats().compression_ops > 0);
-        let compressed = scheme.stats().compression_log[0];
+        let compressed = zpool_pages(&scheme)[0];
         let outcome = scheme.access(compressed, AccessKind::Relaunch, &mut clock, &ctx);
         assert!(outcome.latency > ctx.timing.dram_access(1));
     }

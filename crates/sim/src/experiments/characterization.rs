@@ -10,8 +10,17 @@ use ariadne_mem::{Hotness, PageId, PAGE_SIZE};
 use ariadne_trace::{
     measure_consecutive_probability, AppName, PageDataGenerator, Scenario, WorkloadBuilder,
 };
-use ariadne_zram::OracleHandle;
+use ariadne_zram::{OracleHandle, ZramScheme};
 use std::collections::HashMap;
+
+/// The ZRAM scheme `system` runs (Figure 4 and Table 3 read its page logs).
+fn zram(system: &MobileSystem) -> &ZramScheme {
+    system
+        .scheme()
+        .as_any()
+        .downcast_ref()
+        .expect("the scheme under test is ZRAM")
+}
 
 /// Table 1: anonymous data volume (MB) of five applications, 10 s and 5 min
 /// after launch.
@@ -52,7 +61,7 @@ pub fn fig4(opts: &ExperimentOptions) -> Table {
         let mut system = MobileSystem::new(SchemeSpec::Zram, config);
         system.attach_oracle(&oracle);
         system.run_scenario(&Scenario::relaunch_study(app));
-        let log = system.stats().compression_log.clone();
+        let log = zram(&system).compression_log();
         if log.is_empty() {
             continue;
         }
@@ -215,7 +224,7 @@ pub fn table3(opts: &ExperimentOptions) -> Table {
         let mut system = MobileSystem::new(SchemeSpec::Zram, config);
         system.attach_oracle(&oracle);
         system.run_scenario(&Scenario::relaunch_study(app));
-        let trace = &system.stats().swapin_sector_trace;
+        let trace = zram(&system).swapin_sectors();
         let p2 = measure_consecutive_probability(trace, 2);
         let p4 = measure_consecutive_probability(trace, 4);
         table.push_row(vec![

@@ -146,7 +146,7 @@ pub fn grid(opts: &ExperimentOptions) -> Vec<LifetimeOutcome> {
         let mut system = MobileSystem::new(spec, config);
         system.attach_oracle(&oracle);
         system.run_timed(&scenario);
-        let stats = system.stats().clone();
+        let stats = system.stats();
         LifetimeOutcome {
             device,
             mix,

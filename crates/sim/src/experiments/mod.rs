@@ -214,9 +214,9 @@ pub fn run_all(opts: &ExperimentOptions) -> Vec<Table> {
         .collect()
 }
 
-/// Run every experiment in paper order using all host cores (one OS thread
-/// per experiment; results merge in catalog order, byte-identical to
-/// [`run_all`]).
+/// Run every experiment in paper order using all host cores (on the worker
+/// pool of [`runner::run_cells`]; results merge in catalog order,
+/// byte-identical to [`run_all`]).
 #[must_use]
 pub fn run_all_parallel(opts: &ExperimentOptions) -> Vec<Table> {
     let names: Vec<String> = catalog().iter().map(|(n, _)| (*n).to_string()).collect();

@@ -133,8 +133,8 @@ pub struct GridOutcome {
     pub events: usize,
 }
 
-/// Run every grid cell on its own thread (one [`MobileSystem`] each) and
-/// return the outcomes in cell order.
+/// Run every grid cell (one [`MobileSystem`] each) on the worker pool of
+/// [`run_cells`] and return the outcomes in cell order.
 #[must_use]
 pub fn run_grid(config: SimulationConfig, cells: Vec<GridCell>) -> Vec<GridOutcome> {
     // One oracle for the whole grid: every cell is built from the same
@@ -164,8 +164,8 @@ pub fn run_grid(config: SimulationConfig, cells: Vec<GridCell>) -> Vec<GridOutco
     })
 }
 
-/// Run the named experiments in parallel — one thread per experiment —
-/// returning `(name, table)` pairs in the order the names were given.
+/// Run the named experiments on the [`run_cells`] pool, returning
+/// `(name, table)` pairs in the order the names were given.
 /// Unknown names yield `None`, exactly like [`super::run_by_name`].
 #[must_use]
 pub fn run_named_parallel(
@@ -204,7 +204,7 @@ mod tests {
         let cap = max_parallel_cells();
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        // Far more cells than the cap: the chunked spawner must throttle.
+        // Far more cells than the cap: the pool must throttle.
         let cells: Vec<usize> = (0..cap * 4 + 3).collect();
         let outputs = run_cells(cells.clone(), |n| {
             let now = live.fetch_add(1, Ordering::SeqCst) + 1;

@@ -87,7 +87,7 @@ pub fn writeback(opts: &ExperimentOptions) -> Table {
             spec.label(),
             label.to_string(),
             fmt_unit(system.average_relaunch_millis(), "ms"),
-            fmt_unit(system.total_io_stall().as_millis_f64() * full_scale, "ms"),
+            fmt_unit(stats.io_stall_time.as_millis_f64() * full_scale, "ms"),
             fmt_unit(system.cpu().total().as_millis_f64() * full_scale, "ms"),
             stats.flash.commands.to_string(),
             format!(

@@ -35,6 +35,10 @@ use std::sync::Arc;
 /// Simulated nanoseconds between successive deferred-work drain ticks.
 const DRAIN_TICK_NANOS: u128 = 1_000_000;
 
+/// Pages of deferred work a scheme performs per drain tick (see
+/// [`SwapScheme::drain_deferred`]).
+const DRAIN_BATCH_PAGES: usize = 32;
+
 /// Global knobs of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulationConfig {
@@ -282,8 +286,6 @@ pub struct MobileSystem {
     events_processed: usize,
     io_completions: usize,
     pressure_spikes: usize,
-    /// Per-application time spent stalled on in-flight flash I/O.
-    io_stalls: HashMap<AppName, CostNanos>,
     /// Per-application process states and cached-app recency ranking.
     procs: ProcessTable,
     /// The low-memory killer (active only when the scenario arms it).
@@ -336,7 +338,6 @@ impl MobileSystem {
             events_processed: 0,
             io_completions: 0,
             pressure_spikes: 0,
-            io_stalls: HashMap::new(),
             procs: ProcessTable::new(),
             lmkd: Lmkd::new(config.lmkd),
             lmkd_enabled: false,
@@ -400,9 +401,10 @@ impl MobileSystem {
         &self.measurements
     }
 
-    /// Scheme statistics (compression counts, CPU, flash traffic, ...).
+    /// Scheme statistics (compression counts, flash traffic, I/O stalls,
+    /// ...). CPU time is in [`MobileSystem::cpu`].
     #[must_use]
-    pub fn stats(&self) -> &SchemeStats {
+    pub fn stats(&self) -> SchemeStats {
         self.scheme.stats()
     }
 
@@ -492,19 +494,6 @@ impl MobileSystem {
     #[must_use]
     pub fn io_completions(&self) -> usize {
         self.io_completions
-    }
-
-    /// Per-application time spent stalled on in-flight flash I/O (faults
-    /// waiting for a queued write of the faulted page to complete).
-    #[must_use]
-    pub fn io_stalls(&self) -> &HashMap<AppName, CostNanos> {
-        &self.io_stalls
-    }
-
-    /// Total I/O stall time across all applications.
-    #[must_use]
-    pub fn total_io_stall(&self) -> CostNanos {
-        self.io_stalls.values().copied().sum()
     }
 
     /// Cumulative memory-stall time (the input of the PSI signal): every
@@ -636,10 +625,9 @@ impl MobileSystem {
             }
             EngineEvent::DrainTick => {
                 self.drain_pending = false;
-                let budget = self.ctx.drain_batch_pages;
-                let done = self
-                    .scheme
-                    .drain_deferred(budget, &mut self.clock, &self.ctx);
+                let done =
+                    self.scheme
+                        .drain_deferred(DRAIN_BATCH_PAGES, &mut self.clock, &self.ctx);
                 if done > 0 && self.scheme.deferred_pages() > 0 {
                     self.drain_pending = true;
                     self.queue.push(
@@ -819,7 +807,7 @@ impl MobileSystem {
             let outcome = self
                 .scheme
                 .access(page, AccessKind::Launch, &mut self.clock, &self.ctx);
-            self.note_outcome(app, &outcome);
+            self.note_stall(app, &outcome);
         }
         // Application execution itself costs CPU regardless of swap scheme
         // (modelled as 1 ms of work per launch, scaled with the data volume).
@@ -863,14 +851,13 @@ impl MobileSystem {
             self.note_stall(app, &outcome);
         }
         self.scheme.on_relaunch_end(workload.app);
-        self.note_io_stall(app, io_stall);
 
         // Post-relaunch execution: warm accesses, not on the critical path.
         for &page in &trace.execution_accesses {
             let outcome =
                 self.scheme
                     .access(page, AccessKind::Execution, &mut self.clock, &self.ctx);
-            self.note_outcome(app, &outcome);
+            self.note_stall(app, &outcome);
         }
         self.baseline_cpu += CostNanos(500_000);
 
@@ -918,7 +905,6 @@ impl MobileSystem {
             *found_in.entry(outcome.found_in).or_insert(0) += 1;
             self.note_stall(app, &outcome);
         }
-        self.note_io_stall(app, io_stall);
         self.baseline_cpu += CostNanos(1_000_000);
         self.launched.insert(app);
 
@@ -962,14 +948,6 @@ impl MobileSystem {
         footprint
     }
 
-    /// Attribute `stall` to `app`'s I/O stall ledger (zero stalls are not
-    /// recorded, so the map only lists applications that actually waited).
-    fn note_io_stall(&mut self, app: AppName, stall: CostNanos) {
-        if stall > CostNanos::zero() {
-            *self.io_stalls.entry(app).or_default() += stall;
-        }
-    }
-
     /// Feed the PSI signal: every access that missed DRAM is a memory stall
     /// for its entire latency (fault handling, decompression, flash reads
     /// and in-flight-write stalls — reclaim run on the fault path included).
@@ -1004,12 +982,6 @@ impl MobileSystem {
             }
             _ => self.memory_stall += outcome.latency,
         }
-    }
-
-    /// Record both ledgers for one access outcome.
-    fn note_outcome(&mut self, app: AppName, outcome: &AccessOutcome) {
-        self.note_stall(app, outcome);
-        self.note_io_stall(app, outcome.io_stall);
     }
 
     /// Publish one finished relaunch to the trace and metrics sinks.

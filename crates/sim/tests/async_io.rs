@@ -57,27 +57,24 @@ fn async_writeback_strictly_beats_forced_sync_writeback() {
 fn sync_writeback_stalls_are_attributed_to_the_faulting_app() {
     let mut system = MobileSystem::new(SchemeSpec::Zswap, storm_config(FlashIoConfig::sync()));
     system.run_timed(&TimedScenario::writeback_storm());
-    let total = system.total_io_stall();
+    let total = system.stats().io_stall_time;
     assert!(
         total > CostNanos::zero(),
         "the storm must produce fault-side I/O stalls under sync writeback"
     );
-    assert_eq!(
-        system.io_stalls().values().copied().sum::<CostNanos>(),
-        total
-    );
-    // Stall time surfaces in the per-relaunch measurements and never
-    // exceeds the measured latency.
+    // Stall time surfaces in the per-relaunch measurements (each attributed
+    // to the relaunched app), never exceeds the measured latency, and never
+    // exceeds the scheme's total.
     let stalled: Vec<_> = system
         .measurements()
         .iter()
         .filter(|m| m.io_stall > CostNanos::zero())
         .collect();
     assert!(!stalled.is_empty());
-    for m in stalled {
+    for m in &stalled {
         assert!(m.io_stall <= m.latency);
-        assert!(system.io_stalls().contains_key(&m.app));
     }
+    assert!(stalled.iter().map(|m| m.io_stall).sum::<CostNanos>() <= total);
 }
 
 #[test]

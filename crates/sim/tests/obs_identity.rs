@@ -67,11 +67,6 @@ fn assert_identical(
         observed.memory_stall(),
         "{spec}: memory-stall ledgers diverge"
     );
-    assert_eq!(
-        plain.io_stalls(),
-        observed.io_stalls(),
-        "{spec}: I/O stall ledgers diverge"
-    );
     assert_eq!(plain.io_completions(), observed.io_completions());
     assert_eq!(plain.events_processed(), observed.events_processed());
     assert_eq!(plain.pressure_spikes(), observed.pressure_spikes());

@@ -6,7 +6,6 @@ use ariadne_core::SizeConfig;
 use ariadne_sim::experiments::{run_by_name, runner, ExperimentOptions};
 use ariadne_sim::{MobileSystem, SchemeSpec, SimulationConfig};
 use ariadne_trace::TimedScenario;
-use ariadne_zram::{CompressionOracle, OracleHandle};
 
 /// A cross-section of the catalog: a baseline figure, the chunk-size probe
 /// (fig6), an evaluation figure, the concurrent storm and the kill storm.
@@ -54,78 +53,50 @@ fn grid_outcomes_are_identical_with_the_oracle_on_or_off() {
     assert_eq!(with_oracle, without);
 }
 
-/// Sharding is a locking strategy, not a semantic one: a single-lock
-/// (one-shard) handle, the default sharded handle and a no-oracle run must
-/// produce byte-identical simulated results, and the summed per-shard
-/// hit/miss counters must conserve exactly the consultations a no-oracle
-/// replay performs — every consultation lands on exactly one shard, none
-/// is double-counted, none is lost.
+/// Sharding is a locking strategy, not a semantic one: the sharded oracle
+/// and a no-oracle run must produce byte-identical simulated results, and
+/// the summed per-shard hit/miss counters must conserve exactly the
+/// consultations a no-oracle replay performs — every consultation lands on
+/// exactly one shard, none is double-counted, none is lost.
 #[test]
-fn sharded_oracle_matches_single_lock_and_no_oracle_byte_for_byte() {
+fn sharded_oracle_matches_no_oracle_byte_for_byte() {
     let scenario = TimedScenario::concurrent_relaunch_storm();
     let base = SimulationConfig::new(0xD5).with_scale(512);
     for spec in [
         SchemeSpec::Zram,
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
     ] {
-        let single = OracleHandle::with_shards(CompressionOracle::new(), 1);
-        let sharded = OracleHandle::new(CompressionOracle::new());
-        assert_eq!(single.shards().shard_count(), 1);
-        assert!(
-            sharded.shards().shard_count() > 1,
-            "the default handle must actually shard"
-        );
-
-        let run = |handle: Option<&OracleHandle>, oracle: bool| {
+        let run = |oracle: bool| {
             let mut system = MobileSystem::new(spec, base.with_oracle(oracle));
-            if let Some(handle) = handle {
-                system.attach_oracle(handle);
-            }
             system.run_timed(&scenario);
             system
         };
-        let single_sys = run(Some(&single), true);
-        let sharded_sys = run(Some(&sharded), true);
-        let without = run(None, false);
+        let sharded = run(true);
+        let without = run(false);
 
-        // Simulated output is byte-identical across all three lock layouts.
-        for (label, system) in [("single-lock", &single_sys), ("sharded", &sharded_sys)] {
-            assert_eq!(
-                system.measurements(),
-                without.measurements(),
-                "{spec}/{label}: relaunch measurements diverge from no-oracle"
-            );
-            assert_eq!(
-                system.cpu(),
-                without.cpu(),
-                "{spec}/{label}: CPU diverges from no-oracle"
-            );
-            assert_eq!(
-                system.kill_records(),
-                without.kill_records(),
-                "{spec}/{label}: kill decisions diverge from no-oracle"
-            );
-        }
-
-        // Conservation: a fresh cache answers the same consultation stream
-        // regardless of shard count, so hits and misses agree exactly —
-        // and their sum is the no-oracle run's consultation count.
-        let single_stats = single.stats();
-        let sharded_stats = sharded.stats();
         assert_eq!(
-            single_stats.hits, sharded_stats.hits,
-            "{spec}: shard layout changed which consultations hit"
+            sharded.measurements(),
+            without.measurements(),
+            "{spec}: relaunch measurements diverge from no-oracle"
         );
-        assert_eq!(single_stats.misses, sharded_stats.misses);
         assert_eq!(
-            sharded_stats.hits + sharded_stats.misses,
+            sharded.cpu(),
+            without.cpu(),
+            "{spec}: CPU diverges from no-oracle"
+        );
+        assert_eq!(
+            sharded.kill_records(),
+            without.kill_records(),
+            "{spec}: kill decisions diverge from no-oracle"
+        );
+
+        // Conservation: the no-oracle run counts every consultation as a
+        // miss, so the sharded hits and misses must add up to exactly that.
+        let stats = sharded.oracle_stats();
+        assert_eq!(
+            stats.hits + stats.misses,
             without.stats().oracle_misses,
             "{spec}: consultations leaked or double-counted across shards"
-        );
-        assert_eq!(
-            single.shards().len(),
-            sharded.shards().len(),
-            "{spec}: distinct keys admitted must not depend on shard layout"
         );
     }
 }
@@ -190,8 +161,8 @@ fn shared_oracle_hits_fire_without_perturbing_any_simulated_ledger() {
         );
         // Scheme stats match except the oracle's own counters (which are
         // the one thing the switch is *supposed* to change).
-        let mut on_stats = sharing.stats().clone();
-        let off_stats = without.stats().clone();
+        let mut on_stats = sharing.stats();
+        let off_stats = without.stats();
         assert_eq!(
             on_stats.oracle_hits + on_stats.oracle_misses,
             off_stats.oracle_misses

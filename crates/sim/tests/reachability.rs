@@ -7,7 +7,7 @@
 //! drop oldest entries by design.
 
 use ariadne_core::SizeConfig;
-use ariadne_mem::{PageId, PageLocation};
+use ariadne_mem::{PageId, PageLocation, PAGE_SIZE};
 use ariadne_sim::{AppState, MobileSystem, RelaunchKind, SchemeSpec, SimulationConfig};
 use ariadne_trace::{AppName, TimedScenario};
 use ariadne_zram::AccessKind;
@@ -52,13 +52,27 @@ fn every_registered_page_stays_readable_through_the_storm() {
         let mut system = MobileSystem::new(spec, config());
         system.enqueue(&scenario);
 
-        // Step the engine event by event; every 16 events, check that no
+        // Step the engine event by event; every 16 events, check that the
+        // zpool ledger matches the pages located in the pool and that no
         // loss-free scheme has silently lost a registered page mid-flight.
         let mut steps = 0usize;
         while system.step().is_some() {
             steps += 1;
-            if steps % 16 == 0 && !data_loss_allowed {
-                for page in registered_pages(&system) {
+            if steps % 16 != 0 {
+                continue;
+            }
+            let pages = registered_pages(&system);
+            let in_zpool = pages
+                .iter()
+                .filter(|&&page| system.scheme().location_of(page) == PageLocation::Zpool)
+                .count();
+            assert_eq!(
+                system.stats().zpool.original_bytes,
+                in_zpool * PAGE_SIZE,
+                "{spec}: zpool ledger disagrees with page locations after {steps} events"
+            );
+            if !data_loss_allowed {
+                for page in pages {
                     assert_ne!(
                         system.scheme().location_of(page),
                         PageLocation::Absent,

@@ -25,7 +25,6 @@ use ariadne_mem::{AppId, CpuActivity, MainMemory, PageId, PageLocation, ReclaimR
 #[derive(Debug)]
 pub struct DramOnlyScheme {
     dram: MainMemory,
-    stats: SchemeStats,
 }
 
 impl DramOnlyScheme {
@@ -34,7 +33,6 @@ impl DramOnlyScheme {
     pub fn new(config: MemoryConfig) -> Self {
         DramOnlyScheme {
             dram: MainMemory::new(config.dram_bytes, config.watermarks),
-            stats: SchemeStats::default(),
         }
     }
 }
@@ -78,7 +76,6 @@ impl SwapScheme for DramOnlyScheme {
         // requested pages.
         let scan = ctx.timing.reclaim_scan(request.target_pages);
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        self.stats.cpu.charge(CpuActivity::ReclaimScan, scan);
         ReclaimOutcome::default()
     }
 
@@ -106,7 +103,6 @@ impl SwapScheme for DramOnlyScheme {
         let evicted = self.dram.evict_app(app);
         let cost = ctx.timing.lru_ops(evicted.len());
         clock.charge_cpu(CpuActivity::Other, cost);
-        self.stats.cpu.charge(CpuActivity::Other, cost);
         ReleasedFootprint {
             dram_pages: evicted.len(),
             ..ReleasedFootprint::default()
@@ -125,8 +121,9 @@ impl SwapScheme for DramOnlyScheme {
         &self.dram
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn stats(&self) -> SchemeStats {
+        // Nothing is ever compressed, swapped or dropped.
+        SchemeStats::default()
     }
 }
 

@@ -29,9 +29,7 @@ pub mod writeback;
 pub mod zram;
 
 pub use dram_only::DramOnlyScheme;
-pub use oracle::{
-    CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleShards, OracleStats,
-};
+pub use oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
 pub use scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReclaimOutcome,
     ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,

@@ -10,7 +10,7 @@
 //! memoized under `(pages, algorithm, chunk size)`, so repeated compressions
 //! of unchanged data cost one hash lookup instead of a codec run.
 //!
-//! Three properties make the cache safe and fast:
+//! Four properties make the cache safe and fast:
 //!
 //! * **Bit-identity** — a hit returns exactly what a cold codec run would
 //!   (the cold run itself goes through the zero-allocation
@@ -19,8 +19,13 @@
 //! * **Zero allocation in steady state** — the probe key, the page-synthesis
 //!   buffer and the per-chunk codec scratch are all reused; only the first
 //!   sighting of a group allocates (to clone the key into the map).
-//! * **Bounded memory** — entries are kept in strict LRU order with a
-//!   configurable entry cap.
+//! * **Bounded memory** — entries are kept in strict LRU order within each
+//!   shard, under a configurable total entry cap.
+//! * **No global lock** — the cache is split into independently locked
+//!   shards, and a key's shard is a pure function of the key: parallel
+//!   experiment cells sharing one oracle mostly consult different shards
+//!   instead of serializing on one mutex, and a repeat always finds its
+//!   result.
 //!
 //! The oracle only memoizes *results* (sizes); the simulated latency of a
 //! compression is still charged by the schemes from the calibrated cost
@@ -31,7 +36,7 @@ use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressedLen};
 use ariadne_mem::{Chain, FxHashMap, FxHasher, PageId, Slab, PAGE_SIZE};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: the exact page group plus the codec configuration. Two groups
 /// with the same pages in a different order are different keys (the
@@ -52,7 +57,11 @@ struct OracleKey {
 /// Link channel of the recency chain (head = most recently used).
 const RECENCY_CHANNEL: usize = 0;
 
-/// One memoized compression result, stored in the oracle's slab. The key is
+/// Number of independently locked shards (a power of two, so the shard of a
+/// key is a mask of its hash).
+const SHARDS: usize = 8;
+
+/// One memoized compression result, stored in a shard's slab. The key is
 /// kept in the slot so LRU eviction can drop the index entry without a
 /// reverse map.
 #[derive(Debug, Clone)]
@@ -101,9 +110,8 @@ pub struct OracleStats {
 
 /// Reusable synthesis + codec state for cold compression runs: the group
 /// byte buffer, the per-chunk codec scratch and one boxed codec per
-/// `(algorithm, chunk size)` pair. The oracle owns one for its own
-/// single-threaded convenience path; `SchemeContext` keeps one per thread
-/// so cold runs never execute under the shared oracle lock.
+/// `(algorithm, chunk size)` pair. `SchemeContext` keeps one per thread so
+/// cold runs never execute under an oracle lock.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     data: Vec<u8>,
@@ -139,25 +147,9 @@ impl CodecScratch {
     }
 }
 
-/// Deterministic memoization layer over the chunked codecs (see the module
-/// documentation).
-///
-/// ```
-/// use ariadne_zram::SchemeContext;
-/// use ariadne_compress::{Algorithm, ChunkSize};
-/// use ariadne_trace::{AppName, WorkloadBuilder};
-///
-/// let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
-/// let ctx = SchemeContext::new(1, &workloads);
-/// let page = workloads[0].pages[0].page;
-/// let cold = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
-/// let hit = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
-/// assert!(!cold.hit && hit.hit);
-/// assert_eq!(cold.compressed_len, hit.compressed_len);
-/// ```
+/// One shard of the oracle: a strict-LRU cache of memoized results.
 #[derive(Debug)]
-pub struct CompressionOracle {
-    enabled: bool,
+struct Shard {
     max_entries: usize,
     /// Memoized results; an intrusive link channel threads the recency
     /// order through the slots, so a hit is a hash probe plus a handful of
@@ -166,113 +158,33 @@ pub struct CompressionOracle {
     /// Key → slab slot.
     index: FxHashMap<OracleKey, u32>,
     /// Recency order (head = most recently used); the tail is the eviction
-    /// victim, which keeps eviction order identical to the old tick-ordered
-    /// map: strictly least recently used first.
+    /// victim, so eviction is strictly least recently used first.
     recency: Chain,
-    /// Reused probe key: hits and the probe itself allocate nothing.
-    key_scratch: OracleKey,
-    /// Synthesis + codec scratch for the single-threaded convenience path
-    /// ([`CompressionOracle::compress_pages`]).
-    scratch: CodecScratch,
+    /// The key being consulted, reused so hits and the probe itself
+    /// allocate nothing (loaded by [`CompressionOracle::probe`]).
+    probe: OracleKey,
     stats: OracleStats,
 }
 
-impl CompressionOracle {
-    /// Default cap on memoized entries. Each entry is a few hundred bytes of
-    /// metadata, so the cap bounds the oracle to a few MiB of host memory.
-    pub const DEFAULT_MAX_ENTRIES: usize = 1 << 16;
-
-    /// Create an enabled oracle with the default entry cap.
-    #[must_use]
-    pub fn new() -> Self {
-        CompressionOracle {
-            enabled: true,
-            max_entries: Self::DEFAULT_MAX_ENTRIES,
+impl Shard {
+    fn new(max_entries: usize) -> Self {
+        Shard {
+            max_entries,
             entries: Slab::new(),
             index: FxHashMap::default(),
             recency: Chain::new(),
-            key_scratch: OracleKey {
+            probe: OracleKey {
                 algorithm: Algorithm::Lzo,
                 chunk_size: ChunkSize::k4(),
                 variant: 0,
                 pages: Vec::new(),
             },
-            scratch: CodecScratch::default(),
             stats: OracleStats::default(),
         }
     }
 
-    /// Create a disabled oracle: every consultation runs the codec (still
-    /// through the zero-allocation scratch path) and nothing is cached. Used
-    /// to pin that results are byte-identical with memoization on or off.
-    #[must_use]
-    pub fn disabled() -> Self {
-        CompressionOracle {
-            enabled: false,
-            ..CompressionOracle::new()
-        }
-    }
-
-    /// Override the LRU entry cap (at least 1).
-    #[must_use]
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries.max(1);
-        self
-    }
-
-    /// Whether memoization is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Number of memoized entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Lifetime counters.
-    #[must_use]
-    pub fn stats(&self) -> OracleStats {
-        self.stats
-    }
-
-    /// Probe the cache for `(pages, algorithm, chunk_size, variant)`. A hit
-    /// updates the LRU order and the hit/bytes-saved counters; a miss (or a
-    /// disabled oracle) returns `None` without touching anything, so callers
-    /// can run the codec **outside** the oracle lock and
-    /// [`CompressionOracle::admit`] the result afterwards.
-    ///
-    /// `variant` distinguishes contents the `PageId` alone cannot: a page's
-    /// bytes are a pure function of `(seed, page)` *plus* whether its app
-    /// carries the adversarial incompressible profile. Callers that share an
-    /// oracle across configurations differing only in which apps are
-    /// poisoned (the adversarial-mix grid) encode those per-page flags here
-    /// so each content variant memoizes independently; callers with a single
-    /// configuration pass `0`.
-    pub fn lookup(
-        &mut self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-        variant: u64,
-    ) -> Option<OracleOutcome> {
-        if !self.enabled {
-            return None;
-        }
-        self.key_scratch.algorithm = algorithm;
-        self.key_scratch.chunk_size = chunk_size;
-        self.key_scratch.variant = variant;
-        self.key_scratch.pages.clear();
-        self.key_scratch.pages.extend_from_slice(pages);
-        let slot = *self.index.get(&self.key_scratch)?;
+    fn lookup(&mut self) -> Option<OracleOutcome> {
+        let slot = *self.index.get(&self.probe)?;
         self.recency
             .move_front(&mut self.entries, RECENCY_CHANNEL, slot);
         let lens = self.entries.value_at(slot).lens;
@@ -281,33 +193,12 @@ impl CompressionOracle {
         Some(OracleOutcome::new(lens, true))
     }
 
-    /// Record a cold compression result computed by the caller (typically
-    /// outside the oracle lock, via [`CodecScratch::compress`]). Counts the
-    /// miss and inserts the entry unless a concurrent caller admitted the
-    /// same key first — duplicate computes of the same key are bit-identical
-    /// by construction, so dropping the copy is harmless.
-    pub fn admit(
-        &mut self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-        variant: u64,
-        lens: CompressedLen,
-    ) -> OracleOutcome {
-        let outcome = OracleOutcome::new(lens, false);
-        if !self.enabled {
-            return outcome;
-        }
+    fn admit(&mut self, lens: CompressedLen) {
         self.stats.misses += 1;
-        self.key_scratch.algorithm = algorithm;
-        self.key_scratch.chunk_size = chunk_size;
-        self.key_scratch.variant = variant;
-        self.key_scratch.pages.clear();
-        self.key_scratch.pages.extend_from_slice(pages);
-        if self.index.contains_key(&self.key_scratch) {
-            return outcome;
+        if self.index.contains_key(&self.probe) {
+            return;
         }
-        let key = self.key_scratch.clone();
+        let key = self.probe.clone();
         let slot = self
             .entries
             .insert(OracleEntry {
@@ -319,29 +210,6 @@ impl CompressionOracle {
         self.recency
             .push_front(&mut self.entries, RECENCY_CHANNEL, slot);
         self.enforce_cap();
-        outcome
-    }
-
-    /// Compress the concatenated contents of `pages` with `(algorithm,
-    /// chunk_size)`, serving from the cache when possible. `fill` synthesizes
-    /// one page into the reused group buffer on a miss (it is not called on
-    /// hits — that is the point). Single-threaded convenience over
-    /// [`CompressionOracle::lookup`] / [`CompressionOracle::admit`]; lock
-    /// holders that can compute outside the lock should use those directly.
-    pub fn compress_pages(
-        &mut self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-        fill: &mut dyn FnMut(PageId, &mut [u8; PAGE_SIZE]),
-    ) -> OracleOutcome {
-        if let Some(hit) = self.lookup(pages, algorithm, chunk_size, 0) {
-            return hit;
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let lens = scratch.compress(pages, algorithm, chunk_size, fill);
-        self.scratch = scratch;
-        self.admit(pages, algorithm, chunk_size, 0, lens)
     }
 
     /// Evict whole entries beyond the LRU cap, least recently used first:
@@ -365,104 +233,68 @@ impl CompressionOracle {
     }
 }
 
-impl Default for CompressionOracle {
-    fn default() -> Self {
-        CompressionOracle::new()
-    }
-}
-
-/// A set of independently locked [`CompressionOracle`] shards.
+/// Deterministic memoization layer over the chunked codecs (see the module
+/// documentation).
 ///
-/// Consultations for different keys mostly land on different shards, so
-/// parallel experiment cells sharing one oracle no longer serialize on a
-/// single mutex. The shard of a key is a pure function of the key — a
-/// deterministic hash of `(algorithm, chunk size, pages)` computed without
-/// taking any lock — so a given group always consults the same shard and
-/// memoization still never misses a repeat.
+/// The entry cap is split evenly across the shards, so which entries are
+/// evicted depends on the shard layout — invisible in experiment output,
+/// because a memoized result is bit-identical wherever it comes from.
 ///
-/// Each shard keeps strict LRU order internally; the entry cap is split
-/// evenly across shards. Eviction decisions therefore differ from a
-/// single-lock oracle with the same total cap, but the oracle only
-/// memoizes *results* (which are bit-identical wherever they come from),
-/// so this is invisible in experiment output — a property the
-/// oracle-equivalence suite pins.
+/// ```
+/// use ariadne_zram::SchemeContext;
+/// use ariadne_compress::{Algorithm, ChunkSize};
+/// use ariadne_trace::{AppName, WorkloadBuilder};
+///
+/// let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
+/// let ctx = SchemeContext::new(1, &workloads);
+/// let page = workloads[0].pages[0].page;
+/// let cold = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
+/// let hit = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
+/// assert!(!cold.hit && hit.hit);
+/// assert_eq!(cold.compressed_len, hit.compressed_len);
+/// ```
 #[derive(Debug)]
-pub struct OracleShards {
-    shards: Vec<Mutex<CompressionOracle>>,
-    /// `shards.len() - 1`; the shard count is a power of two so selection is
-    /// a mask of the key hash.
-    mask: u64,
-    /// Uniform shard configuration, readable without a lock.
+pub struct CompressionOracle {
     enabled: bool,
+    shards: [Mutex<Shard>; SHARDS],
 }
 
-impl OracleShards {
-    /// Default number of independently locked shards (a power of two).
-    pub const DEFAULT_SHARDS: usize = 8;
+impl CompressionOracle {
+    /// Default cap on memoized entries. Each entry is a few hundred bytes of
+    /// metadata, so the cap bounds the oracle to a few MiB of host memory.
+    pub const DEFAULT_MAX_ENTRIES: usize = 1 << 16;
 
-    /// Split `template`'s configuration across `shard_count` shards
-    /// (rounded up to a power of two, at least one). The entry cap is
-    /// divided evenly so the total stays what the template asked for.
+    /// Create an enabled oracle with the default entry cap.
     #[must_use]
-    pub fn new(template: CompressionOracle, shard_count: usize) -> Self {
-        let count = shard_count.max(1).next_power_of_two();
-        let per_shard_entries = template.max_entries.div_ceil(count).max(1);
-        let enabled = template.enabled;
-        let mut shards = Vec::with_capacity(count);
-        // The template itself becomes shard 0 (preserving any entries it
-        // already memoized); the rest start cold with the same config.
-        let mut first = template;
-        first.max_entries = per_shard_entries;
-        first.enforce_cap();
-        shards.push(Mutex::new(first));
-        for _ in 1..count {
-            let mut shard = if enabled {
-                CompressionOracle::new()
-            } else {
-                CompressionOracle::disabled()
-            };
-            shard.max_entries = per_shard_entries;
-            shards.push(Mutex::new(shard));
-        }
-        OracleShards {
-            shards,
-            mask: (count - 1) as u64,
-            enabled,
+    pub fn new() -> Self {
+        CompressionOracle {
+            enabled: true,
+            shards: empty_shards(Self::DEFAULT_MAX_ENTRIES),
         }
     }
 
-    /// Number of shards.
+    /// Create a disabled oracle: every consultation runs the codec (still
+    /// through the zero-allocation scratch path) and nothing is cached. Used
+    /// to pin that results are byte-identical with memoization on or off.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    pub fn disabled() -> Self {
+        CompressionOracle {
+            enabled: false,
+            ..CompressionOracle::new()
+        }
     }
 
-    /// Whether memoization is active.
+    /// Override the total LRU entry cap (at least 1), split evenly across
+    /// the shards (rounded up). The cache starts over empty.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    pub fn with_max_entries(self, max_entries: usize) -> Self {
+        CompressionOracle {
+            shards: empty_shards(max_entries),
+            ..self
+        }
     }
 
-    /// The shard responsible for `(pages, algorithm, chunk_size, variant)`:
-    /// a pure function of the key, computed without any lock.
-    #[must_use]
-    pub fn shard(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-        variant: u64,
-    ) -> &Mutex<CompressionOracle> {
-        let mut hasher = FxHasher::default();
-        algorithm.hash(&mut hasher);
-        chunk_size.hash(&mut hasher);
-        variant.hash(&mut hasher);
-        pages.hash(&mut hasher);
-        let index = (hasher.finish() & self.mask) as usize;
-        &self.shards[index]
-    }
-
-    /// Total number of memoized entries across all shards.
+    /// Number of memoized entries across all shards.
     ///
     /// # Panics
     ///
@@ -471,19 +303,18 @@ impl OracleShards {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("oracle shard lock poisoned").len())
+            .map(|shard| shard.lock().expect("oracle lock poisoned").index.len())
             .sum()
     }
 
-    /// Whether every shard is empty.
+    /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Lifetime counters summed over all shards. Hits and misses are
-    /// conserved across sharding: every consultation lands on exactly one
-    /// shard, so the totals match what a single-lock oracle would count.
+    /// Lifetime counters summed over all shards. Every consultation lands
+    /// on exactly one shard, so the totals count each exactly once.
     ///
     /// # Panics
     ///
@@ -492,7 +323,7 @@ impl OracleShards {
     pub fn stats(&self) -> OracleStats {
         let mut total = OracleStats::default();
         for shard in &self.shards {
-            let stats = shard.lock().expect("oracle shard lock poisoned").stats();
+            let stats = shard.lock().expect("oracle lock poisoned").stats;
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.bytes_saved += stats.bytes_saved;
@@ -500,9 +331,100 @@ impl OracleShards {
         }
         total
     }
+
+    /// Lock the shard responsible for `(pages, algorithm, chunk_size,
+    /// variant)` and load that key as the shard's probe.
+    fn probe(
+        &self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        variant: u64,
+    ) -> MutexGuard<'_, Shard> {
+        let mut hasher = FxHasher::default();
+        algorithm.hash(&mut hasher);
+        chunk_size.hash(&mut hasher);
+        variant.hash(&mut hasher);
+        pages.hash(&mut hasher);
+        let index = hasher.finish() as usize & (SHARDS - 1);
+        let mut shard = self.shards[index].lock().expect("oracle lock poisoned");
+        let key = &mut shard.probe;
+        key.algorithm = algorithm;
+        key.chunk_size = chunk_size;
+        key.variant = variant;
+        key.pages.clear();
+        key.pages.extend_from_slice(pages);
+        shard
+    }
+
+    /// Probe the cache for `(pages, algorithm, chunk_size, variant)`. A hit
+    /// updates the LRU order and the hit/bytes-saved counters; a miss (or a
+    /// disabled oracle) returns `None` without touching anything, so callers
+    /// can run the codec **outside** the oracle lock and
+    /// [`CompressionOracle::admit`] the result afterwards.
+    ///
+    /// `variant` distinguishes contents the `PageId` alone cannot: a page's
+    /// bytes are a pure function of `(seed, page)` *plus* whether its app
+    /// carries the adversarial incompressible profile. Callers that share an
+    /// oracle across configurations differing only in which apps are
+    /// poisoned (the adversarial-mix grid) encode those per-page flags here
+    /// so each content variant memoizes independently; callers with a single
+    /// configuration pass `0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard lock was poisoned by a panicking thread.
+    pub fn lookup(
+        &self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        variant: u64,
+    ) -> Option<OracleOutcome> {
+        if !self.enabled {
+            return None;
+        }
+        self.probe(pages, algorithm, chunk_size, variant).lookup()
+    }
+
+    /// Record a cold compression result computed by the caller (typically
+    /// outside the oracle lock, via [`CodecScratch::compress`]). Counts the
+    /// miss and inserts the entry unless a concurrent caller admitted the
+    /// same key first — duplicate computes of the same key are bit-identical
+    /// by construction, so dropping the copy is harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard lock was poisoned by a panicking thread.
+    pub fn admit(
+        &self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        variant: u64,
+        lens: CompressedLen,
+    ) -> OracleOutcome {
+        if self.enabled {
+            self.probe(pages, algorithm, chunk_size, variant)
+                .admit(lens);
+        }
+        OracleOutcome::new(lens, false)
+    }
 }
 
-/// A cloneable handle to one shared, sharded compression oracle.
+/// Empty shards sharing a total cap of `max_entries` (at least 1).
+fn empty_shards(max_entries: usize) -> [Mutex<Shard>; SHARDS] {
+    let per_shard = max_entries.max(1).div_ceil(SHARDS);
+    std::array::from_fn(|_| Mutex::new(Shard::new(per_shard)))
+}
+
+impl Default for CompressionOracle {
+    fn default() -> Self {
+        CompressionOracle::new()
+    }
+}
+
+/// A cloneable handle to one shared compression oracle.
 ///
 /// Within one experiment, every simulated system is built from the same
 /// `(seed, scale)` — the synthesized bytes of a page are identical across
@@ -517,26 +439,13 @@ impl OracleShards {
 /// on the cache), but the hit/miss *counters* then depend on thread
 /// interleaving — which is why experiment tables never include them.
 #[derive(Debug, Clone)]
-pub struct OracleHandle(pub(crate) Arc<OracleShards>);
+pub struct OracleHandle(pub(crate) Arc<CompressionOracle>);
 
 impl OracleHandle {
-    /// Wrap an oracle in a shareable handle, sharding it
-    /// [`OracleShards::DEFAULT_SHARDS`] ways.
+    /// Wrap an oracle in a shareable handle.
     #[must_use]
     pub fn new(oracle: CompressionOracle) -> Self {
-        OracleHandle(Arc::new(OracleShards::new(
-            oracle,
-            OracleShards::DEFAULT_SHARDS,
-        )))
-    }
-
-    /// Wrap an oracle in a handle with an explicit shard count (rounded up
-    /// to a power of two). `1` gives the old single-lock behaviour; the
-    /// equivalence suite uses this to pin that sharding changes nothing
-    /// observable.
-    #[must_use]
-    pub fn with_shards(oracle: CompressionOracle, shard_count: usize) -> Self {
-        OracleHandle(Arc::new(OracleShards::new(oracle, shard_count)))
+        OracleHandle(Arc::new(oracle))
     }
 
     /// An enabled ([`CompressionOracle::new`]) or disabled
@@ -550,13 +459,7 @@ impl OracleHandle {
         }
     }
 
-    /// The sharded oracle behind this handle.
-    #[must_use]
-    pub fn shards(&self) -> &OracleShards {
-        &self.0
-    }
-
-    /// Lifetime counters of the shared oracle, summed over shards.
+    /// Lifetime counters of the shared oracle.
     ///
     /// # Panics
     ///
@@ -583,12 +486,33 @@ mod tests {
         }
     }
 
+    const LENS: CompressedLen = CompressedLen {
+        original_len: PAGE_SIZE,
+        compressed_len: PAGE_SIZE / 2,
+        chunk_count: 1,
+    };
+
+    /// One consultation through the two-phase path `SchemeContext` takes:
+    /// probe, compute a miss outside the lock, admit.
+    fn consult(
+        oracle: &CompressionOracle,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+    ) -> OracleOutcome {
+        if let Some(hit) = oracle.lookup(pages, algorithm, chunk_size, 0) {
+            return hit;
+        }
+        let lens = CodecScratch::default().compress(pages, algorithm, chunk_size, &mut fill);
+        oracle.admit(pages, algorithm, chunk_size, 0, lens)
+    }
+
     #[test]
     fn hits_return_the_cold_result_bit_for_bit() {
-        let mut oracle = CompressionOracle::new();
+        let oracle = CompressionOracle::new();
         let pages = [page(1), page(2), page(3), page(4)];
-        let cold = oracle.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16(), &mut fill);
-        let hit = oracle.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16(), &mut fill);
+        let cold = consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k16());
+        let hit = consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k16());
         assert!(!cold.hit && hit.hit);
         assert_eq!(cold.original_len, hit.original_len);
         assert_eq!(cold.compressed_len, hit.compressed_len);
@@ -600,24 +524,24 @@ mod tests {
 
     #[test]
     fn different_keys_do_not_collide() {
-        let mut oracle = CompressionOracle::new();
-        let a = oracle.compress_pages(&[page(1)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        let b = oracle.compress_pages(&[page(1)], Algorithm::Lz4, ChunkSize::k4(), &mut fill);
-        let c = oracle.compress_pages(&[page(1)], Algorithm::Lzo, ChunkSize::k1(), &mut fill);
-        let d = oracle.compress_pages(&[page(2)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
+        let oracle = CompressionOracle::new();
+        let a = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k4());
+        let b = consult(&oracle, &[page(1)], Algorithm::Lz4, ChunkSize::k4());
+        let c = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k1());
+        let d = consult(&oracle, &[page(2)], Algorithm::Lzo, ChunkSize::k4());
         assert!(!a.hit && !b.hit && !c.hit && !d.hit);
         assert_eq!(oracle.len(), 4);
     }
 
     #[test]
     fn disabled_oracle_caches_nothing_but_reports_identical_sizes() {
-        let mut enabled = CompressionOracle::new();
-        let mut disabled = CompressionOracle::disabled();
+        let enabled = CompressionOracle::new();
+        let disabled = CompressionOracle::disabled();
         let pages = [page(7), page(9)];
-        let on = enabled.compress_pages(&pages, Algorithm::Lz4, ChunkSize::k4(), &mut fill);
-        let off = disabled.compress_pages(&pages, Algorithm::Lz4, ChunkSize::k4(), &mut fill);
+        let on = consult(&enabled, &pages, Algorithm::Lz4, ChunkSize::k4());
+        let off = consult(&disabled, &pages, Algorithm::Lz4, ChunkSize::k4());
         assert_eq!(on.compressed_len, off.compressed_len);
-        let off2 = disabled.compress_pages(&pages, Algorithm::Lz4, ChunkSize::k4(), &mut fill);
+        let off2 = consult(&disabled, &pages, Algorithm::Lz4, ChunkSize::k4());
         assert!(!off2.hit, "disabled oracle never hits");
         assert!(disabled.is_empty());
         assert_eq!(disabled.stats().misses, 0, "disabled oracle counts nothing");
@@ -625,24 +549,41 @@ mod tests {
 
     #[test]
     fn lru_cap_evicts_the_least_recently_used_entry() {
-        let mut oracle = CompressionOracle::new().with_max_entries(2);
-        oracle.compress_pages(&[page(1)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        oracle.compress_pages(&[page(2)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
+        // The cap is enforced per shard, so strict LRU is pinned on one.
+        let mut shard = Shard::new(2);
+        let hit = |shard: &mut Shard, pfn: u64| {
+            shard.probe.pages = vec![page(pfn)];
+            let found = shard.lookup().is_some();
+            if !found {
+                shard.admit(LENS);
+            }
+            found
+        };
+        hit(&mut shard, 1);
+        hit(&mut shard, 2);
         // Touch page 1 so page 2 becomes the LRU victim.
-        let hit = oracle.compress_pages(&[page(1)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        assert!(hit.hit);
-        oracle.compress_pages(&[page(3)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        assert_eq!(oracle.len(), 2);
-        assert_eq!(oracle.stats().evictions, 1);
-        let page1 = oracle.compress_pages(&[page(1)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        assert!(page1.hit, "page 1 survived (recently used)");
-        let page2 = oracle.compress_pages(&[page(2)], Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        assert!(!page2.hit, "page 2 was the LRU victim");
+        assert!(hit(&mut shard, 1));
+        hit(&mut shard, 3);
+        assert_eq!(shard.index.len(), 2);
+        assert_eq!(shard.stats.evictions, 1);
+        assert!(hit(&mut shard, 1), "page 1 survived (recently used)");
+        assert!(!hit(&mut shard, 2), "page 2 was the LRU victim");
+    }
+
+    #[test]
+    fn total_cap_is_split_across_shards() {
+        let oracle = CompressionOracle::new().with_max_entries(16);
+        for pfn in 0..256 {
+            oracle.admit(&[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+        }
+        let len = oracle.len();
+        assert!(len > 0 && len <= 16, "{len} entries exceed the cap of 16");
+        assert_eq!(oracle.stats().evictions, 256 - len);
     }
 
     #[test]
     fn lookup_admit_round_trip_and_duplicate_admits_are_harmless() {
-        let mut oracle = CompressionOracle::new();
+        let oracle = CompressionOracle::new();
         let pages = [page(5), page(6)];
         assert!(oracle
             .lookup(&pages, Algorithm::Lzo, ChunkSize::k4(), 0)

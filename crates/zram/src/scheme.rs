@@ -6,14 +6,12 @@
 //! drives schemes exclusively through this trait, so the baseline-versus-
 //! Ariadne comparisons of the paper's evaluation are apples-to-apples.
 
-use crate::oracle::{
-    CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleShards, OracleStats,
-};
+use crate::oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
 use ariadne_compress::{
     Algorithm, ChunkSize, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
 };
 use ariadne_mem::{
-    AppId, CpuBreakdown, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
+    AppId, CpuActivity, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
     PageLocation, ReclaimReason, ReclaimRequest, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::metrics::names as metric_names;
@@ -265,16 +263,13 @@ pub struct SchemeContext {
     /// per-consultation content-variant tag costs an array index per page
     /// instead of a hash probe (the oracle hit path runs millions of times).
     poison_flags: Vec<u8>,
-    /// The memoized, sharded compression oracle shared by every consumer of
-    /// this context (clones share the same cache).
-    oracle: Arc<OracleShards>,
+    /// The memoized compression oracle shared by every consumer of this
+    /// context (clones share the same cache).
+    oracle: Arc<CompressionOracle>,
     /// Memory-hierarchy latency constants.
     pub timing: MemTimingModel,
     /// Compression-latency cost model.
     pub latency: LatencyModel,
-    /// How many pages of deferred work the engine hands a scheme per drain
-    /// tick (see [`SwapScheme::drain_deferred`]).
-    pub drain_batch_pages: usize,
     /// The thermal throttling state. Every scheme charges (de)compression
     /// through [`SchemeContext::compression_cost`] /
     /// [`SchemeContext::decompression_cost`], so the throttle hits all of
@@ -309,13 +304,9 @@ impl SchemeContext {
             data: PageDataGenerator::new(seed),
             profiles: workloads.iter().map(|w| (w.app, w.profile)).collect(),
             poison_flags,
-            oracle: Arc::new(OracleShards::new(
-                CompressionOracle::new(),
-                OracleShards::DEFAULT_SHARDS,
-            )),
+            oracle: Arc::new(CompressionOracle::new()),
             timing: MemTimingModel::pixel7(),
             latency: LatencyModel::pixel7(),
-            drain_batch_pages: 32,
             thermal: ThermalModel::default(),
             trace: TraceHandle::disabled(),
             metrics: MetricsHandle::disabled(),
@@ -423,38 +414,19 @@ impl SchemeContext {
         cost
     }
 
-    /// Override the deferred-work drain batch size.
-    #[must_use]
-    pub fn with_drain_batch_pages(mut self, pages: usize) -> Self {
-        self.drain_batch_pages = pages.max(1);
-        self
-    }
-
-    /// Replace the oracle (e.g. [`CompressionOracle::disabled`] to pin that
-    /// results are byte-identical with memoization off). The context gets
-    /// its own fresh cache.
-    #[must_use]
-    pub fn with_oracle(mut self, oracle: CompressionOracle) -> Self {
-        self.oracle = Arc::new(OracleShards::new(oracle, OracleShards::DEFAULT_SHARDS));
-        self
-    }
-
-    /// Enable or disable memoization, keeping everything else. Results are
-    /// byte-identical either way; only host wall-clock changes.
+    /// Enable or disable memoization on a fresh cache of its own, keeping
+    /// everything else. Results are byte-identical either way; only host
+    /// wall-clock changes.
     #[must_use]
     pub fn with_oracle_enabled(self, enabled: bool) -> Self {
-        if enabled {
-            self.with_oracle(CompressionOracle::new())
-        } else {
-            self.with_oracle(CompressionOracle::disabled())
-        }
+        self.with_oracle_handle(&OracleHandle::enabled(enabled))
     }
 
     /// Attach a shared oracle: this context joins the cache behind `handle`
     /// (see [`OracleHandle`] for when sharing is sound).
     #[must_use]
     pub fn with_oracle_handle(mut self, handle: &OracleHandle) -> Self {
-        self.oracle = std::sync::Arc::clone(&handle.0);
+        self.oracle = Arc::clone(&handle.0);
         self
     }
 
@@ -462,7 +434,7 @@ impl SchemeContext {
     /// built from the same seed.
     #[must_use]
     pub fn oracle_handle(&self) -> OracleHandle {
-        OracleHandle(std::sync::Arc::clone(&self.oracle))
+        OracleHandle(Arc::clone(&self.oracle))
     }
 
     /// Synthesize the contents of `page` into a caller-provided buffer
@@ -522,20 +494,15 @@ impl SchemeContext {
         algorithm: Algorithm,
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
-        // Two-phase consultation so no shard lock is ever held across a
-        // codec run: pick the key's shard without locking, probe under that
-        // shard's lock, compute a miss on this thread's own scratch with the
-        // lock released (parallel cells of a shared grid stay parallel on
-        // cold caches), then admit the result. Two threads may compute the
-        // same key concurrently; the results are bit-identical by
-        // construction and `admit` keeps the first.
+        // Two-phase consultation so no oracle lock is ever held across a
+        // codec run: probe under the key's shard lock, compute a miss on
+        // this thread's own scratch with the lock released (parallel cells
+        // of a shared grid stay parallel on cold caches), then admit the
+        // result. Two threads may compute the same key concurrently; the
+        // results are bit-identical by construction and `admit` keeps the
+        // first.
         let variant = self.content_variant(pages);
-        let shard = self.oracle.shard(pages, algorithm, chunk_size, variant);
-        let probe = shard
-            .lock()
-            .expect("oracle lock poisoned")
-            .lookup(pages, algorithm, chunk_size, variant);
-        if let Some(hit) = probe {
+        if let Some(hit) = self.oracle.lookup(pages, algorithm, chunk_size, variant) {
             return hit;
         }
         let lens = CODEC_SCRATCH.with(|scratch| {
@@ -545,9 +512,7 @@ impl SchemeContext {
                     self.fill_page_bytes(page, buf)
                 })
         });
-        shard
-            .lock()
-            .expect("oracle lock poisoned")
+        self.oracle
             .admit(pages, algorithm, chunk_size, variant, lens)
     }
 
@@ -599,7 +564,12 @@ impl SchemeContext {
 }
 
 /// Lifetime statistics a scheme reports to the experiment harness.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The scheme owns the codec, drop and stall counters; `flash`, `zpool` and
+/// the pre-decompression counters are read from the structures that own
+/// them each time [`SwapScheme::stats`] is called. CPU time lives only in
+/// the clock's ledger ([`SimClock::cpu`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchemeStats {
     /// Number of compression operations performed.
     pub compression_ops: usize,
@@ -617,8 +587,6 @@ pub struct SchemeStats {
     pub compression_time: CostNanos,
     /// Simulated time spent decompressing.
     pub decompression_time: CostNanos,
-    /// CPU ledger of the scheme's own work.
-    pub cpu: CpuBreakdown,
     /// Flash swap traffic.
     pub flash: FlashStats,
     /// zpool usage.
@@ -647,12 +615,6 @@ pub struct SchemeStats {
     /// Original bytes whose synthesis and compression an oracle hit avoided
     /// (host-CPU work saved; simulated costs are charged identically).
     pub oracle_bytes_saved: usize,
-    /// Order in which pages were first compressed (the Figure 4 analysis
-    /// sorts compressed data by compression time).
-    pub compression_log: Vec<PageId>,
-    /// zpool sectors touched by swap-ins, in access order (the Table 3
-    /// locality analysis runs over this sequence).
-    pub swapin_sector_trace: Vec<u64>,
 }
 
 impl SchemeStats {
@@ -672,6 +634,34 @@ impl SchemeStats {
     #[must_use]
     pub fn compression_cpu(&self) -> CostNanos {
         self.compression_time + self.decompression_time
+    }
+
+    /// Record one compression of `pages` pages (`original_bytes` in,
+    /// `compressed_bytes` out) that took `cost`, and charge the cost to the
+    /// clock's CPU ledger.
+    pub fn record_compression(
+        &mut self,
+        pages: usize,
+        original_bytes: usize,
+        compressed_bytes: usize,
+        cost: CostNanos,
+        clock: &mut SimClock,
+    ) {
+        self.compression_ops += 1;
+        self.pages_compressed += pages;
+        self.bytes_before_compression += original_bytes;
+        self.bytes_after_compression += compressed_bytes;
+        self.compression_time += cost;
+        clock.charge_cpu(CpuActivity::Compression, cost);
+    }
+
+    /// Record one decompression of `pages` pages that took `cost`, and
+    /// charge the cost to the clock's CPU ledger.
+    pub fn record_decompression(&mut self, pages: usize, cost: CostNanos, clock: &mut SimClock) {
+        self.decompression_ops += 1;
+        self.pages_decompressed += pages;
+        self.decompression_time += cost;
+        clock.charge_cpu(CpuActivity::Decompression, cost);
     }
 
     /// Record one [`CompressionOracle`] consultation in the hit/miss/
@@ -844,8 +834,9 @@ pub trait SwapScheme {
     /// The scheme's DRAM model (for watermark checks by the driver).
     fn dram(&self) -> &MainMemory;
 
-    /// Lifetime statistics.
-    fn stats(&self) -> &SchemeStats;
+    /// Lifetime statistics, with the flash, zpool and pre-decompression
+    /// counters read from their owners at call time.
+    fn stats(&self) -> SchemeStats;
 }
 
 #[cfg(test)]
@@ -972,13 +963,6 @@ mod tests {
                 bytes: 3 * PAGE_SIZE
             }
         );
-    }
-
-    #[test]
-    fn drain_batch_pages_is_configurable_and_never_zero() {
-        let ctx = SchemeContext::new(1, &[]);
-        assert_eq!(ctx.drain_batch_pages, 32);
-        assert_eq!(ctx.with_drain_batch_pages(0).drain_batch_pages, 1);
     }
 
     #[test]

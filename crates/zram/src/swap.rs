@@ -91,7 +91,6 @@ impl FlashSwapScheme {
 
         let scan = ctx.timing.reclaim_scan(victims.len());
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        self.stats.cpu.charge(CpuActivity::ReclaimScan, scan);
 
         let requests: Vec<WriteRequest> = victims
             .iter()
@@ -106,7 +105,6 @@ impl FlashSwapScheme {
         if result.commands > 0 {
             let io_cpu = ctx.timing.lru_ops(2 * result.commands);
             clock.charge_cpu(CpuActivity::SwapIo, io_cpu);
-            self.stats.cpu.charge(CpuActivity::SwapIo, io_cpu);
         }
 
         // Rejected pages (swap area full) stay resident.
@@ -125,7 +123,6 @@ impl FlashSwapScheme {
             }
         }
         self.stats.io_queue_stall_time += result.queue_stall;
-        self.stats.flash = self.flash.stats();
 
         let mut visible_latency = CostNanos::zero();
         if synchronous {
@@ -209,8 +206,6 @@ impl SwapScheme for FlashSwapScheme {
                 charge_fault_io(&fault, CostNanos::zero(), &mut self.stats, clock, ctx);
             latency += io_latency;
             io_stall = stall;
-            self.stats.flash = self.flash.stats();
-            self.stats.swapin_sector_trace.push(slot.value());
         } else {
             // Never swapped (or dropped): model a minor fault that maps a
             // fresh zero page.
@@ -263,10 +258,8 @@ impl SwapScheme for FlashSwapScheme {
             self.lru.remove(page);
         }
         let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
-        self.stats.flash = self.flash.stats();
         let cost = ctx.timing.lru_ops(evicted.len() + flash_pages);
         clock.charge_cpu(CpuActivity::Other, cost);
-        self.stats.cpu.charge(CpuActivity::Other, cost);
         if self.foreground == Some(app) {
             self.foreground = None;
         }
@@ -304,8 +297,11 @@ impl SwapScheme for FlashSwapScheme {
         &self.dram
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn stats(&self) -> SchemeStats {
+        SchemeStats {
+            flash: self.flash.stats(),
+            ..self.stats
+        }
     }
 }
 
@@ -387,7 +383,6 @@ mod tests {
         assert_eq!(outcome.found_in, PageLocation::Flash);
         assert!(outcome.latency >= ctx.timing.flash_read(PAGE_SIZE));
         assert_eq!(scheme.location_of(pages[0]), PageLocation::Dram);
-        assert_eq!(scheme.stats().swapin_sector_trace.len(), 1);
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub fn charge_fault_io(
     }
     let io_cpu = ctx.timing.lru_ops(2);
     clock.charge_cpu(CpuActivity::SwapIo, io_cpu);
-    stats.cpu.charge(CpuActivity::SwapIo, io_cpu);
     (latency, stall)
 }
 
@@ -175,14 +174,12 @@ impl ZpoolWriteback<'_> {
                 if result.commands > 0 {
                     let io_cpu = ctx.timing.lru_ops(2 * result.commands);
                     clock.charge_cpu(CpuActivity::SwapIo, io_cpu);
-                    self.stats.cpu.charge(CpuActivity::SwapIo, io_cpu);
                 }
                 for dropped in &result.dropped {
                     // Even the writeback target is full: the data is lost.
                     self.stats.dropped_pages += dropped.pages.len();
                 }
                 self.stats.io_queue_stall_time += result.queue_stall;
-                self.stats.flash = self.flash.stats();
                 if ctx.metrics().is_enabled() {
                     let dropped_pages: usize = result.dropped.iter().map(|r| r.pages.len()).sum();
                     ctx.metrics().count(
@@ -280,9 +277,9 @@ mod tests {
         // Queued mode: submission is free of user-visible latency.
         assert_eq!(latency, CostNanos::zero());
         assert!(flash.in_flight_commands() >= 1);
-        assert!(stats.flash.writes >= 3);
+        assert!(flash.stats().writes >= 3);
         // Batching: fewer commands than objects.
-        assert!(stats.flash.commands < stats.flash.writes);
+        assert!(flash.stats().commands < flash.stats().writes);
         assert_eq!(stats.dropped_pages, 0);
     }
 
@@ -323,7 +320,7 @@ mod tests {
         .make_room(3 * PAGE_SIZE, &mut clock, &ctx);
         assert_eq!(latency, CostNanos::zero());
         assert!(stats.dropped_pages >= 3);
-        assert_eq!(stats.flash.writes, 0);
+        assert_eq!(flash.stats().writes, 0);
     }
 
     #[test]

@@ -40,6 +40,12 @@ pub struct ZramScheme {
     lru: LruList<PageId>,
     foreground: Option<AppId>,
     stats: SchemeStats,
+    /// Order in which pages were compressed (the Figure 4 analysis sorts
+    /// compressed data by compression time).
+    compression_log: Vec<PageId>,
+    /// zpool sectors and flash slots touched by swap-ins, in access order
+    /// (the Table 3 locality analysis runs over this sequence).
+    swapin_sectors: Vec<u64>,
     /// Reusable buffer for foreground pages popped and reinserted during a
     /// victim scan, so the per-page `make_room` loop never allocates.
     pick_scratch: Vec<PageId>,
@@ -56,6 +62,8 @@ impl ZramScheme {
             lru: LruList::new(),
             foreground: None,
             stats: SchemeStats::default(),
+            compression_log: Vec::new(),
+            swapin_sectors: Vec::new(),
             pick_scratch: Vec::new(),
             config,
         }
@@ -65,6 +73,19 @@ impl ZramScheme {
     #[must_use]
     pub fn algorithm(&self) -> Algorithm {
         self.config.algorithm
+    }
+
+    /// Every page compressed so far, in compression order.
+    #[must_use]
+    pub fn compression_log(&self) -> &[PageId] {
+        &self.compression_log
+    }
+
+    /// The zpool sector or flash slot of every swap-in so far, in access
+    /// order.
+    #[must_use]
+    pub fn swapin_sectors(&self) -> &[u64] {
+        &self.swapin_sectors
     }
 
     /// Compress one victim page into the zpool. Returns the compression
@@ -108,15 +129,9 @@ impl ZramScheme {
         }
         self.dram.remove(page);
 
-        self.stats.compression_ops += 1;
-        self.stats.pages_compressed += 1;
-        self.stats.bytes_before_compression += outcome.original_len;
-        self.stats.bytes_after_compression += compressed_len;
-        self.stats.compression_time += cost;
-        self.stats.compression_log.push(page);
-        self.stats.cpu.charge(CpuActivity::Compression, cost);
-        clock.charge_cpu(CpuActivity::Compression, cost);
-        self.stats.zpool = self.zpool.stats();
+        self.stats
+            .record_compression(1, outcome.original_len, compressed_len, cost, clock);
+        self.compression_log.push(page);
         cost + writeback_latency
     }
 
@@ -211,8 +226,8 @@ impl ZramScheme {
         latency
     }
 
-    /// Decompress the entry holding `page` back into DRAM. Returns the
-    /// latency and the zpool sector it came from.
+    /// Decompress the entry behind `handle` and log its zpool sector as a
+    /// swap-in. Returns the latency.
     fn decompress_entry(
         &mut self,
         handle: ZpoolHandle,
@@ -226,13 +241,9 @@ impl ZramScheme {
             entry.original_bytes,
             clock.now().as_nanos(),
         );
-        self.stats.decompression_ops += 1;
-        self.stats.pages_decompressed += entry.pages.len();
-        self.stats.decompression_time += cost;
-        self.stats.cpu.charge(CpuActivity::Decompression, cost);
-        clock.charge_cpu(CpuActivity::Decompression, cost);
-        self.stats.swapin_sector_trace.push(entry.sector.value());
-        self.stats.zpool = self.zpool.stats();
+        self.stats
+            .record_decompression(entry.pages.len(), cost, clock);
+        self.swapin_sectors.push(entry.sector.value());
         cost
     }
 }
@@ -308,14 +319,10 @@ impl SwapScheme for ZramScheme {
                     clock.now().as_nanos(),
                 );
                 latency += cost;
-                self.stats.decompression_ops += 1;
-                self.stats.pages_decompressed += fault.pages.len();
-                self.stats.decompression_time += cost;
-                self.stats.cpu.charge(CpuActivity::Decompression, cost);
-                clock.charge_cpu(CpuActivity::Decompression, cost);
+                self.stats
+                    .record_decompression(fault.pages.len(), cost, clock);
             }
-            self.stats.swapin_sector_trace.push(slot.value());
-            self.stats.flash = self.flash.stats();
+            self.swapin_sectors.push(slot.value());
         } else {
             found_in = PageLocation::Absent;
             latency += ctx.timing.dram_copy(1);
@@ -342,7 +349,6 @@ impl SwapScheme for ZramScheme {
         let victims = self.pick_victims(request.target_pages);
         let scan = ctx.timing.reclaim_scan(victims.len().max(1));
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        self.stats.cpu.charge(CpuActivity::ReclaimScan, scan);
         let mut reclaimed = 0usize;
         for page in victims {
             self.compress_page(page, clock, ctx);
@@ -413,16 +419,14 @@ impl SwapScheme for ZramScheme {
             return 0;
         }
         let threshold = self.flush_threshold_bytes();
-        let flushed = ZpoolWriteback {
+        ZpoolWriteback {
             zpool: &mut self.zpool,
             flash: &mut self.flash,
             policy: self.config.writeback,
             prefer_cold: false,
             stats: &mut self.stats,
         }
-        .flush_above(threshold, budget, clock, ctx);
-        self.stats.zpool = self.zpool.stats();
-        flushed
+        .flush_above(threshold, budget, clock, ctx)
     }
 
     fn release_app(
@@ -437,13 +441,10 @@ impl SwapScheme for ZramScheme {
         }
         let (zpool_entries, zpool_pages) = self.zpool.release_app(app);
         let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
-        self.stats.zpool = self.zpool.stats();
-        self.stats.flash = self.flash.stats();
         let cost = ctx
             .timing
             .lru_ops(evicted.len() + zpool_pages + flash_pages);
         clock.charge_cpu(CpuActivity::Other, cost);
-        self.stats.cpu.charge(CpuActivity::Other, cost);
         if self.foreground == Some(app) {
             self.foreground = None;
         }
@@ -485,8 +486,12 @@ impl SwapScheme for ZramScheme {
         &self.dram
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn stats(&self) -> SchemeStats {
+        SchemeStats {
+            zpool: self.zpool.stats(),
+            flash: self.flash.stats(),
+            ..self.stats
+        }
     }
 }
 
@@ -561,7 +566,7 @@ mod tests {
         assert!(outcome.latency >= decomp);
         assert_eq!(scheme.location_of(pages[0]), PageLocation::Dram);
         assert_eq!(scheme.stats().decompression_ops, 1);
-        assert_eq!(scheme.stats().swapin_sector_trace.len(), 1);
+        assert_eq!(scheme.swapin_sectors().len(), 1);
     }
 
     #[test]
@@ -638,7 +643,7 @@ mod tests {
         assert!(scheme.stats().dropped_pages > 0);
         assert!(scheme.stats().flash.writes == 0);
         // The freshly compressed data is still in the pool.
-        let last_victim = scheme.stats().compression_log.last().copied().unwrap();
+        let last_victim = scheme.compression_log().last().copied().unwrap();
         assert_eq!(scheme.location_of(last_victim), PageLocation::Zpool);
     }
 
@@ -679,7 +684,7 @@ mod tests {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
         }
         scheme.reclaim(reclaim_request(5), &mut clock, &ctx);
-        let log = &scheme.stats().compression_log;
+        let log = scheme.compression_log();
         assert_eq!(log.len(), 5);
         // Victims are the least recently used pages (5..10), not the touched ones.
         assert_eq!(log[0], pages[5]);
@@ -832,13 +837,18 @@ mod tests {
         }
         scheme.reclaim(reclaim_request(10), &mut clock, &ctx);
         scheme.access(pages[0], AccessKind::Relaunch, &mut clock, &ctx);
-        let cpu = &scheme.stats().cpu;
+        let cpu = clock.cpu();
         assert!(cpu.total_for(CpuActivity::Compression) > CostNanos::zero());
         assert!(cpu.total_for(CpuActivity::Decompression) > CostNanos::zero());
         assert!(cpu.total_for(CpuActivity::ReclaimScan) > CostNanos::zero());
+        let stats = scheme.stats();
         assert_eq!(
-            clock.cpu().total_for(CpuActivity::Compression),
-            cpu.total_for(CpuActivity::Compression)
+            cpu.total_for(CpuActivity::Compression),
+            stats.compression_time
+        );
+        assert_eq!(
+            cpu.total_for(CpuActivity::Decompression),
+            stats.decompression_time
         );
     }
 }

@@ -129,8 +129,11 @@ fn ariadne_scheme_is_usable_directly_through_the_facade() {
         &ctx,
     );
     assert_eq!(outcome.pages_reclaimed, 16);
-    let compressed = scheme.stats().compression_log[0];
-    assert_eq!(scheme.location_of(compressed), PageLocation::Zpool);
+    let compressed = pages
+        .iter()
+        .copied()
+        .find(|&page| scheme.location_of(page) == PageLocation::Zpool)
+        .expect("reclaim compressed some pages");
     let access = scheme.access(compressed, AccessKind::Relaunch, &mut clock, &ctx);
     assert_eq!(access.found_in, PageLocation::Zpool);
     assert_eq!(scheme.location_of(compressed), PageLocation::Dram);
