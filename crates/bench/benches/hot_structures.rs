@@ -98,6 +98,7 @@ fn flash_store_fault_release(c: &mut Criterion) {
 /// Admit a working set of cold results once, then hammer lookups (the
 /// steady-state mix the memoized oracle serves during a relaunch storm).
 fn oracle_lookup_admit(c: &mut Criterion) {
+    const SEED: u64 = 1;
     let lens = ariadne_compress::CompressedLen {
         original_len: PAGE_SIZE,
         compressed_len: PAGE_SIZE / 2,
@@ -110,16 +111,16 @@ fn oracle_lookup_admit(c: &mut Criterion) {
             for pfn in 0..1024u64 {
                 let pages = [page(1, pfn)];
                 assert!(oracle
-                    .lookup(&pages, algorithm, ChunkSize::k4(), 0)
+                    .lookup(SEED, &pages, algorithm, ChunkSize::k4(), 0)
                     .is_none());
-                oracle.admit(&pages, algorithm, ChunkSize::k4(), 0, lens);
+                oracle.admit(SEED, &pages, algorithm, ChunkSize::k4(), 0, lens);
             }
             let mut hits = 0usize;
             for round in 0..4 {
                 for pfn in 0..1024u64 {
                     let pages = [page(1, (pfn * 7 + round) % 1024)];
                     if oracle
-                        .lookup(&pages, algorithm, ChunkSize::k4(), 0)
+                        .lookup(SEED, &pages, algorithm, ChunkSize::k4(), 0)
                         .is_some()
                     {
                         hits += 1;

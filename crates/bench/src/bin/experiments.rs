@@ -49,24 +49,26 @@ struct OutputOptions {
     metrics_json: Option<String>,
 }
 
-fn parse_args() -> Result<(ExperimentOptions, OutputOptions, Vec<String>), String> {
+/// Parse the command-line arguments (without the program name).
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(ExperimentOptions, OutputOptions, Vec<String>), String> {
     let mut opts = ExperimentOptions::full();
+    let mut scale = None;
     let mut output = OutputOptions::default();
     let mut names = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                let quick = ExperimentOptions::quick();
-                opts.quick = true;
-                opts.scale = quick.scale;
-            }
+            "--quick" => opts.quick = true,
             "--scale" => {
                 let value = args.next().ok_or("--scale needs a value")?;
-                opts.scale = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid scale `{value}`"))?
-                    .max(1);
+                scale = Some(
+                    value
+                        .parse::<usize>()
+                        .map_err(|_| format!("invalid scale `{value}`"))?
+                        .max(1),
+                );
             }
             "--seed" => {
                 let value = args.next().ok_or("--seed needs a value")?;
@@ -74,7 +76,7 @@ fn parse_args() -> Result<(ExperimentOptions, OutputOptions, Vec<String>), Strin
                     .parse::<u64>()
                     .map_err(|_| format!("invalid seed `{value}`"))?;
             }
-            "--no-oracle" => opts.oracle = false,
+            "--no-oracle" => opts = opts.with_oracle(false),
             "--thermal-off" => {
                 opts.thermal = Some(ariadne_compress::ThermalConfig::off());
             }
@@ -98,6 +100,12 @@ fn parse_args() -> Result<(ExperimentOptions, OutputOptions, Vec<String>), Strin
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             name => names.push(name.to_string()),
         }
+    }
+    // An explicit `--scale` wins over `--quick`'s, in either order.
+    if let Some(scale) = scale {
+        opts.scale = scale;
+    } else if opts.quick {
+        opts.scale = ExperimentOptions::quick().scale;
     }
     Ok((opts, output, names))
 }
@@ -123,7 +131,7 @@ fn print_list(json: bool) {
 }
 
 fn main() -> ExitCode {
-    let (opts, output, names) = match parse_args() {
+    let (opts, output, names) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}");
@@ -258,5 +266,35 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> ExperimentOptions {
+        let args = args.iter().map(|arg| (*arg).to_string());
+        parse_args(args).expect("valid arguments").0
+    }
+
+    #[test]
+    fn an_explicit_scale_wins_over_quick_in_either_order() {
+        for args in [["--scale", "512", "--quick"], ["--quick", "--scale", "512"]] {
+            let opts = parse(&args);
+            assert!(opts.quick, "{args:?}");
+            assert_eq!(opts.scale, 512, "{args:?}");
+        }
+        assert_eq!(parse(&["--quick"]).scale, ExperimentOptions::quick().scale);
+        assert_eq!(parse(&["--scale", "512"]).scale, 512);
+        assert_eq!(parse(&[]).scale, ExperimentOptions::full().scale);
+    }
+
+    #[test]
+    fn scale_and_seed_need_a_value() {
+        for flag in ["--scale", "--seed"] {
+            let error = parse_args([flag.to_string()]).expect_err(flag);
+            assert!(error.contains("needs a value"), "{error}");
+        }
     }
 }

@@ -6,9 +6,7 @@ use super::ExperimentOptions;
 use crate::energy::EnergyModel;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
-use crate::system::MobileSystem;
 use ariadne_trace::{Scenario, ScenarioKind};
-use ariadne_zram::OracleHandle;
 
 const BASELINE_SCHEMES: [SchemeSpec; 3] = [SchemeSpec::Dram, SchemeSpec::Zram, SchemeSpec::Swap];
 
@@ -21,12 +19,10 @@ pub fn fig2(opts: &ExperimentOptions) -> Table {
         &["app", "DRAM", "ZRAM", "SWAP"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     for app in opts.reported_apps() {
         let mut cells = vec![app.to_string()];
         for spec in BASELINE_SCHEMES {
-            let mut system = MobileSystem::new(spec, config);
-            system.attach_oracle(&oracle);
+            let mut system = opts.system(spec, config);
             system.run_scenario(&Scenario::relaunch_study(app));
             cells.push(fmt_unit(system.average_relaunch_millis(), "ms"));
         }
@@ -45,13 +41,11 @@ pub fn fig3(opts: &ExperimentOptions) -> Table {
         &["scheme", "reclaim CPU", "normalized to SWAP"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let rounds = if opts.quick { 1 } else { 2 };
     let scenario = Scenario::heavy_switching(rounds);
     let mut results = Vec::new();
     for spec in BASELINE_SCHEMES {
-        let mut system = MobileSystem::new(spec, config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(spec, config);
         system.run_scenario(&scenario);
         let cpu_seconds = system.cpu().reclaim_related().as_secs_f64() * opts.scale as f64;
         results.push((spec.label(), cpu_seconds));
@@ -80,7 +74,6 @@ pub fn table2(opts: &ExperimentOptions) -> Table {
         &["workload", "scheme", "energy", "normalized"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let model = EnergyModel::pixel7();
     let rounds = if opts.quick { 1 } else { 2 };
     for (kind, scenario) in [
@@ -96,8 +89,7 @@ pub fn table2(opts: &ExperimentOptions) -> Table {
         };
         let mut energies = Vec::new();
         for spec in BASELINE_SCHEMES {
-            let mut system = MobileSystem::new(spec, config);
-            system.attach_oracle(&oracle);
+            let mut system = opts.system(spec, config);
             system.run_scenario(&scenario);
             let energy = model.energy_joules(
                 60.0,

@@ -10,7 +10,7 @@ use ariadne_mem::{Hotness, PageId, PAGE_SIZE};
 use ariadne_trace::{
     measure_consecutive_probability, AppName, PageDataGenerator, Scenario, WorkloadBuilder,
 };
-use ariadne_zram::{OracleHandle, ZramScheme};
+use ariadne_zram::ZramScheme;
 use std::collections::HashMap;
 
 /// The ZRAM scheme `system` runs (Figure 4 and Table 3 read its page logs).
@@ -56,10 +56,8 @@ pub fn fig4(opts: &ExperimentOptions) -> Table {
         &["app", "part", "hot", "warm", "cold"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     for app in opts.reported_apps() {
-        let mut system = MobileSystem::new(SchemeSpec::Zram, config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(SchemeSpec::Zram, config);
         system.run_scenario(&Scenario::relaunch_study(app));
         let log = zram(&system).compression_log();
         if log.is_empty() {
@@ -219,10 +217,8 @@ pub fn table3(opts: &ExperimentOptions) -> Table {
         &["app", "2 consecutive", "4 consecutive"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     for app in opts.reported_apps() {
-        let mut system = MobileSystem::new(SchemeSpec::Zram, config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(SchemeSpec::Zram, config);
         system.run_scenario(&Scenario::relaunch_study(app));
         let trace = zram(&system).swapin_sectors();
         let p2 = measure_consecutive_probability(trace, 2);

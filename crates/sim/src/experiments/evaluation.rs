@@ -6,10 +6,8 @@
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
-use crate::system::MobileSystem;
 use ariadne_core::SizeConfig;
 use ariadne_trace::{AppName, Scenario};
-use ariadne_zram::OracleHandle;
 
 /// Everything measured from one (application, scheme) relaunch-study run.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,13 +66,11 @@ fn cycling_scenario(target: ariadne_trace::AppName, rounds: usize) -> Scenario {
 #[must_use]
 pub fn run_matrix(opts: &ExperimentOptions, specs: &[SchemeSpec], cycling: bool) -> Vec<RunResult> {
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let rounds = if opts.quick { 2 } else { 3 };
     let mut results = Vec::new();
     for app in opts.reported_apps() {
         for spec in specs {
-            let mut system = MobileSystem::new(*spec, config);
-            system.attach_oracle(&oracle);
+            let mut system = opts.system(*spec, config);
             let scale = opts.scale as f64;
             let (comp_decomp_cpu_s, compression_ms, decompression_ms) = if cycling {
                 // Steady state: build up memory pressure with the plain

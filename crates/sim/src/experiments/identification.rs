@@ -3,10 +3,8 @@
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
-use crate::system::MobileSystem;
 use ariadne_core::{AriadneScheme, SizeConfig};
 use ariadne_trace::{AppName, Scenario, ScenarioEvent, ScenarioKind};
-use ariadne_zram::OracleHandle;
 
 /// Build a scenario that relaunches `target` several times with other
 /// applications launched in between (so hot-list predictions are exercised
@@ -50,12 +48,9 @@ pub fn fig14(opts: &ExperimentOptions) -> Table {
         &["app", "coverage", "accuracy"],
     );
     let config = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let rounds = if opts.quick { 3 } else { 4 };
     for app in opts.reported_apps() {
-        let mut system =
-            MobileSystem::new(SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()), config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()), config);
         system.run_scenario(&repeated_relaunch_scenario(app, rounds));
         let target_id = system.workload(app).app;
         let ariadne = system

@@ -20,7 +20,6 @@ use crate::system::{MobileSystem, RelaunchKind};
 use ariadne_core::SizeConfig;
 use ariadne_mem::{PageLocation, PAGE_SIZE};
 use ariadne_trace::TimedScenario;
-use ariadne_zram::OracleHandle;
 
 /// The five schemes the lifecycle experiment compares.
 #[must_use]
@@ -68,14 +67,12 @@ pub fn lifecycle(opts: &ExperimentOptions) -> Table {
     );
     let scenario = TimedScenario::kill_storm();
     let base = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let scale = opts.scale;
     let rows = run_cells(evaluated_schemes(), |spec| {
         // A vendor-sized zpool (1/16 of the paper's 3 GB) that the storm
         // drives past what it can absorb.
         let config = base.with_zpool_shrink(16);
-        let mut system = MobileSystem::new(spec, config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(spec, config);
         system.run_timed(&scenario);
         let full_scale = scale as f64;
         vec![

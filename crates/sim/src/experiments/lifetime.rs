@@ -17,10 +17,9 @@ use super::lifecycle::evaluated_schemes;
 use super::runner::run_cells;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
-use crate::system::{MobileSystem, RelaunchKind, SimulationConfig};
+use crate::system::{RelaunchKind, SimulationConfig};
 use ariadne_compress::ThermalConfig;
 use ariadne_trace::{AdversarialMix, DeviceClass, TimedScenario};
-use ariadne_zram::{CompressionOracle, OracleHandle};
 
 /// Wear-dependent latency inflation used by this experiment: each average
 /// erase-block cycle consumed makes flash commands 10 % slower (an
@@ -112,22 +111,10 @@ pub fn cell_config(
 #[must_use]
 pub fn grid(opts: &ExperimentOptions) -> Vec<LifetimeOutcome> {
     let hours = soak_hours(opts);
-    // One scenario per mix, one oracle for the whole grid: every cell is
-    // built from the same `(seed, scale)`, and the oracle key's
-    // content-variant tag distinguishes poisoned from calibrated page bytes,
-    // so mixes that poison different apps share every calibrated result
-    // instead of re-compressing it four times. The entry cap scales with the
-    // mix count because this one cache now holds what per-mix oracles used
-    // to hold separately; the cap only bounds host memory — a memoized
-    // result is bit-identical however it is obtained.
-    let oracle =
-        if opts.oracle {
-            OracleHandle::new(CompressionOracle::new().with_max_entries(
-                AdversarialMix::ALL.len() * CompressionOracle::DEFAULT_MAX_ENTRIES,
-            ))
-        } else {
-            OracleHandle::enabled(false)
-        };
+    // One scenario per mix. The run's oracle key carries a content-variant
+    // tag that distinguishes poisoned from calibrated page bytes, so mixes
+    // that poison different apps share every calibrated result instead of
+    // re-compressing it four times.
     let scenarios: Vec<(AdversarialMix, TimedScenario)> = AdversarialMix::ALL
         .iter()
         .map(|&mix| (mix, TimedScenario::lifetime(mix, hours)))
@@ -136,15 +123,13 @@ pub fn grid(opts: &ExperimentOptions) -> Vec<LifetimeOutcome> {
     for &device in &DeviceClass::ALL {
         for (mix, scenario) in &scenarios {
             for spec in evaluated_schemes() {
-                cells.push((device, *mix, scenario.clone(), oracle.clone(), spec));
+                cells.push((device, *mix, scenario.clone(), spec));
             }
         }
     }
     let scale = opts.scale as f64;
-    run_cells(cells, |(device, mix, scenario, oracle, spec)| {
-        let config = cell_config(opts, device, mix);
-        let mut system = MobileSystem::new(spec, config);
-        system.attach_oracle(&oracle);
+    run_cells(cells, |(device, mix, scenario, spec)| {
+        let mut system = opts.system(spec, cell_config(opts, device, mix));
         system.run_timed(&scenario);
         let stats = system.stats();
         LifetimeOutcome {

@@ -1,10 +1,10 @@
 //! One module per group of paper experiments.
 //!
-//! Every experiment function takes an [`ExperimentOptions`] (seed, scale and
-//! a quick/full switch) and returns a [`Table`] with exactly the rows and
-//! series the paper reports. The `experiments` binary in `ariadne-bench`
-//! prints all of them; `EXPERIMENTS.md` records paper-reported versus
-//! measured values.
+//! Every experiment function takes an [`ExperimentOptions`] (seed, scale, a
+//! quick/full switch and the run's shared compression oracle) and returns a
+//! [`Table`] with exactly the rows and series the paper reports. The
+//! `experiments` binary in `ariadne-bench` prints all of them;
+//! `EXPERIMENTS.md` records paper-reported versus measured values.
 
 pub mod baselines;
 pub mod characterization;
@@ -18,10 +18,13 @@ pub mod status;
 pub mod writeback;
 
 use crate::report::Table;
+use crate::schemes::SchemeSpec;
+use crate::system::{MobileSystem, SimulationConfig};
 use ariadne_trace::AppName;
+use ariadne_zram::OracleHandle;
 
 /// Options shared by every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Deterministic seed.
     pub seed: u64,
@@ -30,11 +33,14 @@ pub struct ExperimentOptions {
     pub scale: usize,
     /// Quick mode: fewer applications and smaller samples, for CI and tests.
     pub quick: bool,
-    /// Whether simulations use the memoized compression oracle. Output is
-    /// byte-identical either way; the disabled oracle is the reference that
-    /// `tests/oracle_equivalence.rs` and the `--no-oracle` identity diff
-    /// compare against.
-    pub oracle: bool,
+    /// The memoized compression oracle every system of the run joins (see
+    /// [`ExperimentOptions::system`]): the experiments compress the same
+    /// pages of the same ten apps, so all of them share one cache, and
+    /// clones of these options share it too. Output is byte-identical with
+    /// it enabled or disabled ([`ExperimentOptions::with_oracle`]); the
+    /// disabled oracle is the reference that `tests/oracle_equivalence.rs`
+    /// and the `--no-oracle` identity diff compare against.
+    pub oracle: OracleHandle,
     /// Thermal-model override. `None` leaves each experiment's own choice in
     /// place (most run with the model off; `lifetime` turns it on); `Some`
     /// forces that configuration everywhere, which is how CI pins the
@@ -43,34 +49,34 @@ pub struct ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// The full-fidelity configuration used to regenerate the figures.
+    /// The full-fidelity configuration used to regenerate the figures, with
+    /// a fresh enabled oracle.
     #[must_use]
     pub fn full() -> Self {
         ExperimentOptions {
             seed: 0x0A71_AD4E,
             scale: 64,
             quick: false,
-            oracle: true,
+            oracle: OracleHandle::from(true),
             thermal: None,
         }
     }
 
-    /// A reduced configuration for tests and smoke runs.
+    /// A reduced configuration for tests and smoke runs, with a fresh
+    /// enabled oracle.
     #[must_use]
     pub fn quick() -> Self {
         ExperimentOptions {
-            seed: 0x0A71_AD4E,
             scale: 256,
             quick: true,
-            oracle: true,
-            thermal: None,
+            ..ExperimentOptions::full()
         }
     }
 
-    /// Disable (or re-enable) the memoized compression oracle.
+    /// Switch to a fresh enabled (or disabled) compression oracle.
     #[must_use]
     pub fn with_oracle(mut self, oracle: bool) -> Self {
-        self.oracle = oracle;
+        self.oracle = OracleHandle::from(oracle);
         self
     }
 
@@ -82,17 +88,25 @@ impl ExperimentOptions {
     }
 
     /// The simulation configuration every experiment starts from: seed and
-    /// scale from these options, plus the oracle switch. Experiments layer
-    /// their own overrides (I/O model, zpool shrink, lmkd) on top.
+    /// scale from these options, plus the thermal override. Experiments
+    /// layer their own overrides (I/O model, zpool shrink, lmkd) on top.
     #[must_use]
-    pub fn base_config(&self) -> crate::system::SimulationConfig {
-        let mut config = crate::system::SimulationConfig::new(self.seed)
-            .with_scale(self.scale)
-            .with_oracle(self.oracle);
+    pub fn base_config(&self) -> SimulationConfig {
+        let mut config = SimulationConfig::new(self.seed).with_scale(self.scale);
         if let Some(thermal) = self.thermal {
             config = config.with_thermal(thermal);
         }
         config
+    }
+
+    /// Build a system running `spec` under `config`, joined to
+    /// [`ExperimentOptions::oracle`]. Every experiment builds its systems
+    /// here.
+    #[must_use]
+    pub fn system(&self, spec: SchemeSpec, config: SimulationConfig) -> MobileSystem {
+        let mut system = MobileSystem::new(spec, config);
+        system.attach_oracle(&self.oracle);
+        system
     }
 
     /// The applications whose per-app results are reported (the paper plots

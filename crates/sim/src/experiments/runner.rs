@@ -2,20 +2,21 @@
 //!
 //! Experiment cells — a [`SchemeSpec`] × scenario pair, or a whole named
 //! experiment table — are independent simulations: each constructs its own
-//! [`MobileSystem`] from a seeded [`SimulationConfig`], so no state is
-//! shared between cells. The runner is a **deterministic work-stealing
-//! pool**: at most [`max_parallel_cells`] worker threads claim cells from a
-//! shared atomic cursor and write each result into the output slot indexed
-//! by the cell's input position. Which worker runs which cell (and in what
-//! wall-clock order) is scheduling-dependent, but it cannot affect the
-//! output: cells share no state, every cell's result lands in its own
-//! pre-assigned slot, and the merge is a read-out in input order after all
-//! workers join — byte-identical to the serial path for the same
-//! `(seed, scale)`. Unlike the earlier chunked spawn-and-join design there
-//! is no barrier between chunks, so a single long-running cell (the
-//! `lifetime` grid's worst scheme × device × mix unit, for instance) no
-//! longer holds idle cores hostage. The determinism regression tests in
-//! `tests/determinism.rs` pin both the ordering and the thread cap.
+//! [`MobileSystem`] from a seeded [`SimulationConfig`], so no simulated
+//! state is shared between cells (only the compression oracle, whose
+//! results never depend on which cell asked first). The runner is a
+//! **deterministic work-stealing pool**: at most [`max_parallel_cells`]
+//! worker threads claim cells from a shared atomic cursor and write each
+//! result into the output slot indexed by the cell's input position. Which
+//! worker runs which cell (and in what wall-clock order) is
+//! scheduling-dependent, but it cannot affect the output: cells share no
+//! simulated state, every cell's result lands in its own pre-assigned slot,
+//! and the merge is a read-out in input order after all workers join —
+//! byte-identical to the serial path for the same `(seed, scale)`. There is
+//! no barrier between cells, so a single long-running cell (the `lifetime`
+//! grid's worst scheme × device × mix unit, for instance) never holds idle
+//! cores hostage. The determinism regression tests in `tests/determinism.rs`
+//! pin both the ordering and the thread cap.
 
 use super::ExperimentOptions;
 use crate::report::Table;
@@ -23,6 +24,7 @@ use crate::schemes::SchemeSpec;
 use crate::system::{MobileSystem, SimulationConfig};
 use ariadne_mem::CpuActivity;
 use ariadne_trace::TimedScenario;
+use ariadne_zram::OracleHandle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -133,17 +135,17 @@ pub struct GridOutcome {
     pub events: usize,
 }
 
-/// Run every grid cell (one [`MobileSystem`] each) on the worker pool of
-/// [`run_cells`] and return the outcomes in cell order.
+/// Run every grid cell (one [`MobileSystem`] each, joined to `oracle`) on
+/// the worker pool of [`run_cells`] and return the outcomes in cell order.
 #[must_use]
-pub fn run_grid(config: SimulationConfig, cells: Vec<GridCell>) -> Vec<GridOutcome> {
-    // One oracle for the whole grid: every cell is built from the same
-    // `(seed, scale)`, so the page bytes cell B compresses are the ones
-    // cell A already compressed.
-    let oracle = ariadne_zram::OracleHandle::enabled(config.oracle);
+pub fn run_grid(
+    config: SimulationConfig,
+    oracle: &OracleHandle,
+    cells: Vec<GridCell>,
+) -> Vec<GridOutcome> {
     run_cells(cells, |cell| {
         let mut system = MobileSystem::new(cell.spec, config);
-        system.attach_oracle(&oracle);
+        system.attach_oracle(oracle);
         system.run_timed(&cell.scenario);
         let stats = system.stats();
         let reclaim_cpu = system.cpu().total_for(CpuActivity::ReclaimScan)
@@ -236,7 +238,7 @@ mod tests {
                 scenario: scenario.clone(),
             },
         ];
-        let outcomes = run_grid(config, cells);
+        let outcomes = run_grid(config, &ExperimentOptions::quick().oracle, cells);
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].scheme, "DRAM");
         assert_eq!(outcomes[1].scheme, "ZRAM");

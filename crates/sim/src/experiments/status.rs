@@ -7,7 +7,7 @@
 
 use super::ExperimentOptions;
 use crate::schemes::SchemeSpec;
-use crate::system::{MobileSystem, RelaunchKind};
+use crate::system::RelaunchKind;
 use ariadne_core::SizeConfig;
 use ariadne_obs::metrics::names;
 use ariadne_obs::{Histogram, MetricsHandle};
@@ -54,7 +54,7 @@ pub fn status(opts: &ExperimentOptions) -> String {
     for (label, spec) in schemes() {
         let config = opts.base_config().with_zpool_shrink(16);
         let metrics = MetricsHandle::new_registry();
-        let mut system = MobileSystem::new(spec, config);
+        let mut system = opts.system(spec, config);
         system.attach_metrics(&metrics);
         system.run_timed(&scenario);
         let registry = metrics.snapshot().unwrap_or_default();
@@ -134,10 +134,10 @@ mod tests {
         let opts = ExperimentOptions::quick();
         let config = opts.base_config().with_zpool_shrink(16);
         let scenario = TimedScenario::kill_storm();
-        let mut plain = MobileSystem::new(SchemeSpec::Zswap, config);
+        let mut plain = opts.system(SchemeSpec::Zswap, config);
         plain.run_timed(&scenario);
         let metrics = MetricsHandle::new_registry();
-        let mut observed = MobileSystem::new(SchemeSpec::Zswap, config);
+        let mut observed = opts.system(SchemeSpec::Zswap, config);
         observed.attach_metrics(&metrics);
         observed.run_timed(&scenario);
         assert_eq!(plain.measurements(), observed.measurements());

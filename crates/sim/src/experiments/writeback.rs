@@ -21,11 +21,9 @@ use super::runner::run_cells;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
-use crate::system::MobileSystem;
 use ariadne_core::SizeConfig;
 use ariadne_mem::FlashIoConfig;
 use ariadne_trace::TimedScenario;
-use ariadne_zram::OracleHandle;
 
 /// The three I/O models the experiment compares.
 #[must_use]
@@ -72,14 +70,12 @@ pub fn writeback(opts: &ExperimentOptions) -> Table {
         }
     }
     let base = opts.base_config();
-    let oracle = OracleHandle::enabled(opts.oracle);
     let scale = opts.scale;
     let rows = run_cells(cells, |(spec, label, io)| {
         // A vendor-sized zswap pool (1/16 of the paper's 3 GB) keeps the
         // compressed pool overflowing, so writeback traffic is sustained.
         let config = base.with_io(io).with_zpool_shrink(16);
-        let mut system = MobileSystem::new(spec, config);
-        system.attach_oracle(&oracle);
+        let mut system = opts.system(spec, config);
         system.run_timed(&scenario);
         let stats = system.stats();
         let full_scale = scale as f64;

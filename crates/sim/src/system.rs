@@ -61,11 +61,6 @@ pub struct SimulationConfig {
     /// Thresholds and pacing of the low-memory killer. Only consulted when
     /// the scenario arms lmkd ([`TimedScenario::lmkd`]).
     pub lmkd: LmkdConfig,
-    /// Whether the memoized compression oracle is active. Results are
-    /// byte-identical either way (pinned by tests); disabling it forces
-    /// every compression through a cold codec run, the reference the
-    /// oracle-equivalence tests compare against.
-    pub oracle: bool,
     /// The thermal throttling model (see
     /// [`ariadne_compress::ThermalConfig`]). Disabled by default, in which
     /// case every cost is byte-identical to a build without the model.
@@ -90,7 +85,6 @@ impl SimulationConfig {
             io: FlashIoConfig::ufs31(),
             zpool_shrink: 1,
             lmkd: LmkdConfig::default(),
-            oracle: true,
             thermal: ThermalConfig::off(),
             device: DeviceClass::Flagship12Gb,
             incompressible: AppMask::none(),
@@ -123,13 +117,6 @@ impl SimulationConfig {
     #[must_use]
     pub fn with_lmkd(mut self, lmkd: LmkdConfig) -> Self {
         self.lmkd = lmkd;
-        self
-    }
-
-    /// Enable or disable the memoized compression oracle (on by default).
-    #[must_use]
-    pub fn with_oracle(mut self, oracle: bool) -> Self {
-        self.oracle = oracle;
         self
     }
 
@@ -312,9 +299,7 @@ impl MobileSystem {
     #[must_use]
     pub fn new(spec: SchemeSpec, config: SimulationConfig) -> Self {
         let workload_list = config.workloads();
-        let ctx = SchemeContext::new(config.seed, &workload_list)
-            .with_oracle_enabled(config.oracle)
-            .with_thermal(config.thermal);
+        let ctx = SchemeContext::new(config.seed, &workload_list).with_thermal(config.thermal);
         let scheme = spec.build(config.memory());
         let mut system = MobileSystem {
             config,
@@ -428,19 +413,13 @@ impl MobileSystem {
     }
 
     /// Join the shared compression oracle behind `handle`, replacing this
-    /// system's private one. Within one experiment every system is built
-    /// from the same `(seed, scale)` — identical page bytes — so sharing
-    /// lets the ZRAM run for app B reuse what the run for app A already
-    /// compressed. Must not be shared between systems with different seeds;
-    /// call before the first event runs.
+    /// system's private enabled one (a disabled handle turns memoization
+    /// off). Systems of one seed synthesize identical page bytes, so
+    /// sharing lets the ZRAM run for app B reuse what the run for app A
+    /// already compressed; a system of another seed bypasses the cache (see
+    /// [`ariadne_zram::OracleHandle`]). Call before the first event runs.
     pub fn attach_oracle(&mut self, handle: &ariadne_zram::OracleHandle) {
         self.ctx = self.ctx.clone().with_oracle_handle(handle);
-    }
-
-    /// A handle to this system's oracle (for sharing with later systems).
-    #[must_use]
-    pub fn oracle_handle(&self) -> ariadne_zram::OracleHandle {
-        self.ctx.oracle_handle()
     }
 
     /// Attach a structured-trace sink. Each attached system gets its own

@@ -4,28 +4,47 @@
 
 use ariadne_core::SizeConfig;
 use ariadne_sim::experiments::{run_by_name, runner, ExperimentOptions};
-use ariadne_sim::{MobileSystem, SchemeSpec, SimulationConfig};
+use ariadne_sim::{MobileSystem, SchemeSpec, SimulationConfig, Table};
 use ariadne_trace::TimedScenario;
+use ariadne_zram::{OracleHandle, OracleStats, SchemeStats};
 
 /// A cross-section of the catalog: a baseline figure, the chunk-size probe
 /// (fig6), an evaluation figure, the concurrent storm and the kill storm.
 const NAMES: [&str; 5] = ["fig2", "fig6", "fig13", "multiapp", "lifecycle"];
 
+/// One oracle per run: every experiment under one `ExperimentOptions`
+/// joins its cache, so a second pass over the same experiments never runs
+/// the codec, and every table still equals the no-oracle reference.
 #[test]
 fn experiment_tables_are_byte_identical_with_the_oracle_on_or_off() {
     let on = ExperimentOptions::quick();
     let off = ExperimentOptions::quick().with_oracle(false);
-    assert!(on.oracle && !off.oracle);
-    for name in NAMES {
-        let with_oracle = run_by_name(name, &on).expect("known experiment");
-        let without = run_by_name(name, &off).expect("known experiment");
-        assert_eq!(
-            with_oracle.to_json(),
-            without.to_json(),
-            "{name}: oracle on/off tables diverge"
-        );
-        assert_eq!(with_oracle.to_string(), without.to_string());
+    let reference: Vec<Table> = NAMES
+        .iter()
+        .map(|name| run_by_name(name, &off).expect("known experiment"))
+        .collect();
+    for pass in 1..=2 {
+        let before = on.oracle.stats();
+        for (name, reference) in NAMES.iter().zip(&reference) {
+            let table = run_by_name(name, &on).expect("known experiment");
+            assert_eq!(
+                table.to_json(),
+                reference.to_json(),
+                "{name}: oracle on/off tables diverge in pass {pass}"
+            );
+            assert_eq!(table.to_string(), reference.to_string());
+        }
+        let after = on.oracle.stats();
+        assert!(after.hits > before.hits, "pass {pass} shared nothing");
+        if pass == 2 {
+            assert_eq!(after.misses, before.misses, "the second pass ran the codec");
+        }
     }
+    assert_eq!(on.oracle.stats().evictions, 0);
+    assert_eq!(off.oracle.stats(), OracleStats::default());
+    // The options print the oracle's counters, never its entries.
+    let debug = format!("{on:?}");
+    assert!(debug.len() < 512, "{} bytes: {debug}", debug.len());
 }
 
 #[test]
@@ -48,9 +67,68 @@ fn grid_outcomes_are_identical_with_the_oracle_on_or_off() {
         ]
     };
     let base = SimulationConfig::new(0xD5).with_scale(512);
-    let with_oracle = runner::run_grid(base.with_oracle(true), cells(&scenario));
-    let without = runner::run_grid(base.with_oracle(false), cells(&scenario));
-    assert_eq!(with_oracle, without);
+    let grid =
+        |oracle: bool| runner::run_grid(base, &OracleHandle::enabled(oracle), cells(&scenario));
+    assert_eq!(grid(true), grid(false));
+}
+
+/// `SchemeStats` without the oracle's own counters, which are the one
+/// thing sharing or disabling an oracle is supposed to change.
+fn simulated(stats: SchemeStats) -> SchemeStats {
+    SchemeStats {
+        oracle_hits: 0,
+        oracle_misses: 0,
+        oracle_bytes_saved: 0,
+        ..stats
+    }
+}
+
+/// Run `scenario` on a `spec` system under `config`, joined to `oracle`.
+fn run(
+    spec: SchemeSpec,
+    config: SimulationConfig,
+    oracle: &OracleHandle,
+    scenario: &TimedScenario,
+) -> MobileSystem {
+    let mut system = MobileSystem::new(spec, config);
+    system.attach_oracle(oracle);
+    system.run_timed(scenario);
+    system
+}
+
+/// One handle may serve systems of two seeds: the first consultation binds
+/// it, the other seed's systems bypass the cache, and every system matches
+/// a run with its own oracle.
+#[test]
+fn systems_of_two_seeds_can_share_one_oracle() {
+    let scenario = TimedScenario::kill_storm();
+    let shared = OracleHandle::enabled(true);
+    let mut bound = OracleStats::default();
+    for seed in [0xD5, 0xD6] {
+        let config = SimulationConfig::new(seed)
+            .with_scale(512)
+            .with_zpool_shrink(16);
+        for spec in [
+            SchemeSpec::Zram,
+            SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
+        ] {
+            let sharing = run(spec, config, &shared, &scenario);
+            let own = run(spec, config, &OracleHandle::enabled(true), &scenario);
+            assert_eq!(
+                sharing.measurements(),
+                own.measurements(),
+                "{spec} at seed {seed}: relaunch measurements diverge"
+            );
+            assert_eq!(sharing.cpu(), own.cpu(), "{spec} at seed {seed}");
+            assert_eq!(sharing.kill_records(), own.kill_records());
+            assert_eq!(simulated(sharing.stats()), simulated(own.stats()));
+        }
+        if seed == 0xD5 {
+            bound = shared.stats();
+            assert!(bound.misses > 0, "the first seed fills the cache");
+        }
+    }
+    assert_eq!(shared.stats(), bound, "the second seed touched the cache");
 }
 
 /// Sharding is a locking strategy, not a semantic one: the sharded oracle
@@ -66,13 +144,8 @@ fn sharded_oracle_matches_no_oracle_byte_for_byte() {
         SchemeSpec::Zram,
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
     ] {
-        let run = |oracle: bool| {
-            let mut system = MobileSystem::new(spec, base.with_oracle(oracle));
-            system.run_timed(&scenario);
-            system
-        };
-        let sharded = run(true);
-        let without = run(false);
+        let sharded = run(spec, base, &OracleHandle::enabled(true), &scenario);
+        let without = run(spec, base, &OracleHandle::enabled(false), &scenario);
 
         assert_eq!(
             sharded.measurements(),
@@ -101,11 +174,11 @@ fn sharded_oracle_matches_no_oracle_byte_for_byte() {
     }
 }
 
-/// The oracle is not a bystander: within one experiment, systems built from
-/// the same `(seed, scale)` share the cache, so the second system's
-/// compressions are served as hits (otherwise the equivalence above would be
-/// vacuous) — while every simulated ledger of the sharing system still
-/// matches a no-oracle replay byte for byte.
+/// The oracle is not a bystander: systems built from the same
+/// `(seed, scale)` share the cache, so the second system's compressions are
+/// served as hits (otherwise the equivalence above would be vacuous) —
+/// while every simulated ledger of the sharing system still matches a
+/// no-oracle replay byte for byte.
 #[test]
 fn shared_oracle_hits_fire_without_perturbing_any_simulated_ledger() {
     let scenario = TimedScenario::kill_storm();
@@ -118,14 +191,11 @@ fn shared_oracle_hits_fire_without_perturbing_any_simulated_ledger() {
     ] {
         // First system fills the shared cache; the second one (same seed,
         // same page bytes) is served from it.
-        let mut first = MobileSystem::new(spec, base.with_oracle(true));
-        first.run_timed(&scenario);
-        let handle = first.oracle_handle();
+        let handle = OracleHandle::enabled(true);
+        run(spec, base, &handle, &scenario);
         assert_eq!(handle.stats().hits, 0, "{spec}: nothing to hit while cold");
 
-        let mut sharing = MobileSystem::new(spec, base.with_oracle(true));
-        sharing.attach_oracle(&handle);
-        sharing.run_timed(&scenario);
+        let sharing = run(spec, base, &handle, &scenario);
         let stats = handle.stats();
         assert!(
             stats.hits > 0,
@@ -140,8 +210,7 @@ fn shared_oracle_hits_fire_without_perturbing_any_simulated_ledger() {
             "{spec}: SchemeStats must see the hits"
         );
 
-        let mut without = MobileSystem::new(spec, base.with_oracle(false));
-        without.run_timed(&scenario);
+        let without = run(spec, base, &OracleHandle::enabled(false), &scenario);
         assert_eq!(
             without.oracle_stats().hits,
             0,
@@ -159,17 +228,15 @@ fn shared_oracle_hits_fire_without_perturbing_any_simulated_ledger() {
             without.kill_records(),
             "{spec}: kill decisions diverge"
         );
-        // Scheme stats match except the oracle's own counters (which are
-        // the one thing the switch is *supposed* to change).
-        let mut on_stats = sharing.stats();
-        let off_stats = without.stats();
+        let (on_stats, off_stats) = (sharing.stats(), without.stats());
         assert_eq!(
             on_stats.oracle_hits + on_stats.oracle_misses,
             off_stats.oracle_misses
         );
-        on_stats.oracle_hits = off_stats.oracle_hits;
-        on_stats.oracle_misses = off_stats.oracle_misses;
-        on_stats.oracle_bytes_saved = off_stats.oracle_bytes_saved;
-        assert_eq!(on_stats, off_stats, "{spec}: scheme stats diverge");
+        assert_eq!(
+            simulated(on_stats),
+            simulated(off_stats),
+            "{spec}: scheme stats diverge"
+        );
     }
 }

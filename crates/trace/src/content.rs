@@ -85,6 +85,12 @@ impl PageDataGenerator {
         PageDataGenerator { seed }
     }
 
+    /// The global seed every page's bytes derive from.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// The content class of the `region_index`-th 128 B region of `page`.
     #[must_use]
     pub fn region_class(

@@ -10,7 +10,7 @@
 //! memoized under `(pages, algorithm, chunk size)`, so repeated compressions
 //! of unchanged data cost one hash lookup instead of a codec run.
 //!
-//! Four properties make the cache safe and fast:
+//! Five properties make the cache safe and fast:
 //!
 //! * **Bit-identity** — a hit returns exactly what a cold codec run would
 //!   (the cold run itself goes through the zero-allocation
@@ -26,6 +26,10 @@
 //!   experiment cells sharing one oracle mostly consult different shards
 //!   instead of serializing on one mutex, and a repeat always finds its
 //!   result.
+//! * **Seed-bound** — the key omits the seed, so the oracle binds to the
+//!   seed of its first consultation, and a consultation under any other
+//!   seed runs the codec without touching the cache. One oracle can thus
+//!   serve every system of a run, whatever their seeds.
 //!
 //! The oracle only memoizes *results* (sizes); the simulated latency of a
 //! compression is still charged by the schemes from the calibrated cost
@@ -35,8 +39,9 @@
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressedLen};
 use ariadne_mem::{Chain, FxHashMap, FxHasher, PageId, Slab, PAGE_SIZE};
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache key: the exact page group plus the codec configuration. Two groups
 /// with the same pages in a different order are different keys (the
@@ -148,7 +153,6 @@ impl CodecScratch {
 }
 
 /// One shard of the oracle: a strict-LRU cache of memoized results.
-#[derive(Debug)]
 struct Shard {
     max_entries: usize,
     /// Memoized results; an intrusive link channel threads the recency
@@ -253,22 +257,25 @@ impl Shard {
 /// assert!(!cold.hit && hit.hit);
 /// assert_eq!(cold.compressed_len, hit.compressed_len);
 /// ```
-#[derive(Debug)]
 pub struct CompressionOracle {
     enabled: bool,
+    /// The seed of the first consultation, the only one the cache serves.
+    seed: OnceLock<u64>,
     shards: [Mutex<Shard>; SHARDS],
 }
 
 impl CompressionOracle {
-    /// Default cap on memoized entries. Each entry is a few hundred bytes of
-    /// metadata, so the cap bounds the oracle to a few MiB of host memory.
-    pub const DEFAULT_MAX_ENTRIES: usize = 1 << 16;
+    /// Default cap on memoized entries, above the ~92k the full experiment
+    /// catalog memoizes. Each entry is a few hundred bytes of metadata, so
+    /// the cap bounds the oracle to tens of MiB of host memory.
+    pub const DEFAULT_MAX_ENTRIES: usize = 1 << 18;
 
     /// Create an enabled oracle with the default entry cap.
     #[must_use]
     pub fn new() -> Self {
         CompressionOracle {
             enabled: true,
+            seed: OnceLock::new(),
             shards: empty_shards(Self::DEFAULT_MAX_ENTRIES),
         }
     }
@@ -332,6 +339,12 @@ impl CompressionOracle {
         total
     }
 
+    /// Whether a consultation under `seed` uses the cache: the oracle is
+    /// enabled and bound to `seed` (the first consultation binds it).
+    fn serves(&self, seed: u64) -> bool {
+        self.enabled && *self.seed.get_or_init(|| seed) == seed
+    }
+
     /// Lock the shard responsible for `(pages, algorithm, chunk_size,
     /// variant)` and load that key as the shard's probe.
     fn probe(
@@ -357,11 +370,12 @@ impl CompressionOracle {
         shard
     }
 
-    /// Probe the cache for `(pages, algorithm, chunk_size, variant)`. A hit
-    /// updates the LRU order and the hit/bytes-saved counters; a miss (or a
-    /// disabled oracle) returns `None` without touching anything, so callers
-    /// can run the codec **outside** the oracle lock and
-    /// [`CompressionOracle::admit`] the result afterwards.
+    /// Probe the cache for `(pages, algorithm, chunk_size, variant)` of
+    /// pages synthesized from `seed`. A hit updates the LRU order and the
+    /// hit/bytes-saved counters; a miss (or a disabled oracle, or a seed
+    /// other than the one the oracle is bound to) returns `None` without
+    /// touching anything, so callers can run the codec **outside** the
+    /// oracle lock and [`CompressionOracle::admit`] the result afterwards.
     ///
     /// `variant` distinguishes contents the `PageId` alone cannot: a page's
     /// bytes are a pure function of `(seed, page)` *plus* whether its app
@@ -376,12 +390,13 @@ impl CompressionOracle {
     /// Panics if the shard lock was poisoned by a panicking thread.
     pub fn lookup(
         &self,
+        seed: u64,
         pages: &[PageId],
         algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
     ) -> Option<OracleOutcome> {
-        if !self.enabled {
+        if !self.serves(seed) {
             return None;
         }
         self.probe(pages, algorithm, chunk_size, variant).lookup()
@@ -391,20 +406,22 @@ impl CompressionOracle {
     /// outside the oracle lock, via [`CodecScratch::compress`]). Counts the
     /// miss and inserts the entry unless a concurrent caller admitted the
     /// same key first — duplicate computes of the same key are bit-identical
-    /// by construction, so dropping the copy is harmless.
+    /// by construction, so dropping the copy is harmless. Under a seed the
+    /// oracle does not serve, nothing is counted or inserted.
     ///
     /// # Panics
     ///
     /// Panics if the shard lock was poisoned by a panicking thread.
     pub fn admit(
         &self,
+        seed: u64,
         pages: &[PageId],
         algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
         lens: CompressedLen,
     ) -> OracleOutcome {
-        if self.enabled {
+        if self.serves(seed) {
             self.probe(pages, algorithm, chunk_size, variant)
                 .admit(lens);
         }
@@ -424,15 +441,28 @@ impl Default for CompressionOracle {
     }
 }
 
+/// Compact: the switch, the bound seed and the counters, never the cached
+/// entries (a warm oracle holds tens of thousands of them).
+impl fmt::Debug for CompressionOracle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompressionOracle")
+            .field("enabled", &self.enabled)
+            .field("seed", &self.seed.get())
+            .field("entries", &self.len())
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
 /// A cloneable handle to one shared compression oracle.
 ///
-/// Within one experiment, every simulated system is built from the same
-/// `(seed, scale)` — the synthesized bytes of a page are identical across
-/// all of them — so the oracle pays off most when *shared across systems*:
-/// the ZRAM column of Figure 10 compresses the same pages once per run of
-/// five apps instead of five times. Experiments create one handle and attach
-/// it to every system they build; systems with different seeds must never
-/// share a handle (their page contents differ).
+/// A page's bytes are a pure function of `(seed, profile, page)`, so the
+/// oracle pays off most when *shared across systems*: one run's experiments
+/// compress the same pages of the same ten apps, and the ZRAM column of
+/// Figure 10 reuses what Figure 2 already compressed. The experiment
+/// options carry one handle, and every system of the run joins it. Systems
+/// of any seed may share a handle: the oracle serves only the seed it is
+/// bound to, and the others run the codec as if it were disabled.
 ///
 /// Sharing across concurrently running systems is safe for results (hits
 /// and misses report bit-identical sizes, and simulated costs never depend
@@ -470,6 +500,14 @@ impl OracleHandle {
     }
 }
 
+/// A fresh oracle behind a new handle, enabled or not
+/// ([`OracleHandle::enabled`]).
+impl From<bool> for OracleHandle {
+    fn from(enabled: bool) -> Self {
+        OracleHandle::enabled(enabled)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,6 +524,9 @@ mod tests {
         }
     }
 
+    /// The seed every consultation below runs under.
+    const SEED: u64 = 7;
+
     const LENS: CompressedLen = CompressedLen {
         original_len: PAGE_SIZE,
         compressed_len: PAGE_SIZE / 2,
@@ -500,11 +541,11 @@ mod tests {
         algorithm: Algorithm,
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
-        if let Some(hit) = oracle.lookup(pages, algorithm, chunk_size, 0) {
+        if let Some(hit) = oracle.lookup(SEED, pages, algorithm, chunk_size, 0) {
             return hit;
         }
         let lens = CodecScratch::default().compress(pages, algorithm, chunk_size, &mut fill);
-        oracle.admit(pages, algorithm, chunk_size, 0, lens)
+        oracle.admit(SEED, pages, algorithm, chunk_size, 0, lens)
     }
 
     #[test]
@@ -574,7 +615,7 @@ mod tests {
     fn total_cap_is_split_across_shards() {
         let oracle = CompressionOracle::new().with_max_entries(16);
         for pfn in 0..256 {
-            oracle.admit(&[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+            oracle.admit(SEED, &[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
         }
         let len = oracle.len();
         assert!(len > 0 && len <= 16, "{len} entries exceed the cap of 16");
@@ -586,25 +627,66 @@ mod tests {
         let oracle = CompressionOracle::new();
         let pages = [page(5), page(6)];
         assert!(oracle
-            .lookup(&pages, Algorithm::Lzo, ChunkSize::k4(), 0)
+            .lookup(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0)
             .is_none());
 
         // Compute outside the oracle (the two-phase context path) and admit.
         let mut scratch = CodecScratch::default();
         let lens = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        let admitted = oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens);
+        let admitted = oracle.admit(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens);
         assert!(!admitted.hit);
 
         // A concurrent duplicate compute admits the same key again: counted
         // as a miss, entry kept once, later lookups hit.
         let lens2 = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
         assert_eq!(lens, lens2, "duplicate computes are bit-identical");
-        oracle.admit(&pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens2);
+        oracle.admit(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens2);
         assert_eq!(oracle.len(), 1);
         assert_eq!(oracle.stats().misses, 2);
         let hit = oracle
-            .lookup(&pages, Algorithm::Lzo, ChunkSize::k4(), 0)
+            .lookup(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0)
             .expect("admitted entry must hit");
         assert_eq!(hit.compressed_len, lens.compressed_len);
+    }
+
+    #[test]
+    fn another_seed_never_hits_and_leaves_a_bound_oracle_untouched() {
+        let oracle = CompressionOracle::new();
+        let pages = [page(1), page(2)];
+        consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k4());
+        assert!(consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k4()).hit);
+        assert_eq!(
+            oracle.seed.get(),
+            Some(&SEED),
+            "the first consultation binds"
+        );
+        let (len, stats) = (oracle.len(), oracle.stats());
+
+        // Seed B asks for a cached key and for a new one, twice each.
+        let other = SEED + 1;
+        for _ in 0..2 {
+            for pages in [&pages[..], &[page(3)]] {
+                assert!(oracle
+                    .lookup(other, pages, Algorithm::Lzo, ChunkSize::k4(), 0)
+                    .is_none());
+                let outcome = oracle.admit(other, pages, Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+                assert!(!outcome.hit);
+                assert_eq!(outcome.compressed_len, LENS.compressed_len);
+            }
+        }
+        assert_eq!(oracle.len(), len, "seed B inserted an entry");
+        assert_eq!(oracle.stats(), stats, "seed B moved a counter");
+        assert_eq!(oracle.seed.get(), Some(&SEED), "the binding never moves");
+    }
+
+    #[test]
+    fn debug_output_stays_compact_however_full_the_cache() {
+        let oracle = CompressionOracle::new();
+        for pfn in 0..4096 {
+            oracle.admit(SEED, &[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+        }
+        let debug = format!("{:?}", OracleHandle::new(oracle));
+        assert!(debug.len() < 256, "{} bytes: {debug}", debug.len());
+        assert!(debug.contains("seed: Some(7)") && debug.contains("entries: 4096"));
     }
 }

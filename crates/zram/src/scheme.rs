@@ -284,7 +284,8 @@ pub struct SchemeContext {
 }
 
 impl SchemeContext {
-    /// Build a context for the given workloads (oracle enabled).
+    /// Build a context for the given workloads, with a private enabled
+    /// oracle.
     #[must_use]
     pub fn new(seed: u64, workloads: &[AppWorkload]) -> Self {
         let max_id = workloads
@@ -414,27 +415,14 @@ impl SchemeContext {
         cost
     }
 
-    /// Enable or disable memoization on a fresh cache of its own, keeping
-    /// everything else. Results are byte-identical either way; only host
-    /// wall-clock changes.
-    #[must_use]
-    pub fn with_oracle_enabled(self, enabled: bool) -> Self {
-        self.with_oracle_handle(&OracleHandle::enabled(enabled))
-    }
-
     /// Attach a shared oracle: this context joins the cache behind `handle`
-    /// (see [`OracleHandle`] for when sharing is sound).
+    /// (see [`OracleHandle`] for how sharing stays sound across seeds). A
+    /// disabled handle turns memoization off; results are byte-identical
+    /// either way, only host wall-clock changes.
     #[must_use]
     pub fn with_oracle_handle(mut self, handle: &OracleHandle) -> Self {
         self.oracle = Arc::clone(&handle.0);
         self
-    }
-
-    /// A handle to this context's oracle, for sharing it with other systems
-    /// built from the same seed.
-    #[must_use]
-    pub fn oracle_handle(&self) -> OracleHandle {
-        OracleHandle(Arc::clone(&self.oracle))
     }
 
     /// Synthesize the contents of `page` into a caller-provided buffer
@@ -501,8 +489,11 @@ impl SchemeContext {
         // result. Two threads may compute the same key concurrently; the
         // results are bit-identical by construction and `admit` keeps the
         // first.
-        let variant = self.content_variant(pages);
-        if let Some(hit) = self.oracle.lookup(pages, algorithm, chunk_size, variant) {
+        let (seed, variant) = (self.data.seed(), self.content_variant(pages));
+        if let Some(hit) = self
+            .oracle
+            .lookup(seed, pages, algorithm, chunk_size, variant)
+        {
             return hit;
         }
         let lens = CODEC_SCRATCH.with(|scratch| {
@@ -513,7 +504,7 @@ impl SchemeContext {
                 })
         });
         self.oracle
-            .admit(pages, algorithm, chunk_size, variant, lens)
+            .admit(seed, pages, algorithm, chunk_size, variant, lens)
     }
 
     /// The content-variant tag of a page group: one bit per page, set when
@@ -899,11 +890,10 @@ mod tests {
             .clone()
             .compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
         assert!(clone_hit.hit);
-        let off = ctx.clone().with_oracle_enabled(false).compress_pages(
-            &pages,
-            Algorithm::Lzo,
-            ChunkSize::k16(),
-        );
+        let off = ctx
+            .clone()
+            .with_oracle_handle(&OracleHandle::enabled(false))
+            .compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
         assert!(!off.hit);
         assert_eq!(off.compressed_len, cold.compressed_len);
         assert_eq!(ctx.oracle_stats().hits, 2);

@@ -5,7 +5,7 @@
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
 use ariadne_mem::{PageId, PAGE_SIZE};
 use ariadne_trace::{AppName, WorkloadBuilder};
-use ariadne_zram::SchemeContext;
+use ariadne_zram::{OracleHandle, SchemeContext};
 use proptest::prelude::*;
 
 /// The workload pages oracle groups are drawn from (two apps, so groups can
@@ -79,7 +79,7 @@ proptest! {
 
         let off = ctx
             .clone()
-            .with_oracle_enabled(false)
+            .with_oracle_handle(&OracleHandle::enabled(false))
             .compress_pages(&group, algorithm, chunk_size);
         prop_assert!(!off.hit);
 

@@ -13,6 +13,7 @@
 use ariadne::sim::experiments::runner::{run_grid, GridCell};
 use ariadne::sim::SimulationConfig;
 use ariadne::trace::{AppName, ScenarioBuilder};
+use ariadne::zram::OracleHandle;
 
 fn main() {
     // Three apps with overlapping lifetimes: YouTube launches before
@@ -50,7 +51,8 @@ fn main() {
         "{:<24} {:>14} {:>10} {:>10} {:>10}",
         "scheme", "avg relaunch", "comp ops", "decomp ops", "events"
     );
-    for outcome in run_grid(config, cells) {
+    // One compression oracle shared by the five cells.
+    for outcome in run_grid(config, &OracleHandle::enabled(true), cells) {
         println!(
             "{:<24} {:>12.2}ms {:>10} {:>10} {:>10}",
             outcome.scheme,

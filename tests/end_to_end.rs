@@ -145,9 +145,7 @@ fn experiment_harness_produces_a_table_for_every_catalog_entry() {
     let opts = ExperimentOptions {
         seed: 1,
         scale: 512,
-        quick: true,
-        oracle: true,
-        thermal: None,
+        ..ExperimentOptions::quick()
     };
     for name in [
         "table1",
