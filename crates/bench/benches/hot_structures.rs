@@ -192,33 +192,26 @@ fn compression_kernels(c: &mut Criterion) {
     }
 }
 
-/// The observability primitives that sit on simulation hot paths: a counter
-/// increment and a histogram record through an enabled registry handle, and
-/// — most importantly — the disabled-sink dispatch, which is the price every
-/// *uninstrumented* run pays at each emission site. The disabled costs must
+/// The observability primitives that sit on simulation hot paths: a
+/// histogram record (every `compress_pages` call and lmkd wake takes one)
+/// and — most importantly — the disabled-trace dispatch, which is the price
+/// every *untraced* run pays at each emission site. The disabled cost must
 /// stay at a branch-on-none, or observability would tax the default runs it
 /// promises not to perturb.
 fn obs_primitives(c: &mut Criterion) {
-    use ariadne_obs::{metrics::names, MetricsHandle, TraceEventKind, TraceHandle};
+    use ariadne_obs::{Histogram, TraceEventKind, TraceHandle};
 
-    let enabled = MetricsHandle::new_registry();
-    c.bench_function("obs_counter_increment", |b| {
-        b.iter(|| enabled.count(names::FAULTS, 1))
-    });
+    let mut histogram = Histogram::new();
     let mut value = 0u64;
     c.bench_function("obs_histogram_record", |b| {
         b.iter(|| {
             value = value
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
-            enabled.record(names::RELAUNCH_WARM_MICROS, value >> 32);
+            histogram.record(value >> 32);
         })
     });
 
-    let disabled_metrics = MetricsHandle::disabled();
-    c.bench_function("obs_disabled_counter_dispatch", |b| {
-        b.iter(|| disabled_metrics.count(names::FAULTS, 1))
-    });
     let disabled_trace = TraceHandle::disabled();
     c.bench_function("obs_disabled_trace_dispatch", |b| {
         b.iter(|| {

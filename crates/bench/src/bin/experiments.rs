@@ -26,18 +26,21 @@
 //! model) output is byte-identical to a default run — CI diffs the two
 //! JSON documents to pin that.
 //!
-//! Observability (see `ariadne-obs`): `--trace-out PATH` attaches a trace
-//! ring to every simulated system and writes a Chrome `trace_event`
-//! document loadable in Perfetto (`.jsonl` extension switches to
-//! line-delimited JSON); `--metrics-json PATH` writes the counter and
-//! histogram registry. Both force a serial run so event order is
-//! deterministic; experiment output stays byte-identical either way
-//! (pinned by the `obs_identity` suite). `experiments status` prints a
-//! one-shot device health report instead of running the catalog.
+//! Observability (see `ariadne-obs`): `--trace-out PATH` puts a trace ring
+//! into the run's [`ExperimentOptions`], so every simulated system records
+//! into it, and writes a Chrome `trace_event` document loadable in
+//! Perfetto (`.jsonl` extension switches to line-delimited JSON). A traced
+//! run executes its cells one after another, so the document is the same
+//! on every run, with or without `--serial`. `--metrics-json PATH` writes
+//! the registry that every system merges its ledger-derived metrics into
+//! when it is dropped; merges commute, so this runs in parallel.
+//! Experiment output stays byte-identical either way (pinned by the
+//! `obs_identity` suite). `experiments status` prints a one-shot device
+//! health report instead of running the catalog, under the same
+//! observers.
 
-use ariadne_obs::{MetricsHandle, TraceHandle};
+use ariadne_obs::{json_escape, MetricsHandle, TraceHandle};
 use ariadne_sim::experiments::{catalog, runner, status, ExperimentOptions};
-use ariadne_sim::report::json_string;
 use std::process::ExitCode;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -117,8 +120,8 @@ fn print_list(json: bool) {
             .map(|(name, title)| {
                 format!(
                     "{{\"name\":{},\"title\":{}}}",
-                    json_string(name),
-                    json_string(title)
+                    json_escape(name),
+                    json_escape(title)
                 )
             })
             .collect();
@@ -131,7 +134,7 @@ fn print_list(json: bool) {
 }
 
 fn main() -> ExitCode {
-    let (opts, output, names) = match parse_args(std::env::args().skip(1)) {
+    let (mut opts, output, names) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}");
@@ -144,51 +147,77 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if names.first().map(String::as_str) == Some("status") {
-        print!("{}", status::status(&opts));
-        return ExitCode::SUCCESS;
+    let mut trace_buffer = None;
+    if output.trace_out.is_some() {
+        let (handle, buffer) = TraceHandle::ring(ariadne_obs::trace::DEFAULT_RING_CAPACITY);
+        opts.trace = handle;
+        trace_buffer = Some(buffer);
+    }
+    if output.metrics_json.is_some() {
+        opts.metrics = MetricsHandle::new_registry();
     }
 
+    let mut failures = 0usize;
+    if names.first().map(String::as_str) == Some("status") {
+        print!("{}", status::status(&opts));
+    } else {
+        failures += run_experiments(&opts, &output, names);
+    }
+    if let Some(path) = &output.trace_out {
+        let buffer = trace_buffer.expect("--trace-out created a ring");
+        let buffer = buffer.lock().expect("trace ring lock");
+        let document = if path.ends_with(".jsonl") {
+            buffer.to_jsonl()
+        } else {
+            buffer.to_chrome_trace_json()
+        };
+        if let Err(error) = std::fs::write(path, document) {
+            eprintln!("error: cannot write {path}: {error}");
+            failures += 1;
+        } else {
+            eprintln!(
+                "trace: {} events ({} dropped), written to {path}",
+                buffer.len(),
+                buffer.dropped()
+            );
+        }
+    }
+    if let Some(path) = &output.metrics_json {
+        let registry = opts.metrics.snapshot().unwrap_or_default();
+        if let Err(error) = std::fs::write(path, registry.to_json()) {
+            eprintln!("error: cannot write {path}: {error}");
+            failures += 1;
+        } else {
+            eprintln!("metrics: written to {path}");
+        }
+    }
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Run the named experiments (all of them when `names` is empty) and print
+/// their tables. Returns the number of unknown names.
+fn run_experiments(opts: &ExperimentOptions, output: &OutputOptions, names: Vec<String>) -> usize {
     let selected: Vec<String> = if names.is_empty() {
         catalog().iter().map(|(n, _)| (*n).to_string()).collect()
     } else {
         names
     };
-
-    // Observability sinks: installed as the process-ambient handles so
-    // every `MobileSystem` any experiment builds picks them up.
-    let observing = output.trace_out.is_some() || output.metrics_json.is_some();
-    let mut trace_buffer = None;
-    let metrics_handle = if output.metrics_json.is_some() {
-        MetricsHandle::new_registry()
-    } else {
-        MetricsHandle::disabled()
-    };
-    if observing {
-        let trace_handle = if output.trace_out.is_some() {
-            let (handle, buffer) = TraceHandle::ring(ariadne_obs::trace::DEFAULT_RING_CAPACITY);
-            trace_buffer = Some(buffer);
-            handle
-        } else {
-            TraceHandle::disabled()
-        };
-        ariadne_obs::install_ambient(trace_handle, metrics_handle.clone());
-    }
-
-    let results: Vec<(String, Option<ariadne_sim::Table>)> = if output.serial || observing {
-        // Observed runs are forced serial: the trace ring is shared, so
-        // parallel cells would interleave events nondeterministically.
+    let results: Vec<(String, Option<ariadne_sim::Table>)> = if output.serial {
         selected
             .iter()
             .map(|name| {
                 (
                     name.clone(),
-                    ariadne_sim::experiments::run_by_name(name, &opts),
+                    ariadne_sim::experiments::run_by_name(name, opts),
                 )
             })
             .collect()
     } else {
-        runner::run_named_parallel(&selected, &opts)
+        runner::run_named_parallel(&selected, opts)
     };
 
     let mut failures = 0usize;
@@ -198,7 +227,7 @@ fn main() -> ExitCode {
             match table {
                 Some(table) => tables.push(format!(
                     "{{\"name\":{},\"table\":{}}}",
-                    json_string(name),
+                    json_escape(name),
                     table.to_json()
                 )),
                 None => {
@@ -211,7 +240,7 @@ fn main() -> ExitCode {
             "{{\"seed\":{},\"scale\":{},\"mode\":{},\"experiments\":[{}]}}",
             opts.seed,
             opts.scale,
-            json_string(if opts.quick { "quick" } else { "full" }),
+            json_escape(if opts.quick { "quick" } else { "full" }),
             tables.join(",")
         );
     } else {
@@ -234,39 +263,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = &output.trace_out {
-        let buffer = trace_buffer.expect("--trace-out installed a ring");
-        let buffer = buffer.lock().expect("trace ring lock");
-        let document = if path.ends_with(".jsonl") {
-            buffer.to_jsonl()
-        } else {
-            buffer.to_chrome_trace_json()
-        };
-        if let Err(error) = std::fs::write(path, document) {
-            eprintln!("error: cannot write {path}: {error}");
-            failures += 1;
-        } else {
-            eprintln!(
-                "trace: {} events ({} dropped), written to {path}",
-                buffer.len(),
-                buffer.dropped()
-            );
-        }
-    }
-    if let Some(path) = &output.metrics_json {
-        let registry = metrics_handle.snapshot().unwrap_or_default();
-        if let Err(error) = std::fs::write(path, registry.to_json()) {
-            eprintln!("error: cannot write {path}: {error}");
-            failures += 1;
-        } else {
-            eprintln!("metrics: written to {path}");
-        }
-    }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    failures
 }
 
 #[cfg(test)]

@@ -222,6 +222,9 @@ impl Default for FlashIoConfig {
 pub struct FlashStats {
     /// Number of objects written (each carries one swap slot).
     pub writes: usize,
+    /// Pages covered by the objects written (a multi-page object counts
+    /// each of its pages).
+    pub pages_written: usize,
     /// Total bytes written (flash lifetime is proportional to this).
     pub bytes_written: usize,
     /// Number of read operations performed.
@@ -1043,6 +1046,7 @@ impl FlashDevice {
         self.next_slot += 1;
         self.used += Self::footprint(request.stored_bytes);
         self.stats.writes += 1;
+        self.stats.pages_written += request.pages.len();
         self.stats.bytes_written += request.stored_bytes;
         self.charge_wear(Self::footprint(request.stored_bytes));
         let app = request.pages[0].app();
@@ -1388,6 +1392,28 @@ mod tests {
         assert_eq!(result.dropped.len(), 1);
         assert_eq!(result.dropped[0].pages, vec![page(1, 1)]);
         assert_eq!(result.slots.len(), 1);
+    }
+
+    #[test]
+    fn pages_written_counts_stored_pages_and_skips_dropped_requests() {
+        let mut flash = FlashDevice::with_io(1 << 20, FlashIoConfig::ufs31());
+        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
+        let result = flash.submit_writes(
+            vec![
+                WriteRequest {
+                    pages: vec![page(1, 2), page(1, 3), page(1, 4)],
+                    original_bytes: 3 * PAGE_SIZE,
+                    stored_bytes: 5000,
+                    compressed: true,
+                },
+                request(1, 1),
+            ],
+            0,
+        );
+        assert_eq!(result.dropped.len(), 1, "page 1 is already stored");
+        let stats = flash.stats();
+        assert_eq!(stats.writes, 2);
+        assert_eq!(stats.pages_written, 1 + 3);
     }
 
     #[test]

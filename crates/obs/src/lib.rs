@@ -5,19 +5,25 @@
 //!
 //! * [`trace`] — a structured event stream (faults, compress/decompress,
 //!   writeback submit/complete, kills, pressure wakes, thermal inflation)
-//!   recorded through a [`TraceHandle`] into a bounded ring buffer (or any
-//!   custom [`TraceSink`]), exportable as Chrome `trace_event` JSON (loadable
+//!   recorded through a [`TraceHandle`] into a bounded ring buffer
+//!   ([`TraceBuffer`]), exportable as Chrome `trace_event` JSON (loadable
 //!   in Perfetto / `chrome://tracing`) and as JSONL.
 //! * [`metrics`] — a registry of saturating counters and log-bucketed
-//!   [`Histogram`]s. Histograms are *mergeable* ([`Histogram::merge`]):
-//!   merging two histograms is exactly bucket-wise addition, so per-cell
-//!   registries can be combined into fleet-level aggregates without losing
-//!   quantile fidelity beyond the bucket resolution (±25 %).
+//!   [`Histogram`]s. A simulated system builds its registry from its own
+//!   ledgers on demand, so a counter can never drift from the number it
+//!   reports; a [`MetricsHandle`] collects the registries of many systems.
+//!   Histograms are *mergeable* ([`Histogram::merge`]): merging two
+//!   histograms is exactly bucket-wise addition, so per-cell registries
+//!   can be combined into fleet-level aggregates without losing quantile
+//!   fidelity beyond the bucket resolution (±25 %).
+//!
+//! Nothing here is process-global: whoever builds a system hands it the
+//! handles to observe it with.
 //!
 //! The determinism rules every hook site obeys:
 //!
-//! 1. A disabled handle is a `None` — the entire off-path is one branch and
-//!    the event-construction closure is never run.
+//! 1. A disabled [`TraceHandle`] is a `None` — the entire off-path is one
+//!    branch and the event-construction closure is never run.
 //! 2. Sinks receive copies of simulation state; nothing flows back.
 //! 3. No host-clock reads: trace events are stamped with *simulated*
 //!    nanoseconds supplied by the caller. Host time is measured only from
@@ -33,40 +39,11 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{Histogram, MetricsHandle, MetricsRegistry};
-pub use trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceHandle, TraceSink};
+pub use trace::{TraceBuffer, TraceEvent, TraceEventKind, TraceHandle};
 
-use std::sync::OnceLock;
-
-static AMBIENT: OnceLock<(TraceHandle, MetricsHandle)> = OnceLock::new();
-
-/// Installs process-wide ambient handles that newly constructed systems pick
-/// up (the `experiments` binary calls this once before running; libraries and
-/// tests attach handles explicitly instead). Returns `false` if ambient
-/// handles were already installed — the first installation wins.
-pub fn install_ambient(trace: TraceHandle, metrics: MetricsHandle) -> bool {
-    AMBIENT.set((trace, metrics)).is_ok()
-}
-
-/// The ambient [`TraceHandle`], or a disabled handle if none was installed.
-#[must_use]
-pub fn ambient_trace() -> TraceHandle {
-    AMBIENT
-        .get()
-        .map(|(trace, _)| trace.clone())
-        .unwrap_or_default()
-}
-
-/// The ambient [`MetricsHandle`], or a disabled handle if none was installed.
-#[must_use]
-pub fn ambient_metrics() -> MetricsHandle {
-    AMBIENT
-        .get()
-        .map(|(_, metrics)| metrics.clone())
-        .unwrap_or_default()
-}
-
-/// Escapes a string for inclusion in JSON output (shared by the trace and
-/// metrics exporters; the workspace deliberately carries no JSON dependency).
+/// Renders `text` as a quoted, escaped JSON string literal (shared by every
+/// JSON exporter in the workspace, which deliberately carries no JSON
+/// dependency).
 #[must_use]
 pub fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
@@ -89,14 +66,6 @@ pub fn json_escape(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ambient_defaults_are_disabled() {
-        // Nothing installs ambient handles under `cargo test`, so fresh
-        // lookups must come back disabled (the off-path contract).
-        assert!(!ambient_trace().is_enabled());
-        assert!(!ambient_metrics().is_enabled());
-    }
 
     #[test]
     fn json_escape_handles_controls_and_quotes() {

@@ -7,44 +7,27 @@
 //! merged histogram equal quantiles of the concatenated sample stream —
 //! pinned by the property tests in `tests/histogram_properties.rs`.
 //! Counters saturate rather than wrap.
+//!
+//! Registries are built from the simulator's ledgers when asked for, not
+//! bumped while it runs; a [`MetricsHandle`] only collects merges.
 
 use crate::json_escape;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// Well-known metric names recorded by the simulator's hook sites, so the
-/// registry, the exporters and the tests agree on spelling.
+/// Well-known histogram names, so the simulator, the reports and the tests
+/// agree on spelling.
 pub mod names {
-    /// Histogram: warm-relaunch latency, microseconds.
+    /// Warm-relaunch latency, microseconds.
     pub const RELAUNCH_WARM_MICROS: &str = "relaunch_warm_micros";
-    /// Histogram: cold-relaunch latency, microseconds.
+    /// Cold-relaunch latency, microseconds.
     pub const RELAUNCH_COLD_MICROS: &str = "relaunch_cold_micros";
-    /// Histogram: per-relaunch I/O stall, microseconds.
+    /// Per-relaunch I/O stall, microseconds.
     pub const IO_STALL_MICROS: &str = "io_stall_micros";
-    /// Histogram: PSI some-avg samples at lmkd wakes, parts-per-million.
+    /// PSI some-avg samples at lmkd wakes, parts-per-million.
     pub const PSI_SOME_PPM: &str = "psi_some_ppm";
-    /// Histogram: compressed size as a percentage of original size.
+    /// Compressed size as a percentage of original size.
     pub const COMPRESSION_RATIO_PCT: &str = "compression_ratio_pct";
-    /// Counter: lmkd kills.
-    pub const KILLS: &str = "kills";
-    /// Counter: page faults served below DRAM.
-    pub const FAULTS: &str = "faults";
-    /// Counter: compression batches charged.
-    pub const COMPRESS_OPS: &str = "compress_ops";
-    /// Counter: decompressions charged.
-    pub const DECOMPRESS_OPS: &str = "decompress_ops";
-    /// Counter: uncompressed bytes entering the codec.
-    pub const COMPRESS_ORIGINAL_BYTES: &str = "compress_original_bytes";
-    /// Counter: compressed bytes leaving the codec.
-    pub const COMPRESS_STORED_BYTES: &str = "compress_stored_bytes";
-    /// Counter: writeback commands submitted to flash.
-    pub const WRITEBACK_COMMANDS: &str = "writeback_commands";
-    /// Counter: pages shipped to flash by writeback.
-    pub const WRITEBACK_PAGES: &str = "writeback_pages";
-    /// Counter: kswapd pressure wakes.
-    pub const PRESSURE_WAKES: &str = "pressure_wakes";
-    /// Counter: codec costs inflated by the thermal model.
-    pub const THERMAL_INFLATIONS: &str = "thermal_inflations";
 }
 
 /// Sub-buckets per power of two. Four sub-buckets bound the relative bucket
@@ -256,6 +239,17 @@ impl MetricsRegistry {
             .record(value);
     }
 
+    /// Merges `histogram` into the named histogram. An empty histogram adds
+    /// no entry, exactly as if nothing had been recorded under the name.
+    pub fn merge_histogram(&mut self, name: &str, histogram: &Histogram) {
+        if histogram.count() > 0 {
+            self.histograms
+                .entry(name.to_string())
+                .or_default()
+                .merge(histogram);
+        }
+    }
+
     /// Current value of the named counter (0 if never touched).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
@@ -268,12 +262,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Whether nothing was ever recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
     /// Merges another registry into this one: counters add (saturating),
     /// histograms merge bucket-wise. The cross-cell aggregation primitive.
     pub fn merge(&mut self, other: &MetricsRegistry) {
@@ -281,10 +269,7 @@ impl MetricsRegistry {
             self.count(name, *value);
         }
         for (name, histogram) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(histogram);
+            self.merge_histogram(name, histogram);
         }
     }
 
@@ -309,8 +294,10 @@ impl MetricsRegistry {
     }
 }
 
-/// A cheap, cloneable reference to a shared [`MetricsRegistry`], or — the
-/// default — a disabled handle whose recorders are a single branch.
+/// A cheap, cloneable collector of [`MetricsRegistry`] merges, or — the
+/// default — a disabled handle that ignores them. Merges commute, so
+/// systems running concurrently on several threads may share one
+/// collector and the result does not depend on which finished first.
 #[derive(Clone, Default)]
 pub struct MetricsHandle {
     inner: Option<Arc<Mutex<MetricsRegistry>>>,
@@ -345,25 +332,18 @@ impl MetricsHandle {
         self.inner.is_some()
     }
 
-    /// Adds `delta` to the named counter (no-op when disabled).
-    pub fn count(&self, name: &str, delta: u64) {
+    /// Merges `registry` into the collected one (no-op when disabled).
+    /// Never panics: systems merge from `Drop`, so a lock poisoned by a
+    /// panicking thread skips the merge instead.
+    pub fn merge(&self, registry: &MetricsRegistry) {
         if let Some(inner) = &self.inner {
-            if let Ok(mut registry) = inner.lock() {
-                registry.count(name, delta);
+            if let Ok(mut collected) = inner.lock() {
+                collected.merge(registry);
             }
         }
     }
 
-    /// Records one histogram sample (no-op when disabled).
-    pub fn record(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            if let Ok(mut registry) = inner.lock() {
-                registry.record(name, value);
-            }
-        }
-    }
-
-    /// A copy of the current registry contents (None when disabled).
+    /// A copy of the collected registry (None when disabled).
     #[must_use]
     pub fn snapshot(&self) -> Option<MetricsRegistry> {
         self.inner
@@ -445,21 +425,35 @@ mod tests {
     fn registry_merge_adds_counters_and_histograms() {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
-        a.count(names::KILLS, 2);
-        b.count(names::KILLS, 3);
+        a.count("kills", 2);
+        b.count("kills", 3);
         a.record(names::PSI_SOME_PPM, 100);
         b.record(names::PSI_SOME_PPM, 200);
         a.merge(&b);
-        assert_eq!(a.counter(names::KILLS), 5);
+        assert_eq!(a.counter("kills"), 5);
         assert_eq!(a.histogram(names::PSI_SOME_PPM).unwrap().count(), 2);
     }
 
     #[test]
     fn disabled_handle_records_nothing() {
+        let mut registry = MetricsRegistry::new();
+        registry.count("kills", 1);
+        registry.record(names::PSI_SOME_PPM, 1);
         let handle = MetricsHandle::disabled();
-        handle.count(names::KILLS, 1);
-        handle.record(names::PSI_SOME_PPM, 1);
+        handle.merge(&registry);
         assert!(handle.snapshot().is_none());
+        let collector = MetricsHandle::new_registry();
+        collector.merge(&registry);
+        collector.merge(&registry);
+        assert_eq!(collector.snapshot().unwrap().counter("kills"), 2);
+    }
+
+    #[test]
+    fn merging_an_empty_histogram_adds_no_entry() {
+        let mut registry = MetricsRegistry::new();
+        registry.merge_histogram(names::PSI_SOME_PPM, &Histogram::new());
+        assert!(registry.histogram(names::PSI_SOME_PPM).is_none());
+        assert_eq!(registry, MetricsRegistry::new());
     }
 
     #[test]

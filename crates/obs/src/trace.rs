@@ -4,10 +4,10 @@
 //! [`TraceHandle::emit`] with the *simulated* timestamp and a closure that
 //! builds the event. A disabled handle (the default) makes `emit` a single
 //! branch — the closure never runs, nothing allocates, and the simulation
-//! path is untouched. An enabled handle forwards the event to a
-//! [`TraceSink`]; the stock sink is [`TraceBuffer`], a bounded ring that
-//! drops the oldest events once full and exports either Chrome
-//! `trace_event` JSON (loadable in Perfetto / `chrome://tracing`) or JSONL.
+//! path is untouched. An enabled handle records the event into a
+//! [`TraceBuffer`], a bounded ring that drops the oldest events once full
+//! and exports either Chrome `trace_event` JSON (loadable in Perfetto /
+//! `chrome://tracing`) or JSONL.
 
 use crate::json_escape;
 use std::collections::VecDeque;
@@ -29,7 +29,9 @@ pub enum TraceEventKind {
         app: String,
         /// Numeric application id (becomes the Chrome-trace `tid`).
         app_uid: u32,
-        /// Tier that served the page (`"Zpool"`, `"Flash"`, …).
+        /// Tier that served the page: `"zpool"`, `"flash"`,
+        /// `"predecomp_buffer"` or `"absent"` (a DRAM hit, `"dram"`, is
+        /// not a fault).
         location: &'static str,
         /// Simulated stall charged for the fault.
         latency_nanos: u128,
@@ -86,7 +88,7 @@ pub enum TraceEventKind {
     },
     /// kswapd woke to reclaim pages.
     PressureWake {
-        /// Pressure level (`"Low"`, `"Medium"`, `"Critical"`).
+        /// Pressure level: `"medium"` or `"critical"`.
         level: &'static str,
         /// Reclaim target handed to the scheme.
         target_pages: usize,
@@ -280,14 +282,7 @@ impl TraceEvent {
     }
 }
 
-/// Receiver of trace events. Implementations must not feed anything back
-/// into the simulation — sinks observe, never perturb.
-pub trait TraceSink {
-    /// Records one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// The stock sink: a bounded ring buffer. Once `capacity` events are held,
+/// The trace sink: a bounded ring buffer. Once `capacity` events are held,
 /// recording a new event drops the oldest (and counts the drop), so memory
 /// stays bounded no matter how long the simulation runs.
 #[derive(Debug, Clone)]
@@ -356,9 +351,7 @@ impl TraceBuffer {
         }
         out
     }
-}
 
-impl TraceSink for TraceBuffer {
     fn record(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
@@ -368,14 +361,9 @@ impl TraceSink for TraceBuffer {
     }
 }
 
-#[derive(Clone)]
-enum Sink {
-    Ring(Arc<Mutex<TraceBuffer>>),
-    Custom(Arc<Mutex<Box<dyn TraceSink + Send>>>),
-}
-
-/// A cheap, cloneable reference to a trace sink, or — the default — a
-/// disabled handle whose [`emit`](TraceHandle::emit) is a single branch.
+/// A cheap, cloneable reference to a shared [`TraceBuffer`], or — the
+/// default — a disabled handle whose [`emit`](TraceHandle::emit) is a
+/// single branch.
 ///
 /// Every system attached to the same handle family gets a distinct `pid`
 /// (allocated from a shared counter by
@@ -383,7 +371,7 @@ enum Sink {
 /// different grid cells stay distinguishable in one exported trace.
 #[derive(Clone)]
 pub struct TraceHandle {
-    sink: Option<Sink>,
+    ring: Option<Arc<Mutex<TraceBuffer>>>,
     next_pid: Arc<AtomicU32>,
     pid: u32,
 }
@@ -397,50 +385,40 @@ impl Default for TraceHandle {
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceHandle")
-            .field("enabled", &self.sink.is_some())
+            .field("enabled", &self.ring.is_some())
             .field("pid", &self.pid)
             .finish()
     }
 }
 
 impl TraceHandle {
-    /// A handle with no sink: emitting through it is one branch.
+    /// A handle with no ring: emitting through it is one branch.
     #[must_use]
     pub fn disabled() -> Self {
         TraceHandle {
-            sink: None,
+            ring: None,
             next_pid: Arc::new(AtomicU32::new(1)),
             pid: 0,
         }
     }
 
-    /// Creates a ring-buffer sink and a handle feeding it. The returned
-    /// buffer reference is what the caller later exports from.
+    /// Creates a ring buffer and a handle feeding it. The returned buffer
+    /// reference is what the caller later exports from.
     #[must_use]
     pub fn ring(capacity: usize) -> (Self, Arc<Mutex<TraceBuffer>>) {
         let buffer = Arc::new(Mutex::new(TraceBuffer::new(capacity)));
         let handle = TraceHandle {
-            sink: Some(Sink::Ring(Arc::clone(&buffer))),
+            ring: Some(Arc::clone(&buffer)),
             next_pid: Arc::new(AtomicU32::new(1)),
             pid: 0,
         };
         (handle, buffer)
     }
 
-    /// Wraps a custom sink implementation.
-    #[must_use]
-    pub fn custom(sink: Box<dyn TraceSink + Send>) -> Self {
-        TraceHandle {
-            sink: Some(Sink::Custom(Arc::new(Mutex::new(sink)))),
-            next_pid: Arc::new(AtomicU32::new(1)),
-            pid: 0,
-        }
-    }
-
-    /// Whether a sink is attached.
+    /// Whether a ring is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.ring.is_some()
     }
 
     /// The `pid` this handle stamps on emitted events.
@@ -450,8 +428,8 @@ impl TraceHandle {
     }
 
     /// A clone of this handle with a fresh `pid` from the shared counter —
-    /// called once per attached system so concurrent systems sharing one
-    /// sink stay distinguishable.
+    /// called once per attached system so systems sharing one ring stay
+    /// distinguishable.
     #[must_use]
     pub fn for_next_system(&self) -> Self {
         let mut handle = self.clone();
@@ -462,23 +440,14 @@ impl TraceHandle {
     /// Emits one event at simulated time `at_nanos`. Disabled handles
     /// return immediately without running `kind`.
     pub fn emit(&self, at_nanos: u128, kind: impl FnOnce() -> TraceEventKind) {
-        let Some(sink) = &self.sink else { return };
+        let Some(ring) = &self.ring else { return };
         let event = TraceEvent {
             at_nanos,
             pid: self.pid,
             kind: kind(),
         };
-        match sink {
-            Sink::Ring(buffer) => {
-                if let Ok(mut buffer) = buffer.lock() {
-                    buffer.record(event);
-                }
-            }
-            Sink::Custom(custom) => {
-                if let Ok(mut custom) = custom.lock() {
-                    custom.record(event);
-                }
-            }
+        if let Ok(mut ring) = ring.lock() {
+            ring.record(event);
         }
     }
 }
@@ -522,7 +491,7 @@ mod tests {
         handle.emit(2_000, || TraceEventKind::Fault {
             app: "B".into(),
             app_uid: 3,
-            location: "Zpool",
+            location: "zpool",
             latency_nanos: 4_000,
         });
         let json = buffer.lock().unwrap().to_chrome_trace_json();

@@ -8,7 +8,6 @@
 //!   of the exact order statistic;
 //! * counters saturate at `u64::MAX` instead of wrapping.
 
-use ariadne_obs::metrics::names;
 use ariadne_obs::{Histogram, MetricsRegistry};
 use proptest::prelude::*;
 
@@ -97,18 +96,18 @@ proptest! {
     ) {
         let mut registry = MetricsRegistry::new();
         for value in &start {
-            registry.count(names::KILLS, *value);
+            registry.count("kills", *value);
         }
-        registry.count(names::KILLS, u64::MAX);
-        let saturated = registry.counter(names::KILLS);
+        registry.count("kills", u64::MAX);
+        let saturated = registry.counter("kills");
         assert_eq!(saturated, u64::MAX, "push past the top must clamp");
-        registry.count(names::KILLS, delta);
-        assert_eq!(registry.counter(names::KILLS), u64::MAX, "stays clamped");
+        registry.count("kills", delta);
+        assert_eq!(registry.counter("kills"), u64::MAX, "stays clamped");
 
         // Merging two saturated registries must also clamp, not wrap.
         let mut other = MetricsRegistry::new();
-        other.count(names::KILLS, u64::MAX);
+        other.count("kills", u64::MAX);
         registry.merge(&other);
-        assert_eq!(registry.counter(names::KILLS), u64::MAX);
+        assert_eq!(registry.counter("kills"), u64::MAX);
     }
 }

@@ -52,7 +52,7 @@ pub fn multiapp(opts: &ExperimentOptions) -> Table {
             scenario: scenario.clone(),
         })
         .collect();
-    for outcome in run_grid(config, &opts.oracle, cells) {
+    for outcome in run_grid(opts, config, cells) {
         table.push_row(vec![
             outcome.scheme,
             fmt_unit(outcome.average_relaunch_millis, "ms"),

@@ -12,7 +12,6 @@
 //! that stall on every fault (SWAP, ZRAM) see their cached apps killed and
 //! pay the cold launches.
 
-use super::runner::run_cells;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
@@ -68,7 +67,7 @@ pub fn lifecycle(opts: &ExperimentOptions) -> Table {
     let scenario = TimedScenario::kill_storm();
     let base = opts.base_config();
     let scale = opts.scale;
-    let rows = run_cells(evaluated_schemes(), |spec| {
+    let rows = opts.run_cells(evaluated_schemes(), |spec| {
         // A vendor-sized zpool (1/16 of the paper's 3 GB) that the storm
         // drives past what it can absorb.
         let config = base.with_zpool_shrink(16);

@@ -14,7 +14,6 @@
 //! cycles and thermally inflated CPU time next to kills and cold launches.
 
 use super::lifecycle::evaluated_schemes;
-use super::runner::run_cells;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::system::{RelaunchKind, SimulationConfig};
@@ -128,7 +127,7 @@ pub fn grid(opts: &ExperimentOptions) -> Vec<LifetimeOutcome> {
         }
     }
     let scale = opts.scale as f64;
-    run_cells(cells, |(device, mix, scenario, spec)| {
+    opts.run_cells(cells, |(device, mix, scenario, spec)| {
         let mut system = opts.system(spec, cell_config(opts, device, mix));
         system.run_timed(&scenario);
         let stats = system.stats();

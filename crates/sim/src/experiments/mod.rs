@@ -1,10 +1,10 @@
 //! One module per group of paper experiments.
 //!
 //! Every experiment function takes an [`ExperimentOptions`] (seed, scale, a
-//! quick/full switch and the run's shared compression oracle) and returns a
-//! [`Table`] with exactly the rows and series the paper reports. The
-//! `experiments` binary in `ariadne-bench` prints all of them;
-//! `EXPERIMENTS.md` records paper-reported versus measured values.
+//! quick/full switch, the run's shared compression oracle and its
+//! observers) and returns a [`Table`] with exactly the rows and series the
+//! paper reports. The `experiments` binary in `ariadne-bench` prints all of
+//! them; `EXPERIMENTS.md` records paper-reported versus measured values.
 
 pub mod baselines;
 pub mod characterization;
@@ -20,6 +20,7 @@ pub mod writeback;
 use crate::report::Table;
 use crate::schemes::SchemeSpec;
 use crate::system::{MobileSystem, SimulationConfig};
+use ariadne_obs::{MetricsHandle, TraceHandle};
 use ariadne_trace::AppName;
 use ariadne_zram::OracleHandle;
 
@@ -46,6 +47,14 @@ pub struct ExperimentOptions {
     /// forces that configuration everywhere, which is how CI pins the
     /// thermal-off output against the default catalog output.
     pub thermal: Option<ariadne_compress::ThermalConfig>,
+    /// The trace ring every system of the run records into (disabled by
+    /// default). While it is enabled, [`ExperimentOptions::run_cells`] runs
+    /// cells one after another, so the event order and every system's
+    /// `pid` lane are the same on every run.
+    pub trace: TraceHandle,
+    /// The collector every system of the run merges its metrics into when
+    /// it is dropped (disabled by default).
+    pub metrics: MetricsHandle,
 }
 
 impl ExperimentOptions {
@@ -59,6 +68,8 @@ impl ExperimentOptions {
             quick: false,
             oracle: OracleHandle::from(true),
             thermal: None,
+            trace: TraceHandle::disabled(),
+            metrics: MetricsHandle::disabled(),
         }
     }
 
@@ -100,13 +111,35 @@ impl ExperimentOptions {
     }
 
     /// Build a system running `spec` under `config`, joined to
-    /// [`ExperimentOptions::oracle`]. Every experiment builds its systems
-    /// here.
+    /// [`ExperimentOptions::oracle`] and observed by
+    /// [`ExperimentOptions::trace`] and [`ExperimentOptions::metrics`].
+    /// Every experiment builds its systems here.
     #[must_use]
     pub fn system(&self, spec: SchemeSpec, config: SimulationConfig) -> MobileSystem {
         let mut system = MobileSystem::new(spec, config);
         system.attach_oracle(&self.oracle);
+        if self.trace.is_enabled() {
+            system.attach_trace(&self.trace);
+        }
+        system.attach_metrics(&self.metrics);
         system
+    }
+
+    /// Run `run` over every cell and return the results in input order: on
+    /// the worker pool of [`runner::run_cells`], or one cell after another
+    /// while [`ExperimentOptions::trace`] is enabled, so that systems never
+    /// interleave in the shared ring.
+    pub fn run_cells<I, O, F>(&self, cells: Vec<I>, run: F) -> Vec<O>
+    where
+        I: Send,
+        O: Send,
+        F: Fn(I) -> O + Sync,
+    {
+        if self.trace.is_enabled() {
+            cells.into_iter().map(run).collect()
+        } else {
+            runner::run_cells(cells, run)
+        }
     }
 
     /// The applications whose per-app results are reported (the paper plots
@@ -228,8 +261,8 @@ pub fn run_all(opts: &ExperimentOptions) -> Vec<Table> {
         .collect()
 }
 
-/// Run every experiment in paper order using all host cores (on the worker
-/// pool of [`runner::run_cells`]; results merge in catalog order,
+/// Run every experiment in paper order using all host cores (through
+/// [`ExperimentOptions::run_cells`]; results merge in catalog order,
 /// byte-identical to [`run_all`]).
 #[must_use]
 pub fn run_all_parallel(opts: &ExperimentOptions) -> Vec<Table> {

@@ -2,9 +2,10 @@
 //!
 //! Experiment cells — a [`SchemeSpec`] × scenario pair, or a whole named
 //! experiment table — are independent simulations: each constructs its own
-//! [`MobileSystem`] from a seeded [`SimulationConfig`], so no simulated
-//! state is shared between cells (only the compression oracle, whose
-//! results never depend on which cell asked first). The runner is a
+//! [`MobileSystem`](crate::MobileSystem) from a seeded
+//! [`SimulationConfig`], so no simulated state is shared between cells
+//! (only the compression oracle, whose results never depend on which cell
+//! asked first, and the run's observers). The runner is a
 //! **deterministic work-stealing pool**: at most [`max_parallel_cells`]
 //! worker threads claim cells from a shared atomic cursor and write each
 //! result into the output slot indexed by the cell's input position. Which
@@ -16,15 +17,16 @@
 //! no barrier between cells, so a single long-running cell (the `lifetime`
 //! grid's worst scheme × device × mix unit, for instance) never holds idle
 //! cores hostage. The determinism regression tests in `tests/determinism.rs`
-//! pin both the ordering and the thread cap.
+//! pin both the ordering and the thread cap. Experiments reach the pool
+//! through [`ExperimentOptions::run_cells`], which runs cells serially
+//! instead while a trace ring is attached.
 
 use super::ExperimentOptions;
 use crate::report::Table;
 use crate::schemes::SchemeSpec;
-use crate::system::{MobileSystem, SimulationConfig};
+use crate::system::SimulationConfig;
 use ariadne_mem::CpuActivity;
 use ariadne_trace::TimedScenario;
-use ariadne_zram::OracleHandle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -135,17 +137,17 @@ pub struct GridOutcome {
     pub events: usize,
 }
 
-/// Run every grid cell (one [`MobileSystem`] each, joined to `oracle`) on
-/// the worker pool of [`run_cells`] and return the outcomes in cell order.
+/// Run every grid cell (one system each, built by
+/// [`ExperimentOptions::system`]) through [`ExperimentOptions::run_cells`]
+/// and return the outcomes in cell order.
 #[must_use]
 pub fn run_grid(
+    opts: &ExperimentOptions,
     config: SimulationConfig,
-    oracle: &OracleHandle,
     cells: Vec<GridCell>,
 ) -> Vec<GridOutcome> {
-    run_cells(cells, |cell| {
-        let mut system = MobileSystem::new(cell.spec, config);
-        system.attach_oracle(oracle);
+    opts.run_cells(cells, |cell| {
+        let mut system = opts.system(cell.spec, config);
         system.run_timed(&cell.scenario);
         let stats = system.stats();
         let reclaim_cpu = system.cpu().total_for(CpuActivity::ReclaimScan)
@@ -166,16 +168,15 @@ pub fn run_grid(
     })
 }
 
-/// Run the named experiments on the [`run_cells`] pool, returning
-/// `(name, table)` pairs in the order the names were given.
+/// Run the named experiments through [`ExperimentOptions::run_cells`],
+/// returning `(name, table)` pairs in the order the names were given.
 /// Unknown names yield `None`, exactly like [`super::run_by_name`].
 #[must_use]
 pub fn run_named_parallel(
     names: &[String],
     opts: &ExperimentOptions,
 ) -> Vec<(String, Option<Table>)> {
-    let cells: Vec<String> = names.to_vec();
-    run_cells(cells, |name| {
+    opts.run_cells(names.to_vec(), |name| {
         let table = super::run_by_name(&name, opts);
         (name, table)
     })
@@ -238,7 +239,7 @@ mod tests {
                 scenario: scenario.clone(),
             },
         ];
-        let outcomes = run_grid(config, &ExperimentOptions::quick().oracle, cells);
+        let outcomes = run_grid(&ExperimentOptions::quick(), config, cells);
         assert_eq!(outcomes.len(), 2);
         assert_eq!(outcomes[0].scheme, "DRAM");
         assert_eq!(outcomes[1].scheme, "ZRAM");

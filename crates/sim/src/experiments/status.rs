@@ -1,16 +1,18 @@
 //! `experiments status`: a one-shot, human-readable device health report
 //! in the spirit of `zramctl`/`systemd-analyze` — run the lifecycle kill
-//! storm once per scheme with the observability sinks attached and print
-//! what the metrics registry saw: relaunch-latency quantiles, fault and
-//! kill counts, compression-ratio distribution, writeback traffic and the
-//! PSI signal. The report is deterministic for a given `(seed, scale)`.
+//! storm once per scheme and print what each system's ledgers and metrics
+//! say: relaunch-latency quantiles, fault and kill counts,
+//! compression-ratio distribution, flash write traffic and the PSI signal.
+//! The report is deterministic for a given `(seed, scale)`, and the
+//! systems are built by [`ExperimentOptions::system`], so the options'
+//! trace ring and metrics collector observe them like any experiment.
 
 use super::ExperimentOptions;
 use crate::schemes::SchemeSpec;
 use crate::system::RelaunchKind;
 use ariadne_core::SizeConfig;
 use ariadne_obs::metrics::names;
-use ariadne_obs::{Histogram, MetricsHandle};
+use ariadne_obs::Histogram;
 use ariadne_trace::TimedScenario;
 use std::fmt::Write as _;
 
@@ -53,11 +55,10 @@ pub fn status(opts: &ExperimentOptions) -> String {
     );
     for (label, spec) in schemes() {
         let config = opts.base_config().with_zpool_shrink(16);
-        let metrics = MetricsHandle::new_registry();
         let mut system = opts.system(spec, config);
-        system.attach_metrics(&metrics);
         system.run_timed(&scenario);
-        let registry = metrics.snapshot().unwrap_or_default();
+        let registry = system.metrics();
+        let stats = system.stats();
 
         let _ = writeln!(out, "\nscheme {label}");
         let _ = writeln!(
@@ -79,7 +80,7 @@ pub fn status(opts: &ExperimentOptions) -> String {
         let _ = writeln!(
             out,
             "  faults:         {} dram-miss, io-stall {}",
-            registry.counter(names::FAULTS),
+            system.faults(),
             quantile_line(registry.histogram(names::IO_STALL_MICROS))
         );
         let ratio = registry
@@ -89,21 +90,18 @@ pub fn status(opts: &ExperimentOptions) -> String {
         let _ = writeln!(
             out,
             "  compression:    {} ops, {} decompressions, median ratio {}",
-            registry.counter(names::COMPRESS_OPS),
-            registry.counter(names::DECOMPRESS_OPS),
-            ratio
+            stats.compression_ops, stats.decompression_ops, ratio
         );
         let _ = writeln!(
             out,
             "  writeback:      {} commands, {} pages",
-            registry.counter(names::WRITEBACK_COMMANDS),
-            registry.counter(names::WRITEBACK_PAGES)
+            stats.flash.commands, stats.flash.pages_written
         );
         let _ = writeln!(
             out,
             "  pressure:       {} kills, {} wakes, psi(some) {} ppm",
-            registry.counter(names::KILLS),
-            registry.counter(names::PRESSURE_WAKES),
+            system.kills(),
+            system.pressure_spikes(),
             system.psi_ppm()
         );
     }
@@ -113,6 +111,7 @@ pub fn status(opts: &ExperimentOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ariadne_obs::{MetricsHandle, TraceHandle};
 
     #[test]
     fn status_report_is_deterministic_and_covers_every_scheme() {
@@ -128,19 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn attaching_the_status_metrics_does_not_change_results() {
-        // `status` attaches a registry; the identity contract says the
-        // simulated numbers it prints match an unobserved run.
-        let opts = ExperimentOptions::quick();
-        let config = opts.base_config().with_zpool_shrink(16);
-        let scenario = TimedScenario::kill_storm();
-        let mut plain = opts.system(SchemeSpec::Zswap, config);
-        plain.run_timed(&scenario);
-        let metrics = MetricsHandle::new_registry();
-        let mut observed = opts.system(SchemeSpec::Zswap, config);
-        observed.attach_metrics(&metrics);
-        observed.run_timed(&scenario);
-        assert_eq!(plain.measurements(), observed.measurements());
-        assert_eq!(plain.psi_ppm(), observed.psi_ppm());
+    fn observing_status_changes_nothing_it_prints() {
+        let plain = status(&ExperimentOptions::quick());
+        let (trace, ring) = TraceHandle::ring(1 << 16);
+        let observed = ExperimentOptions {
+            trace,
+            metrics: MetricsHandle::new_registry(),
+            ..ExperimentOptions::quick()
+        };
+        assert_eq!(status(&observed), plain, "observing changed the report");
+        let collected = observed.metrics.snapshot().expect("collector is enabled");
+        assert!(collected.counter("kills") >= 1, "{}", collected.to_json());
+        assert!(!ring.lock().unwrap().is_empty(), "status emitted no events");
     }
 }

@@ -17,7 +17,6 @@
 //! I/O, total CPU busy time, and flash wear (device commands and megabytes
 //! written at full scale).
 
-use super::runner::run_cells;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
@@ -71,7 +70,7 @@ pub fn writeback(opts: &ExperimentOptions) -> Table {
     }
     let base = opts.base_config();
     let scale = opts.scale;
-    let rows = run_cells(cells, |(spec, label, io)| {
+    let rows = opts.run_cells(cells, |(spec, label, io)| {
         // A vendor-sized zswap pool (1/16 of the paper's 3 GB) keeps the
         // compressed pool overflowing, so writeback traffic is sustained.
         let config = base.with_io(io).with_zpool_shrink(16);

@@ -1,5 +1,6 @@
 //! Plain-text table rendering for experiment results.
 
+use ariadne_obs::json_escape;
 use std::fmt;
 
 /// A simple column-aligned table, used by every experiment to print the rows
@@ -88,31 +89,17 @@ impl Table {
     /// so byte-comparing two renderings is a valid equality check.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"title\":");
-        push_json_string(&mut out, &self.title);
-        out.push_str(",\"headers\":[");
-        for (i, header) in self.headers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, header);
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, cell) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_json_string(&mut out, cell);
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
+        let strings = |cells: &[String]| -> String {
+            let quoted: Vec<String> = cells.iter().map(|cell| json_escape(cell)).collect();
+            format!("[{}]", quoted.join(","))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|row| strings(row)).collect();
+        format!(
+            "{{\"title\":{},\"headers\":{},\"rows\":[{}]}}",
+            json_escape(&self.title),
+            strings(&self.headers),
+            rows.join(",")
+        )
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -156,36 +143,6 @@ impl fmt::Display for Table {
 #[must_use]
 pub fn fmt_unit(value: f64, unit: &str) -> String {
     format!("{value:.2}{unit}")
-}
-
-/// Render `value` as a JSON string literal (quoted and escaped) — the one
-/// escaping routine shared by [`Table::to_json`] and the `experiments`
-/// binary's JSON envelope.
-#[must_use]
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    push_json_string(&mut out, value);
-    out
-}
-
-/// Append `value` to `out` as a JSON string literal, escaping quotes,
-/// backslashes and control characters.
-pub(crate) fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -244,6 +201,5 @@ mod tests {
              \"rows\":[[\"a\\\\b\",\"1.00ms\"]]}"
         );
         assert_eq!(json, table.to_json());
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
     }
 }

@@ -20,7 +20,10 @@ use ariadne_mem::{
     CpuBreakdown, FlashIoConfig, PageLocation, ReclaimController, SimClock, SimInstant, Watermarks,
     PAGE_SIZE,
 };
-use ariadne_obs::{metrics::names as metric_names, MetricsHandle, TraceEventKind, TraceHandle};
+use ariadne_obs::{
+    metrics::names as metric_names, Histogram, MetricsHandle, MetricsRegistry, TraceEventKind,
+    TraceHandle,
+};
 use ariadne_trace::{
     AppMask, AppName, AppWorkload, DeviceClass, Scenario, ScenarioEvent, TimedScenario,
     WorkloadBuilder,
@@ -285,13 +288,18 @@ pub struct MobileSystem {
     memory_stall: CostNanos,
     /// Kills executed so far, in execution order.
     kill_records: Vec<KillRecord>,
+    /// Page accesses served below DRAM so far.
+    faults: usize,
+    /// The PSI signal sampled at every lmkd wake, in parts per million.
+    psi_samples: Histogram,
     /// Structured-event sink (disabled by default; see [`ariadne_obs`]).
     /// Observation never perturbs the simulation: every emission happens
     /// after the simulated outcome is already decided, and the disabled
     /// handle reduces to a single branch.
     trace: TraceHandle,
-    /// Counter/histogram sink (disabled by default).
-    metrics: MetricsHandle,
+    /// The collector this system merges [`MobileSystem::metrics`] into when
+    /// it is dropped (disabled by default).
+    collector: MetricsHandle,
 }
 
 impl MobileSystem {
@@ -301,7 +309,7 @@ impl MobileSystem {
         let workload_list = config.workloads();
         let ctx = SchemeContext::new(config.seed, &workload_list).with_thermal(config.thermal);
         let scheme = spec.build(config.memory());
-        let mut system = MobileSystem {
+        MobileSystem {
             config,
             ctx,
             clock: SimClock::new(),
@@ -329,20 +337,11 @@ impl MobileSystem {
             lmkd_pending: false,
             memory_stall: CostNanos::zero(),
             kill_records: Vec::new(),
+            faults: 0,
+            psi_samples: Histogram::new(),
             trace: TraceHandle::disabled(),
-            metrics: MetricsHandle::disabled(),
-        };
-        // Binaries opt whole processes into observability through the
-        // ambient handles; tests attach explicit handles instead.
-        let ambient_trace = ariadne_obs::ambient_trace();
-        if ambient_trace.is_enabled() {
-            system.attach_trace(&ambient_trace);
+            collector: MetricsHandle::disabled(),
         }
-        let ambient_metrics = ariadne_obs::ambient_metrics();
-        if ambient_metrics.is_enabled() {
-            system.attach_metrics(&ambient_metrics);
-        }
-        system
     }
 
     /// The scheme under test.
@@ -435,11 +434,61 @@ impl MobileSystem {
         self.trace = handle;
     }
 
-    /// Attach a counter/histogram registry. Metric merges are commutative,
-    /// so one registry may be shared across concurrently-run systems.
+    /// Attach a metrics collector: when this system is dropped — its
+    /// ledgers final — it merges [`MobileSystem::metrics`] into it. Merges
+    /// commute, so one collector may be shared across concurrently-run
+    /// systems.
     pub fn attach_metrics(&mut self, metrics: &MetricsHandle) {
-        self.ctx = self.ctx.clone().with_metrics(metrics.clone());
-        self.metrics = metrics.clone();
+        self.collector = metrics.clone();
+    }
+
+    /// This system's metrics, read from its ledgers: codec work and bytes
+    /// from [`MobileSystem::stats`], flash write commands and pages, faults,
+    /// kills, pressure spikes and thermal inflation as counters; relaunch
+    /// latency and I/O stall (full-scale microseconds) from
+    /// [`MobileSystem::measurements`], the PSI sampled at each lmkd wake and
+    /// the compression ratios as histograms.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsRegistry {
+        let stats = self.stats();
+        let mut registry = MetricsRegistry::new();
+        for (name, value) in [
+            ("compress_ops", stats.compression_ops),
+            ("decompress_ops", stats.decompression_ops),
+            ("compress_original_bytes", stats.bytes_before_compression),
+            ("compress_stored_bytes", stats.bytes_after_compression),
+            ("flash_write_commands", stats.flash.commands),
+            ("flash_pages_written", stats.flash.pages_written),
+            ("faults", self.faults),
+            ("kills", self.kills()),
+            ("pressure_wakes", self.pressure_spikes),
+        ] {
+            registry.count(name, value as u64);
+        }
+        let thermal_extra = u64::try_from(self.thermal_extra().as_nanos()).unwrap_or(u64::MAX);
+        registry.count("thermal_extra_nanos", thermal_extra);
+        let scale = self.config.scale.max(1) as u128;
+        let full_scale_micros =
+            |cost: CostNanos| u64::try_from(cost.as_nanos() * scale / 1_000).unwrap_or(u64::MAX);
+        for measurement in &self.measurements {
+            let histogram = match measurement.kind {
+                RelaunchKind::Warm => metric_names::RELAUNCH_WARM_MICROS,
+                RelaunchKind::Cold => metric_names::RELAUNCH_COLD_MICROS,
+            };
+            registry.record(histogram, full_scale_micros(measurement.latency));
+            if measurement.io_stall > CostNanos::zero() {
+                registry.record(
+                    metric_names::IO_STALL_MICROS,
+                    full_scale_micros(measurement.io_stall),
+                );
+            }
+        }
+        registry.merge_histogram(metric_names::PSI_SOME_PPM, &self.psi_samples);
+        registry.merge_histogram(
+            metric_names::COMPRESSION_RATIO_PCT,
+            &self.ctx.compression_ratios(),
+        );
+        registry
     }
 
     /// CPU time of the workload itself (application execution, independent of
@@ -487,6 +536,13 @@ impl MobileSystem {
     #[must_use]
     pub fn psi_ppm(&self) -> u64 {
         self.lmkd.psi_ppm()
+    }
+
+    /// Number of page accesses served below DRAM so far (from the zpool,
+    /// flash, the pre-decompression buffer, or lost data).
+    #[must_use]
+    pub fn faults(&self) -> usize {
+        self.faults
     }
 
     /// Number of applications lmkd has killed so far.
@@ -695,12 +751,10 @@ impl MobileSystem {
                 killed = true;
             }
         }
-        if self.trace.is_enabled() || self.metrics.is_enabled() {
-            let psi_ppm = self.lmkd.psi_ppm();
-            self.metrics.record(metric_names::PSI_SOME_PPM, psi_ppm);
-            self.trace
-                .emit(now, move || TraceEventKind::LmkdWake { psi_ppm, killed });
-        }
+        let psi_ppm = self.lmkd.psi_ppm();
+        self.psi_samples.record(psi_ppm);
+        self.trace
+            .emit(now, move || TraceEventKind::LmkdWake { psi_ppm, killed });
     }
 
     /// Schedule an `IoComplete` event at the earliest in-flight flash write
@@ -848,7 +902,7 @@ impl MobileSystem {
             pages_accessed: trace.hot_accesses.len(),
             found_in,
         };
-        self.record_relaunch(&measurement);
+        self.trace_relaunch(&measurement);
         self.measurements.push(measurement.clone());
         measurement
     }
@@ -895,7 +949,7 @@ impl MobileSystem {
             pages_accessed: workload.relaunches[0].hot_accesses.len(),
             found_in,
         };
-        self.record_relaunch(&measurement);
+        self.trace_relaunch(&measurement);
         self.measurements.push(measurement.clone());
         measurement
     }
@@ -918,7 +972,6 @@ impl MobileSystem {
             });
             // The trace sees kills through the exact code path that feeds
             // the kill ledger, so the two can never drift apart.
-            self.metrics.count(metric_names::KILLS, 1);
             self.trace.emit(at, move || TraceEventKind::Kill {
                 app: app.to_string(),
                 app_uid: app.uid(),
@@ -941,7 +994,7 @@ impl MobileSystem {
     /// pressure.
     fn note_stall(&mut self, app: AppName, outcome: &AccessOutcome) {
         if outcome.found_in != PageLocation::Dram {
-            self.metrics.count(metric_names::FAULTS, 1);
+            self.faults += 1;
             let latency = outcome.latency.as_nanos();
             let location = location_label(outcome.found_in);
             // Stamp the fault at its *start* so the Chrome-trace span ends
@@ -963,28 +1016,8 @@ impl MobileSystem {
         }
     }
 
-    /// Publish one finished relaunch to the trace and metrics sinks.
-    /// Latencies are recorded in **full-scale** microseconds so histogram
-    /// quantiles line up with [`MobileSystem::average_relaunch_millis_of`].
-    fn record_relaunch(&mut self, measurement: &RelaunchMeasurement) {
-        if !self.trace.is_enabled() && !self.metrics.is_enabled() {
-            return;
-        }
-        let scale = self.config.scale.max(1) as u128;
-        let full_scale_micros =
-            |nanos: u128| u64::try_from(nanos * scale / 1_000).unwrap_or(u64::MAX);
-        let histogram = match measurement.kind {
-            RelaunchKind::Warm => metric_names::RELAUNCH_WARM_MICROS,
-            RelaunchKind::Cold => metric_names::RELAUNCH_COLD_MICROS,
-        };
-        self.metrics
-            .record(histogram, full_scale_micros(measurement.latency.as_nanos()));
-        if measurement.io_stall > CostNanos::zero() {
-            self.metrics.record(
-                metric_names::IO_STALL_MICROS,
-                full_scale_micros(measurement.io_stall.as_nanos()),
-            );
-        }
+    /// Emit one finished relaunch as a trace span ending now.
+    fn trace_relaunch(&self, measurement: &RelaunchMeasurement) {
         let app = measurement.app;
         let kind = match measurement.kind {
             RelaunchKind::Warm => "warm",
@@ -1024,7 +1057,6 @@ impl MobileSystem {
             target_pages,
             level,
         };
-        self.metrics.count(metric_names::PRESSURE_WAKES, 1);
         let level_label = match level {
             PressureLevel::Critical => "critical",
             PressureLevel::Medium => "medium",
@@ -1067,6 +1099,19 @@ impl MobileSystem {
             .map(|m| m.full_scale_millis(self.config.scale))
             .sum();
         total / self.measurements.len() as f64
+    }
+}
+
+/// A system's ledgers are final only once it is dropped, and whoever
+/// attached the collector (a whole experiment run, say) never sees the
+/// systems built on its behalf — so dropping is when the metrics merge.
+/// A system dropped while its thread unwinds has no final ledgers and
+/// merges nothing.
+impl Drop for MobileSystem {
+    fn drop(&mut self) {
+        if self.collector.is_enabled() && !std::thread::panicking() {
+            self.collector.merge(&self.metrics());
+        }
     }
 }
 

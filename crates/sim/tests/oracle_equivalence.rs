@@ -67,8 +67,10 @@ fn grid_outcomes_are_identical_with_the_oracle_on_or_off() {
         ]
     };
     let base = SimulationConfig::new(0xD5).with_scale(512);
-    let grid =
-        |oracle: bool| runner::run_grid(base, &OracleHandle::enabled(oracle), cells(&scenario));
+    let grid = |oracle: bool| {
+        let opts = ExperimentOptions::quick().with_oracle(oracle);
+        runner::run_grid(&opts, base, cells(&scenario))
+    };
     assert_eq!(grid(true), grid(false));
 }
 

@@ -14,10 +14,10 @@ use ariadne_mem::{
     AppId, CpuActivity, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
     PageLocation, ReclaimReason, ReclaimRequest, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
-use ariadne_obs::metrics::names as metric_names;
-use ariadne_obs::{MetricsHandle, TraceEventKind, TraceHandle};
+use ariadne_obs::{Histogram, TraceEventKind, TraceHandle};
 use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -279,8 +279,9 @@ pub struct SchemeContext {
     /// Observation never perturbs simulation: a disabled handle is one
     /// branch, an enabled one only copies values out.
     trace: TraceHandle,
-    /// Metrics sink for codec counters/ratios (disabled by default).
-    metrics: MetricsHandle,
+    /// Compressed size as a percentage of original size, one sample per
+    /// [`SchemeContext::compress_pages`] call.
+    compression_ratios: RefCell<Histogram>,
 }
 
 impl SchemeContext {
@@ -310,7 +311,7 @@ impl SchemeContext {
             latency: LatencyModel::pixel7(),
             thermal: ThermalModel::default(),
             trace: TraceHandle::disabled(),
-            metrics: MetricsHandle::disabled(),
+            compression_ratios: RefCell::new(Histogram::new()),
         }
     }
 
@@ -322,24 +323,11 @@ impl SchemeContext {
         self
     }
 
-    /// Attach a metrics sink: codec op counters and compression-ratio
-    /// samples are recorded through it.
+    /// The compression ratios of every [`SchemeContext::compress_pages`]
+    /// call so far, in percent of the original size.
     #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The attached trace handle (disabled unless [`SchemeContext::with_trace`] ran).
-    #[must_use]
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
-    /// The attached metrics handle (disabled unless [`SchemeContext::with_metrics`] ran).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsHandle {
-        &self.metrics
+    pub fn compression_ratios(&self) -> Histogram {
+        self.compression_ratios.borrow().clone()
     }
 
     /// Enable (or explicitly disable) the thermal throttling model. The
@@ -371,14 +359,12 @@ impl SchemeContext {
         let base = self.latency.compression_cost(algorithm, chunk, bytes);
         let cost = self.thermal.charge(base, now_nanos);
         if cost > base {
-            self.metrics.count(metric_names::THERMAL_INFLATIONS, 1);
             self.trace
                 .emit(now_nanos, || TraceEventKind::ThermalInflation {
                     base_nanos: base.0,
                     inflated_nanos: cost.0,
                 });
         }
-        self.metrics.count(metric_names::COMPRESS_OPS, 1);
         self.trace.emit(now_nanos, || TraceEventKind::Compress {
             bytes,
             cost_nanos: cost.0,
@@ -400,14 +386,12 @@ impl SchemeContext {
         let base = self.latency.decompression_cost(algorithm, chunk, bytes);
         let cost = self.thermal.charge(base, now_nanos);
         if cost > base {
-            self.metrics.count(metric_names::THERMAL_INFLATIONS, 1);
             self.trace
                 .emit(now_nanos, || TraceEventKind::ThermalInflation {
                     base_nanos: base.0,
                     inflated_nanos: cost.0,
                 });
         }
-        self.metrics.count(metric_names::DECOMPRESS_OPS, 1);
         self.trace.emit(now_nanos, || TraceEventKind::Decompress {
             bytes,
             cost_nanos: cost.0,
@@ -444,7 +428,8 @@ impl SchemeContext {
     /// [`CompressionOracle`]: a repeat of an earlier `(pages, algorithm,
     /// chunk_size)` consultation is served from the cache without
     /// re-synthesizing or re-compressing a single byte. The sizes returned
-    /// are bit-identical to a cold codec run either way.
+    /// are bit-identical to a cold codec run either way. Each call records
+    /// its ratio into [`SchemeContext::compression_ratios`].
     ///
     /// # Panics
     ///
@@ -459,17 +444,8 @@ impl SchemeContext {
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
         let outcome = self.consult_oracle(pages, algorithm, chunk_size);
-        if self.metrics.is_enabled() && outcome.original_len > 0 {
-            self.metrics.count(
-                metric_names::COMPRESS_ORIGINAL_BYTES,
-                outcome.original_len as u64,
-            );
-            self.metrics.count(
-                metric_names::COMPRESS_STORED_BYTES,
-                outcome.compressed_len as u64,
-            );
-            self.metrics.record(
-                metric_names::COMPRESSION_RATIO_PCT,
+        if outcome.original_len > 0 {
+            self.compression_ratios.borrow_mut().record(
                 (outcome.compressed_len as u64).saturating_mul(100) / outcome.original_len as u64,
             );
         }

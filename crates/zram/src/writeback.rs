@@ -153,11 +153,6 @@ impl ZpoolWriteback<'_> {
                 CostNanos::zero()
             }
             WritebackPolicy::WritebackToFlash => {
-                let submitted_pages: usize = if ctx.metrics().is_enabled() {
-                    entries.iter().map(|entry| entry.pages.len()).sum()
-                } else {
-                    0
-                };
                 let requests: Vec<WriteRequest> = entries
                     .into_iter()
                     .map(|entry| WriteRequest {
@@ -180,17 +175,6 @@ impl ZpoolWriteback<'_> {
                     self.stats.dropped_pages += dropped.pages.len();
                 }
                 self.stats.io_queue_stall_time += result.queue_stall;
-                if ctx.metrics().is_enabled() {
-                    let dropped_pages: usize = result.dropped.iter().map(|r| r.pages.len()).sum();
-                    ctx.metrics().count(
-                        ariadne_obs::metrics::names::WRITEBACK_COMMANDS,
-                        result.commands as u64,
-                    );
-                    ctx.metrics().count(
-                        ariadne_obs::metrics::names::WRITEBACK_PAGES,
-                        submitted_pages.saturating_sub(dropped_pages) as u64,
-                    );
-                }
                 result.sync_latency + result.queue_stall
             }
         }

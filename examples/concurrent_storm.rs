@@ -11,9 +11,9 @@
 //! ```
 
 use ariadne::sim::experiments::runner::{run_grid, GridCell};
+use ariadne::sim::experiments::ExperimentOptions;
 use ariadne::sim::SimulationConfig;
 use ariadne::trace::{AppName, ScenarioBuilder};
-use ariadne::zram::OracleHandle;
 
 fn main() {
     // Three apps with overlapping lifetimes: YouTube launches before
@@ -51,8 +51,9 @@ fn main() {
         "{:<24} {:>14} {:>10} {:>10} {:>10}",
         "scheme", "avg relaunch", "comp ops", "decomp ops", "events"
     );
-    // One compression oracle shared by the five cells.
-    for outcome in run_grid(config, &OracleHandle::enabled(true), cells) {
+    // The five cells share the options' compression oracle.
+    let opts = ExperimentOptions::quick();
+    for outcome in run_grid(&opts, config, cells) {
         println!(
             "{:<24} {:>12.2}ms {:>10} {:>10} {:>10}",
             outcome.scheme,
