@@ -11,7 +11,7 @@
 //! parallelism, merged in a fixed order, so output is byte-identical to
 //! `--serial`). `--quick` uses fewer applications and a larger scale factor
 //! (useful for a fast smoke run); `--scale` overrides the workload/memory
-//! scale denominator (64 is the default and what `EXPERIMENTS.md` records);
+//! scale denominator (64 is the default);
 //! `--json` emits one machine-readable JSON document instead of plain-text
 //! tables; `--list` prints the catalog (honouring `--json`).
 //!
@@ -37,7 +37,7 @@
 //! Experiment output stays byte-identical either way (pinned by the
 //! `obs_identity` suite). `experiments status` prints a one-shot device
 //! health report instead of running the catalog, under the same
-//! observers.
+//! observers; it takes no experiment names and has no `--json` form.
 
 use ariadne_obs::{json_escape, MetricsHandle, TraceHandle};
 use ariadne_sim::experiments::{catalog, runner, status, ExperimentOptions};
@@ -102,6 +102,14 @@ fn parse_args(
             }
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             name => names.push(name.to_string()),
+        }
+    }
+    if names.iter().any(|name| name == "status") {
+        if names.len() > 1 {
+            return Err("`status` takes no experiment names".to_string());
+        }
+        if output.json {
+            return Err("`status` has no `--json` form".to_string());
         }
     }
     // An explicit `--scale` wins over `--quick`'s, in either order.
@@ -285,6 +293,26 @@ mod tests {
         assert_eq!(parse(&["--quick"]).scale, ExperimentOptions::quick().scale);
         assert_eq!(parse(&["--scale", "512"]).scale, 512);
         assert_eq!(parse(&[]).scale, ExperimentOptions::full().scale);
+    }
+
+    #[test]
+    fn status_runs_alone_and_only_as_text() {
+        for args in [
+            &["status", "fig10"][..],
+            &["fig10", "status"],
+            &["--json", "status"],
+        ] {
+            let args = args.iter().map(|arg| (*arg).to_string());
+            assert!(parse_args(args).is_err());
+        }
+        for args in [
+            &["--quick", "status"][..],
+            &["--metrics-json", "m.json", "status"],
+        ] {
+            let args = args.iter().map(|arg| (*arg).to_string());
+            let (_, _, names) = parse_args(args).expect("valid arguments");
+            assert_eq!(names, ["status"]);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Shared helpers for the Ariadne benchmark suite.
 //!
 //! The actual entry points are the `experiments` binary (regenerates every
-//! table and figure of the paper via `ariadne-sim`) and the Criterion
-//! benches under `benches/` (micro-benchmarks of the codecs and hot
-//! structures). End-to-end host timing is the job of the benchmark in
-//! `perfbench/` (declared by `BENCHMARK.json`).
+//! table and figure of the paper via `ariadne-sim`) and the Criterion bench
+//! `hot_structures` (micro-benchmarks of the hot structures and the
+//! compression kernels). End-to-end host timing and codec throughput are
+//! the job of the benchmark in `perfbench/` (declared by `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -192,12 +192,6 @@ impl LatencyModel {
         }
     }
 
-    /// Build a model from explicit per-algorithm parameters.
-    #[must_use]
-    pub fn from_params(lz4: LatencyParams, lzo: LatencyParams, bdi: LatencyParams) -> Self {
-        LatencyModel { lz4, lzo, bdi }
-    }
-
     fn params(&self, algorithm: Algorithm) -> &LatencyParams {
         match algorithm {
             Algorithm::Lz4 => &self.lz4,

@@ -70,7 +70,6 @@ impl AppLists {
 pub struct HotnessOrg {
     apps: FxHashMap<AppId, AppLists>,
     app_lru: LruList<AppId>,
-    list_ops: usize,
     /// Pages per hotness level across all apps, maintained incrementally so
     /// [`HotnessOrg::total_pages`] and [`HotnessOrg::pages_at`] are O(1)
     /// (they are polled every engine tick for the pressure stats).
@@ -93,13 +92,6 @@ impl HotnessOrg {
         HotnessOrg::default()
     }
 
-    /// Number of LRU list operations performed so far (the paper's overhead
-    /// argument counts these).
-    #[must_use]
-    pub fn list_operations(&self) -> usize {
-        self.list_ops
-    }
-
     /// Insert `page` on the list for `hotness` (most recently used end),
     /// removing it from any other list first.
     pub fn insert(&mut self, page: PageId, hotness: Hotness) {
@@ -114,7 +106,6 @@ impl HotnessOrg {
         }
         lists.list_mut(hotness).touch(page);
         self.app_lru.touch(page.app());
-        self.list_ops += 2;
     }
 
     /// Remove `page` from whatever list it is on (it is being compressed or
@@ -124,7 +115,6 @@ impl HotnessOrg {
         let hotness = lists.hotness_of(page)?;
         lists.list_mut(hotness).remove(&page);
         self.level_counts[level_index(hotness)] -= 1;
-        self.list_ops += 1;
         Some(hotness)
     }
 
@@ -149,7 +139,6 @@ impl HotnessOrg {
                 let lists = self.apps.entry(page.app()).or_default();
                 lists.list_mut(level).touch(page);
                 self.app_lru.touch(page.app());
-                self.list_ops += 1;
             }
         }
     }
@@ -168,7 +157,6 @@ impl HotnessOrg {
         }
         self.level_counts[level_index(Hotness::Hot)] -= demoted;
         self.level_counts[level_index(Hotness::Warm)] += demoted;
-        self.list_ops += demoted;
         demoted
     }
 
@@ -183,15 +171,12 @@ impl HotnessOrg {
             l.hot.len() + l.warm.len() + l.cold.len()
         });
         self.app_lru.remove(&app);
-        // One bulk list drop per level plus the app-list removal.
-        self.list_ops += 4;
         removed
     }
 
     /// The application was used (brought to the foreground).
     pub fn touch_app(&mut self, app: AppId) {
         self.app_lru.touch(app);
-        self.list_ops += 1;
     }
 
     /// Snapshot of `app`'s hot list (most recently used first).
@@ -252,7 +237,6 @@ impl HotnessOrg {
                             Some(page) => {
                                 victims.push((page, level));
                                 self.level_counts[level_index(level)] -= 1;
-                                self.list_ops += 1;
                             }
                             None => break,
                         }
@@ -394,7 +378,6 @@ mod tests {
         assert_eq!(org.pages_at(Hotness::Hot), 1);
         assert_eq!(org.pages_at(Hotness::Warm), 1);
         assert_eq!(org.pages_at(Hotness::Cold), 1);
-        assert!(org.list_operations() >= 3);
     }
 
     #[test]

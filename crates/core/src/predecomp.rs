@@ -34,7 +34,6 @@ pub struct PreDecompBuffer {
     pages: LruList<PageId>,
     hits: usize,
     wasted: usize,
-    inserted: usize,
 }
 
 impl PreDecompBuffer {
@@ -78,7 +77,6 @@ impl PreDecompBuffer {
         if self.pages.contains(&page) {
             return None;
         }
-        self.inserted += 1;
         let evicted = if self.pages.len() >= self.capacity {
             let old = self.pages.pop_lru();
             if old.is_some() {
@@ -139,22 +137,6 @@ impl PreDecompBuffer {
     pub fn wasted(&self) -> usize {
         self.wasted
     }
-
-    /// Number of pages ever inserted.
-    #[must_use]
-    pub fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    /// Hit rate over all inserted pages (0.0 when nothing was inserted).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.inserted == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.inserted as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -186,8 +168,6 @@ mod tests {
         assert!(buffer.take(page(1)));
         assert!(!buffer.take(page(9)));
         assert_eq!(buffer.hits(), 1);
-        assert_eq!(buffer.inserted(), 2);
-        assert!((buffer.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -196,7 +176,6 @@ mod tests {
         buffer.insert(page(0));
         buffer.insert(page(0));
         assert_eq!(buffer.len(), 1);
-        assert_eq!(buffer.inserted(), 1);
     }
 
     #[test]
@@ -208,17 +187,11 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(buffer.wasted(), 2);
         assert!(buffer.is_empty());
-        assert_eq!(buffer.hit_rate(), 0.0 + buffer.hits() as f64 / 2.0);
     }
 
     #[test]
     fn capacity_of_zero_is_bumped_to_one() {
         let buffer = PreDecompBuffer::new(0);
         assert_eq!(buffer.capacity(), 1);
-    }
-
-    #[test]
-    fn empty_buffer_reports_zero_hit_rate() {
-        assert_eq!(PreDecompBuffer::new(4).hit_rate(), 0.0);
     }
 }

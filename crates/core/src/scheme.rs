@@ -21,12 +21,12 @@ use crate::predecomp::PreDecompBuffer;
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::FxHashMap;
 use ariadne_mem::{
-    AppId, CpuActivity, FlashDevice, Hotness, MainMemory, PageId, PageLocation, ReclaimRequest,
-    SimClock, Zpool, ZpoolHandle, PAGE_SIZE,
+    AppId, CpuActivity, FlashDevice, Hotness, MainMemory, PageId, PageLocation, SimClock, Zpool,
+    ZpoolHandle, PAGE_SIZE,
 };
 use ariadne_zram::{
-    swap_scheme_identity, writeback::charge_fault_io, AccessKind, AccessOutcome, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, ZpoolWriteback,
+    swap_scheme_identity, writeback::charge_fault_io, AccessKind, AccessOutcome, ReleasedFootprint,
+    SchemeContext, SchemeStats, SwapScheme, ZpoolWriteback,
 };
 
 /// Metadata remembered for pages sitting in the pre-decompression buffer so
@@ -504,17 +504,8 @@ impl SwapScheme for AriadneScheme {
         }
     }
 
-    fn reclaim(
-        &mut self,
-        request: ReclaimRequest,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
-        let (reclaimed, _) = self.do_reclaim(request.target_pages, false, clock, ctx);
-        ReclaimOutcome {
-            pages_reclaimed: reclaimed,
-            bytes_freed: reclaimed * PAGE_SIZE,
-        }
+    fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
+        self.do_reclaim(target_pages, false, clock, ctx).0
     }
 
     fn on_foreground(&mut self, app: AppId) {
@@ -685,7 +676,6 @@ impl SwapScheme for AriadneScheme {
 mod tests {
     use super::*;
     use crate::config::SizeConfig;
-    use ariadne_mem::reclaim::ReclaimReason;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
     use ariadne_zram::{MemoryConfig, WritebackPolicy};
@@ -706,13 +696,6 @@ mod tests {
         let ctx = SchemeContext::new(1, &workloads);
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
         (AriadneScheme::new(config), ctx, SimClock::new(), pages)
-    }
-
-    fn request(pages: usize) -> ReclaimRequest {
-        ReclaimRequest {
-            target_pages: pages,
-            reason: ReclaimReason::LowWatermark,
-        }
     }
 
     /// The pages held in the zpool, in sector (compression) order.
@@ -751,8 +734,7 @@ mod tests {
         for &page in pages.iter().take(10) {
             scheme.access(page, AccessKind::Launch, &mut clock, &ctx);
         }
-        let outcome = scheme.reclaim(request(8), &mut clock, &ctx);
-        assert_eq!(outcome.pages_reclaimed, 8);
+        assert_eq!(scheme.reclaim(8, &mut clock, &ctx), 8);
         // Hot pages survived in DRAM; cold pages were compressed.
         assert!(pages[..10]
             .iter()
@@ -772,8 +754,7 @@ mod tests {
         }
         // Everything is hot; a normal reclaim pass in EHL mode still works
         // via the last-resort path but only when nothing else is available.
-        let outcome = scheme.reclaim(request(2), &mut clock, &ctx);
-        assert_eq!(outcome.pages_reclaimed, 2);
+        assert_eq!(scheme.reclaim(2, &mut clock, &ctx), 2);
         // Small chunk size was used for the hot victims, one page per entry.
         let entries: Vec<(usize, ChunkSize)> = scheme
             .zpool
@@ -790,7 +771,7 @@ mod tests {
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(request(8), &mut clock, &ctx);
+        scheme.reclaim(8, &mut clock, &ctx);
         let group = zpool_pages(&scheme)[..4].to_vec();
         let outcome = scheme.access(group[0], AccessKind::Execution, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::Zpool);
@@ -816,7 +797,7 @@ mod tests {
         for &page in pages.iter().take(40) {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
         }
-        scheme.reclaim(request(16), &mut clock, &ctx);
+        scheme.reclaim(16, &mut clock, &ctx);
         let compressed = zpool_pages(&scheme);
         assert!(compressed.len() >= 2);
 
@@ -889,7 +870,7 @@ mod tests {
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(request(32), &mut clock, &ctx);
+        scheme.reclaim(32, &mut clock, &ctx);
         let ratio = scheme.stats().compression_ratio();
         assert!(ratio > 1.2 && ratio < 30.0, "ratio {ratio}");
     }
@@ -902,7 +883,7 @@ mod tests {
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(request(48), &mut clock, &ctx);
+        scheme.reclaim(48, &mut clock, &ctx);
         assert!(scheme.stats().flash.writes > 0);
         // Writeback preserved the data: nothing was dropped, and a page that
         // went to flash can still be faulted back in.
@@ -931,7 +912,7 @@ mod tests {
             scheme.access(page, AccessKind::Launch, &mut clock, &ctx);
         }
         // Compress everything, hot data included (AL mode allows it).
-        scheme.reclaim(request(40), &mut clock, &ctx);
+        scheme.reclaim(40, &mut clock, &ctx);
         let deferred = scheme.deferred_pages();
         assert!(deferred > 0, "hot compressed entries should be drainable");
 
@@ -956,7 +937,7 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
             scheme.access(page, AccessKind::Launch, &mut clock, &ctx);
         }
-        scheme.reclaim(request(20), &mut clock, &ctx);
+        scheme.reclaim(20, &mut clock, &ctx);
         assert_eq!(scheme.deferred_pages(), 0);
         assert_eq!(scheme.drain_deferred(8, &mut clock, &ctx), 0);
     }
@@ -979,7 +960,7 @@ mod tests {
         // refill the pre-decompression buffer, and fault a few pages back so
         // every tier — DRAM, hotness lists, buffer, zpool, flash — holds
         // data of the app at kill time.
-        scheme.reclaim(request(40), &mut clock, &ctx);
+        scheme.reclaim(40, &mut clock, &ctx);
         scheme.drain_deferred(4, &mut clock, &ctx);
         for &page in pages.iter().skip(20).take(4) {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
@@ -1008,7 +989,7 @@ mod tests {
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(request(48), &mut clock, &ctx);
+        scheme.reclaim(48, &mut clock, &ctx);
         assert!(
             scheme.next_io_completion().is_some(),
             "cold-group swap-out should still be in flight"

@@ -94,13 +94,6 @@ impl CpuBreakdown {
         CpuActivity::ALL.iter().map(|&a| self.total_for(a)).sum()
     }
 
-    /// CPU time of the compression + decompression procedures — the quantity
-    /// normalized in the paper's Figure 11.
-    #[must_use]
-    pub fn compression_related(&self) -> CostNanos {
-        self.compression + self.decompression
-    }
-
     /// CPU time of the memory-reclaim procedure (kswapd) — the quantity
     /// reported in the paper's Figure 3. The kernel's kswapd performs both
     /// the scan and the compression of victims, so both are included.
@@ -185,7 +178,6 @@ mod tests {
         cpu.charge(CpuActivity::Compression, CostNanos(50));
         cpu.charge(CpuActivity::Decompression, CostNanos(25));
         assert_eq!(cpu.total_for(CpuActivity::Compression), CostNanos(150));
-        assert_eq!(cpu.compression_related(), CostNanos(175));
         assert_eq!(cpu.total(), CostNanos(175));
     }
 

@@ -63,7 +63,7 @@ impl Watermarks {
 ///     dram.insert(PageId::new(AppId::new(1), Pfn::new(i))).unwrap();
 /// }
 /// assert_eq!(dram.used_bytes(), 100 * 4096);
-/// assert!(!dram.below_low_watermark());
+/// assert_eq!(dram.background_reclaim_pages(), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MainMemory {
@@ -152,12 +152,6 @@ impl MainMemory {
         Ok(())
     }
 
-    /// Bytes currently reserved for non-page uses.
-    #[must_use]
-    pub fn reserved_bytes(&self) -> usize {
-        self.reserved
-    }
-
     /// Whether `page` is resident.
     #[must_use]
     pub fn contains(&self, page: PageId) -> bool {
@@ -217,23 +211,17 @@ impl MainMemory {
         pages.into_iter().collect()
     }
 
-    /// Whether free memory is below the low watermark (kswapd should run).
+    /// The pages a background reclaim pass (kswapd) should free: `None`
+    /// while free memory is at or above the low watermark, otherwise the
+    /// pages that restore the high watermark (at least one).
     #[must_use]
-    pub fn below_low_watermark(&self) -> bool {
-        self.free_bytes() < self.watermarks.low
-    }
-
-    /// Whether free memory is above the high watermark (kswapd may stop).
-    #[must_use]
-    pub fn above_high_watermark(&self) -> bool {
-        self.free_bytes() > self.watermarks.high
-    }
-
-    /// Bytes that must be freed to reach the high watermark (zero if already
-    /// above it).
-    #[must_use]
-    pub fn reclaim_target_bytes(&self) -> usize {
-        self.watermarks.high.saturating_sub(self.free_bytes())
+    pub fn background_reclaim_pages(&self) -> Option<usize> {
+        let free = self.free_bytes();
+        if free >= self.watermarks.low {
+            return None;
+        }
+        let missing = self.watermarks.high.saturating_sub(free);
+        Some(missing.div_ceil(PAGE_SIZE).max(1))
     }
 
     fn note_usage(&mut self) {
@@ -288,13 +276,34 @@ mod tests {
         for i in 0..85 {
             dram.insert(page(1, i)).unwrap();
         }
-        assert!(!dram.below_low_watermark());
-        assert!(!dram.above_high_watermark());
+        assert_eq!(dram.background_reclaim_pages(), None, "15 pages free");
         for i in 85..95 {
             dram.insert(page(1, i)).unwrap();
         }
-        assert!(dram.below_low_watermark());
-        assert_eq!(dram.reclaim_target_bytes(), 15 * PAGE_SIZE);
+        assert_eq!(dram.background_reclaim_pages(), Some(15));
+    }
+
+    /// `capacity_pages` of DRAM with the low watermark at 1/8 and the high
+    /// at 1/4 of it, `used_pages` of them resident.
+    fn dram_with_used(capacity_pages: usize, used_pages: usize) -> MainMemory {
+        let capacity = capacity_pages * PAGE_SIZE;
+        let marks = Watermarks::new(capacity / 8, capacity / 4).unwrap();
+        let mut dram = MainMemory::new(capacity, marks);
+        for i in 0..used_pages {
+            dram.insert(page(1, i as u64)).unwrap();
+        }
+        dram
+    }
+
+    #[test]
+    fn no_background_reclaim_when_memory_is_plentiful() {
+        assert_eq!(dram_with_used(100, 10).background_reclaim_pages(), None);
+    }
+
+    #[test]
+    fn background_reclaim_targets_the_high_watermark() {
+        // Low 12.5 pages, high 25 pages: 5 free pages need 20 more.
+        assert_eq!(dram_with_used(100, 95).background_reclaim_pages(), Some(20));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl SwapSlot {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// Construct a raw slot id in unit tests.
-    #[cfg(test)]
-    pub(crate) fn for_tests(raw: u64) -> Self {
-        SwapSlot(raw)
-    }
 }
 
 impl fmt::Display for SwapSlot {
@@ -89,12 +83,6 @@ impl IoRequestId {
     #[must_use]
     pub fn value(self) -> u64 {
         self.0
-    }
-
-    /// Construct a raw request id in unit tests.
-    #[cfg(test)]
-    pub(crate) fn for_tests(raw: u64) -> Self {
-        IoRequestId(raw)
     }
 }
 
@@ -138,10 +126,9 @@ pub struct FlashIoConfig {
 }
 
 impl FlashIoConfig {
-    /// The queued UFS-3.1-like default: one 4 KiB page write costs the same
-    /// 140 µs as [`MemTimingModel::pixel7`](crate::MemTimingModel::pixel7)
-    /// charges (28 µs command overhead + 28 µs/KiB transfer), with a
-    /// 32-command queue and 8-page batch commands.
+    /// The queued UFS-3.1-like default: one 4 KiB page write costs 140 µs
+    /// (28 µs command overhead + 28 µs/KiB transfer), with a 32-command
+    /// queue and 8-page batch commands.
     #[must_use]
     pub fn ufs31() -> Self {
         FlashIoConfig {
@@ -369,9 +356,6 @@ pub struct FlashDevice {
     /// retirement walks only entries that actually need their
     /// `completes_at` cleared — never fault-cancelled tombstones.
     command_chains: FxHashMap<IoRequestId, Chain>,
-    /// Parked fault tasks: faults served from in-flight commands, retired
-    /// in one batch when their command completes.
-    fault_tasks: crate::fault::FaultTaskTable,
     /// Program/erase cycles per erase block. Blocks are programmed
     /// round-robin (an idealized wear-levelling FTL): physical page `n`
     /// lands in block `(n / pages-per-block) % blocks`, and opening a
@@ -486,31 +470,11 @@ impl FlashDevice {
         &self.erase_counts
     }
 
-    /// The most-cycled block's erase count — the figure a lifetime budget
-    /// is judged against (0 for an unwritten device).
-    #[must_use]
-    pub fn max_erase_count(&self) -> u32 {
-        self.erase_counts.iter().copied().max().unwrap_or(0)
-    }
-
     /// Completion time of the earliest outstanding command, if any (what the
     /// event engine schedules its `IoComplete` events from).
     #[must_use]
     pub fn next_completion(&self) -> Option<u128> {
         self.outstanding.front().map(|(t, _)| *t)
-    }
-
-    /// Lifetime counters of the fault-task table (faults parked on
-    /// in-flight commands and the batches that retired them).
-    #[must_use]
-    pub fn fault_task_stats(&self) -> crate::fault::FaultTaskStats {
-        self.fault_tasks.stats()
-    }
-
-    /// Fault tasks currently parked (their commands have not retired yet).
-    #[must_use]
-    pub fn parked_fault_tasks(&self) -> usize {
-        self.fault_tasks.parked()
     }
 
     /// The completion time of the in-flight command holding `slot`, or
@@ -566,10 +530,9 @@ impl FlashDevice {
     /// become at-rest flash data. Returns the number of commands retired.
     ///
     /// Each retiring command walks its own `CMD_CHANNEL` chain — only the
-    /// entries still live and in flight — and drains its parked fault tasks
-    /// in one batch. Fault-cancelled slots left the chain at cancellation
-    /// time, so a relaunch storm's worth of faults adds nothing to the
-    /// retirement cost.
+    /// entries still live and in flight. Fault-cancelled slots left the
+    /// chain at cancellation time, so a relaunch storm's worth of faults
+    /// adds nothing to the retirement cost.
     pub fn retire_completed(&mut self, now_nanos: u128) -> usize {
         let traced = self.trace.is_enabled();
         let mut retired = 0usize;
@@ -592,7 +555,6 @@ impl FlashDevice {
                     }
                 }
             }
-            self.fault_tasks.retire_command(request);
             // Stamped with the command's *completion* time, not `now`:
             // retirement may run lazily long after the device finished.
             self.trace.emit(completes_at, || {
@@ -838,17 +800,9 @@ impl FlashDevice {
         let entry = self.take_entry(slot).ok_or(MemError::StaleHandle)?;
         self.used -= Self::footprint(entry.stored_bytes);
         let (stall, from_in_flight) = match entry.completes_at {
-            Some(completes_at) => {
-                let stall = CostNanos(completes_at.saturating_sub(now_nanos));
-                // Park a lightweight fault task on the command: the stall is
-                // charged to this fault right here, and the record is drained
-                // in one batch when the command retires. `take_entry` already
-                // removed the slot from the command's chain, so parking is
-                // this fault's only O(1) footprint on the retirement path.
-                let command = entry.command.expect("in-flight entry has a command");
-                self.fault_tasks.park(command, slot, stall, now_nanos);
-                (stall, true)
-            }
+            // `take_entry` already unlinked the slot from its command's
+            // chain, so the fault leaves nothing for retirement to visit.
+            Some(completes_at) => (CostNanos(completes_at.saturating_sub(now_nanos)), true),
             None => {
                 self.stats.reads += 1;
                 self.stats.bytes_read += entry.stored_bytes;
@@ -1007,12 +961,6 @@ impl FlashDevice {
                 "{in_flight_entries} in-flight entries but {chained_entries} chained to commands"
             ));
         }
-        for command in self.fault_tasks.commands_with_waiters() {
-            if !outstanding_ids.contains(&command) {
-                return Err(format!("fault tasks parked on retired/unknown {command}"));
-            }
-        }
-        self.fault_tasks.leak_check()?;
         Ok(())
     }
 
@@ -1280,8 +1228,8 @@ mod tests {
     fn fault_storm_on_one_command_charges_each_fault_its_own_stall() {
         // One batch command carrying 8 pages, then a storm of faults against
         // it while it is still in flight: every fault pays exactly the
-        // remaining time from *its own* fault instant, parks one lightweight
-        // task, and the command's retirement drains the whole batch at once.
+        // remaining time from *its own* fault instant, and the command
+        // retires once.
         let io = FlashIoConfig::ufs31().with_max_batch_pages(8);
         let mut flash = FlashDevice::with_io(1 << 20, io);
         let result = flash.submit_writes((0..8).map(|i| request(1, i)).collect(), 0);
@@ -1292,42 +1240,33 @@ mod tests {
             let fault = flash.fault_in(slot, now).unwrap();
             assert!(fault.from_in_flight);
             assert_eq!(fault.stall, CostNanos(completes - now), "fault {i}");
-            assert_eq!(flash.parked_fault_tasks(), i + 1);
             flash.leak_check().unwrap();
         }
         assert_eq!(flash.stats().reads, 0, "in-flight faults never read");
-        // The retirement drains all 8 parked tasks in one batch — exactly
-        // once: a second retirement pass finds nothing left.
+        // The command retires exactly once: a second pass finds nothing.
         assert_eq!(flash.retire_completed(completes), 1);
-        assert_eq!(flash.parked_fault_tasks(), 0);
-        let stats = flash.fault_task_stats();
-        assert_eq!((stats.parked, stats.retired, stats.batches), (8, 8, 1));
         assert_eq!(flash.retire_completed(completes + 1), 0);
-        assert_eq!(flash.fault_task_stats().retired, 8, "no double retirement");
         flash.leak_check().unwrap();
     }
 
     #[test]
-    fn release_app_with_parked_fault_tasks_stays_leak_check_green() {
+    fn release_app_after_an_in_flight_fault_stays_leak_check_green() {
         let io = FlashIoConfig::ufs31().with_max_batch_pages(2);
         let mut flash = FlashDevice::with_io(1 << 20, io);
         // Two commands for app 1, one for app 2.
         let first = flash.submit_writes((0..4).map(|i| request(1, i)).collect(), 0);
         let other = flash.submit_writes(vec![request(2, 9)], 0);
-        // A fault parks a waiter on app 1's first in-flight command...
+        // A fault hits app 1's first in-flight command...
         let fault = flash.fault_in(first.slots[0], 5_000).unwrap();
         assert!(fault.from_in_flight);
-        assert_eq!(flash.parked_fault_tasks(), 1);
         flash.leak_check().unwrap();
-        // ...then the app dies mid-writeback with the waiter still parked.
+        // ...then the app dies mid-writeback with that command still queued.
         let (slots_freed, pages_freed) = flash.release_app(AppId::new(1), 6_000);
         assert_eq!((slots_freed, pages_freed), (3, 3));
-        assert_eq!(flash.parked_fault_tasks(), 1, "waiter survives the kill");
         flash.leak_check().unwrap();
-        // The orphaned commands retire harmlessly and drain the waiter.
+        // The orphaned commands retire harmlessly.
         let last = flash.pending_completion(other.slots[0]).unwrap();
         flash.retire_completed(last);
-        assert_eq!(flash.parked_fault_tasks(), 0);
         assert_eq!(flash.in_flight_commands(), 0);
         assert!(flash.contains(page(2, 9)), "app 2's data is untouched");
         flash.leak_check().unwrap();
@@ -1480,7 +1419,7 @@ mod tests {
     #[test]
     fn wear_is_charged_per_physical_page_and_block() {
         let mut flash = FlashDevice::new(2 * ERASE_BLOCK_BYTES);
-        assert_eq!(flash.max_erase_count(), 0);
+        assert!(flash.erase_counts().is_empty());
         // A sub-page compressed object still programs one physical page.
         flash.write(vec![page(1, 0)], 4096, 1000, true).unwrap();
         let stats = flash.stats();

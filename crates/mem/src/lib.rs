@@ -12,15 +12,11 @@
 //! * [`zpool`] — the compressed-page pool ZRAM stores data in, with
 //!   sector-numbered 4 KiB blocks so swap-in locality can be studied;
 //! * [`flash`] — the UFS flash swap device, with wear accounting;
-//! * [`fault`] — the lightweight fault-task table that batches the
-//!   bookkeeping of faults on in-flight write commands;
 //! * [`timing`] — the simulated clock and the latency model for DRAM and
 //!   flash accesses;
 //! * [`cpu`] — CPU-time accounting split by activity (compression,
 //!   decompression, reclaim scanning, I/O), mirroring what the paper
-//!   measures with Perfetto;
-//! * [`reclaim`] — the kswapd-style reclaim controller that decides *when*
-//!   and *how much* to reclaim.
+//!   measures with Perfetto.
 //!
 //! # Example
 //!
@@ -40,11 +36,9 @@
 pub mod cpu;
 pub mod dram;
 pub mod error;
-pub mod fault;
 pub mod flash;
 pub mod lru;
 pub mod page;
-pub mod reclaim;
 pub mod slab;
 pub mod timing;
 pub mod zpool;
@@ -52,14 +46,12 @@ pub mod zpool;
 pub use cpu::{CpuActivity, CpuBreakdown};
 pub use dram::{MainMemory, Watermarks};
 pub use error::MemError;
-pub use fault::{FaultTask, FaultTaskStats, FaultTaskTable};
 pub use flash::{
     FaultIn, FlashDevice, FlashIoConfig, FlashIoMode, FlashStats, FlushResult, IoRequestId,
     SwapSlot, WriteRequest, ERASE_BLOCK_BYTES,
 };
 pub use lru::LruList;
 pub use page::{AppId, Hotness, PageId, PageLocation, Pfn, PAGE_SIZE};
-pub use reclaim::{ReclaimController, ReclaimReason, ReclaimRequest};
 pub use slab::{Chain, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, Slab, SlabKey};
 pub use timing::{MemTimingModel, SimClock, SimInstant};
 pub use zpool::{Zpool, ZpoolEntry, ZpoolHandle, ZpoolSector, ZpoolStats};

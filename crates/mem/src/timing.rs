@@ -125,11 +125,6 @@ impl SimClock {
     pub fn cpu(&self) -> &CpuBreakdown {
         &self.cpu
     }
-
-    /// Reset only the CPU ledger (used between measurement windows).
-    pub fn reset_cpu(&mut self) {
-        self.cpu = CpuBreakdown::default();
-    }
 }
 
 /// Latency constants for the modelled memory hierarchy.
@@ -145,8 +140,6 @@ pub struct MemTimingModel {
     pub page_fault_overhead_ns: u64,
     /// Reading one 4 KiB page from the UFS flash swap area.
     pub flash_read_page_ns: u64,
-    /// Writing one 4 KiB page to the UFS flash swap area.
-    pub flash_write_page_ns: u64,
     /// Moving one 4 KiB page between DRAM locations (copy during swap-in or
     /// zpool writeback staging).
     pub dram_copy_page_ns: u64,
@@ -168,7 +161,6 @@ impl MemTimingModel {
             dram_page_access_ns: 1_500,
             page_fault_overhead_ns: 3_000,
             flash_read_page_ns: 90_000,
-            flash_write_page_ns: 140_000,
             dram_copy_page_ns: 1_000,
             lru_op_ns: 150,
             reclaim_scan_page_ns: 400,
@@ -185,12 +177,6 @@ impl MemTimingModel {
     #[must_use]
     pub fn flash_read(&self, bytes: usize) -> CostNanos {
         CostNanos(self.flash_read_page_ns as u128 * Self::pages_for(bytes) as u128)
-    }
-
-    /// Latency of writing `bytes` to flash (rounded up to whole pages).
-    #[must_use]
-    pub fn flash_write(&self, bytes: usize) -> CostNanos {
-        CostNanos(self.flash_write_page_ns as u128 * Self::pages_for(bytes) as u128)
     }
 
     /// Fixed cost of a page fault.
@@ -267,7 +253,6 @@ mod tests {
     fn flash_is_much_slower_than_dram() {
         let model = MemTimingModel::pixel7();
         assert!(model.flash_read(4096) > model.dram_access(1).saturating_add(CostNanos(10_000)));
-        assert!(model.flash_write(4096) > model.flash_read(4096));
     }
 
     #[test]
@@ -282,15 +267,6 @@ mod tests {
         let model = MemTimingModel::pixel7();
         assert_eq!(model.flash_read(1), model.flash_read(4096));
         assert_eq!(model.flash_read(4097), model.flash_read(8192));
-    }
-
-    #[test]
-    fn reset_cpu_keeps_time() {
-        let mut clock = SimClock::new();
-        clock.advance_cpu(CpuActivity::Decompression, CostNanos(100));
-        clock.reset_cpu();
-        assert_eq!(clock.cpu().total(), CostNanos::zero());
-        assert_eq!(clock.now().as_nanos(), 100);
     }
 
     #[test]

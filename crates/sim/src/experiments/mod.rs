@@ -4,7 +4,7 @@
 //! quick/full switch, the run's shared compression oracle and its
 //! observers) and returns a [`Table`] with exactly the rows and series the
 //! paper reports. The `experiments` binary in `ariadne-bench` prints all of
-//! them; `EXPERIMENTS.md` records paper-reported versus measured values.
+//! them.
 
 pub mod baselines;
 pub mod characterization;
@@ -250,27 +250,6 @@ pub fn run_by_name(name: &str, opts: &ExperimentOptions) -> Option<Table> {
         _ => return None,
     };
     Some(table)
-}
-
-/// Run every experiment in paper order, serially.
-#[must_use]
-pub fn run_all(opts: &ExperimentOptions) -> Vec<Table> {
-    catalog()
-        .iter()
-        .filter_map(|(name, _)| run_by_name(name, opts))
-        .collect()
-}
-
-/// Run every experiment in paper order using all host cores (through
-/// [`ExperimentOptions::run_cells`]; results merge in catalog order,
-/// byte-identical to [`run_all`]).
-#[must_use]
-pub fn run_all_parallel(opts: &ExperimentOptions) -> Vec<Table> {
-    let names: Vec<String> = catalog().iter().map(|(n, _)| (*n).to_string()).collect();
-    runner::run_named_parallel(&names, opts)
-        .into_iter()
-        .filter_map(|(_, table)| table)
-        .collect()
 }
 
 #[cfg(test)]

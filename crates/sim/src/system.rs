@@ -17,8 +17,7 @@ use crate::lifecycle::{AppState, Lmkd, LmkdConfig, ProcessTable};
 use crate::schemes::SchemeSpec;
 use ariadne_compress::{CostNanos, ThermalConfig};
 use ariadne_mem::{
-    CpuBreakdown, FlashIoConfig, PageLocation, ReclaimController, SimClock, SimInstant, Watermarks,
-    PAGE_SIZE,
+    CpuBreakdown, FlashIoConfig, PageLocation, SimClock, SimInstant, Watermarks, PAGE_SIZE,
 };
 use ariadne_obs::{
     metrics::names as metric_names, Histogram, MetricsHandle, MetricsRegistry, TraceEventKind,
@@ -258,13 +257,11 @@ pub struct MobileSystem {
     ctx: SchemeContext,
     clock: SimClock,
     scheme: Box<dyn SwapScheme>,
-    kswapd: ReclaimController,
     /// Shared (`Arc`) so event handlers can hold a workload across `&mut
     /// self` scheme calls without deep-copying its page and trace vectors.
     workloads: HashMap<AppName, Arc<AppWorkload>>,
     launched: HashSet<AppName>,
     measurements: Vec<RelaunchMeasurement>,
-    baseline_cpu: CostNanos,
     queue: EventQueue,
     drains_enabled: bool,
     kswapd_pending: bool,
@@ -314,14 +311,12 @@ impl MobileSystem {
             ctx,
             clock: SimClock::new(),
             scheme,
-            kswapd: ReclaimController::new(),
             workloads: workload_list
                 .into_iter()
                 .map(|w| (w.name, Arc::new(w)))
                 .collect(),
             launched: HashSet::new(),
             measurements: Vec::new(),
-            baseline_cpu: CostNanos::zero(),
             queue: EventQueue::new(),
             drains_enabled: false,
             kswapd_pending: false,
@@ -491,13 +486,6 @@ impl MobileSystem {
         registry
     }
 
-    /// CPU time of the workload itself (application execution, independent of
-    /// the swap scheme), used as the common baseline in energy accounting.
-    #[must_use]
-    pub fn baseline_cpu(&self) -> CostNanos {
-        self.baseline_cpu
-    }
-
     /// Applications that have been launched so far, in name order.
     #[must_use]
     pub fn launched_apps(&self) -> Vec<AppName> {
@@ -591,12 +579,6 @@ impl MobileSystem {
             .map(|m| m.full_scale_millis(self.config.scale))
             .sum();
         total / of_kind.len() as f64
-    }
-
-    /// Number of events still pending in the queue.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Access a single page through the scheme on this system's clock (a
@@ -842,9 +824,6 @@ impl MobileSystem {
                 .access(page, AccessKind::Launch, &mut self.clock, &self.ctx);
             self.note_stall(app, &outcome);
         }
-        // Application execution itself costs CPU regardless of swap scheme
-        // (modelled as 1 ms of work per launch, scaled with the data volume).
-        self.baseline_cpu += CostNanos(1_000_000);
         self.launched.insert(app);
     }
 
@@ -892,7 +871,6 @@ impl MobileSystem {
                     .access(page, AccessKind::Execution, &mut self.clock, &self.ctx);
             self.note_stall(app, &outcome);
         }
-        self.baseline_cpu += CostNanos(500_000);
 
         let measurement = RelaunchMeasurement {
             app,
@@ -918,7 +896,6 @@ impl MobileSystem {
         // warm relaunch never pays, from the calibrated profile.
         let init = workload.profile.cold_start_cost(self.config.scale);
         self.clock.advance(init);
-        self.baseline_cpu += init;
 
         self.scheme.on_foreground(workload.app);
         self.procs.on_foreground(app);
@@ -938,7 +915,6 @@ impl MobileSystem {
             *found_in.entry(outcome.found_in).or_insert(0) += 1;
             self.note_stall(app, &outcome);
         }
-        self.baseline_cpu += CostNanos(1_000_000);
         self.launched.insert(app);
 
         let measurement = RelaunchMeasurement {
@@ -1067,8 +1043,7 @@ impl MobileSystem {
                 target_pages,
             }
         });
-        let _ = self
-            .scheme
+        self.scheme
             .on_pressure(pressure, &mut self.clock, &self.ctx);
     }
 
@@ -1076,11 +1051,13 @@ impl MobileSystem {
     /// or no further progress can be made.
     fn kswapd_run(&mut self) {
         for _ in 0..64 {
-            let Some(request) = self.kswapd.background_request(self.scheme.dram()) else {
+            let Some(target_pages) = self.scheme.dram().background_reclaim_pages() else {
                 break;
             };
-            let outcome = self.scheme.reclaim(request, &mut self.clock, &self.ctx);
-            if outcome.pages_reclaimed == 0 {
+            let evicted = self
+                .scheme
+                .reclaim(target_pages, &mut self.clock, &self.ctx);
+            if evicted == 0 {
                 break;
             }
         }

@@ -123,14 +123,7 @@ fn faults_on_in_flight_writeback_stall_only_until_completion() {
     for &page in pages.iter().take(40) {
         scheme.register_page(page, &mut clock, &ctx);
     }
-    scheme.reclaim(
-        ariadne_mem::ReclaimRequest {
-            target_pages: 8,
-            reason: ariadne_mem::ReclaimReason::LowWatermark,
-        },
-        &mut clock,
-        &ctx,
-    );
+    scheme.reclaim(8, &mut clock, &ctx);
     assert!(scheme.deferred_pages() > 0);
     // The background flush submits queued writes "now"; a fault immediately
     // afterwards races them.

@@ -194,12 +194,6 @@ impl PageDataGenerator {
         }
     }
 
-    /// Total bytes of anonymous data generated for `pages` pages.
-    #[must_use]
-    pub fn bytes_for_pages(pages: usize) -> usize {
-        pages * PAGE_SIZE
-    }
-
     /// Write exactly [`REGION_SIZE`] bytes of `class`-typed content into
     /// `out` (a region-sized slice of the page buffer). Index-based writes
     /// keep the hot synthesis path free of intermediate allocations.

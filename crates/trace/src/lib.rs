@@ -33,7 +33,6 @@ pub mod content;
 pub mod device;
 pub mod locality;
 pub mod profiles;
-pub mod record;
 pub mod scenario;
 pub mod workload;
 
@@ -41,7 +40,6 @@ pub use content::{ContentClass, PageDataGenerator};
 pub use device::DeviceClass;
 pub use locality::{measure_consecutive_probability, RunLengthSampler};
 pub use profiles::{AdversarialMix, AppMask, AppName, AppProfile};
-pub use record::TraceRecord;
 pub use scenario::{ScenarioBuilder, TimedEvent, TimedScenario};
 pub use workload::{
     AppWorkload, PageSpec, RelaunchTrace, Scenario, ScenarioEvent, ScenarioKind, WorkloadBuilder,

@@ -8,11 +8,11 @@
 //! configuration").
 
 use crate::scheme::{
-    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, ReclaimOutcome, ReleasedFootprint,
-    SchemeContext, SchemeStats, SwapScheme,
+    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, ReleasedFootprint, SchemeContext,
+    SchemeStats, SwapScheme,
 };
 use crate::swap_scheme_identity;
-use ariadne_mem::{AppId, CpuActivity, MainMemory, PageId, PageLocation, ReclaimRequest, SimClock};
+use ariadne_mem::{AppId, CpuActivity, MainMemory, PageId, PageLocation, SimClock};
 
 /// The no-swap baseline.
 ///
@@ -65,29 +65,18 @@ impl SwapScheme for DramOnlyScheme {
         }
     }
 
-    fn reclaim(
-        &mut self,
-        request: ReclaimRequest,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
+    fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
         // Anonymous pages are never reclaimed. The kernel still spends a
         // little CPU writing back file pages; model that as a scan over the
         // requested pages.
-        let scan = ctx.timing.reclaim_scan(request.target_pages);
+        let scan = ctx.timing.reclaim_scan(target_pages);
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        ReclaimOutcome::default()
+        0
     }
 
-    fn on_pressure(
-        &mut self,
-        _pressure: MemoryPressure,
-        _clock: &mut SimClock,
-        _ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
+    fn on_pressure(&mut self, _: MemoryPressure, _: &mut SimClock, _: &SchemeContext) {
         // The optimistic baseline has unlimited DRAM: pressure spikes are
         // absorbed without reclaiming (or even scanning) anything.
-        ReclaimOutcome::default()
     }
 
     fn on_foreground(&mut self, _app: AppId) {}
@@ -130,7 +119,6 @@ impl SwapScheme for DramOnlyScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ariadne_mem::ReclaimRequest;
     use ariadne_trace::{AppName, WorkloadBuilder};
 
     fn setup() -> (DramOnlyScheme, SchemeContext, SimClock, Vec<PageId>) {
@@ -159,15 +147,7 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
         }
         let before = scheme.dram().resident_pages();
-        let outcome = scheme.reclaim(
-            ReclaimRequest {
-                target_pages: 100,
-                reason: ariadne_mem::reclaim::ReclaimReason::LowWatermark,
-            },
-            &mut clock,
-            &ctx,
-        );
-        assert_eq!(outcome.pages_reclaimed, 0);
+        assert_eq!(scheme.reclaim(100, &mut clock, &ctx), 0);
         assert_eq!(scheme.dram().resident_pages(), before);
         assert_eq!(scheme.stats().compression_ops, 0);
     }

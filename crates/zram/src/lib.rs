@@ -31,8 +31,8 @@ pub mod zram;
 pub use dram_only::DramOnlyScheme;
 pub use oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
 pub use scheme::{
-    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
+    SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
 pub use swap::FlashSwapScheme;
 pub use writeback::ZpoolWriteback;

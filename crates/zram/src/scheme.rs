@@ -12,7 +12,7 @@ use ariadne_compress::{
 };
 use ariadne_mem::{
     AppId, CpuActivity, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
-    PageLocation, ReclaimReason, ReclaimRequest, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
+    PageLocation, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::{Histogram, TraceEventKind, TraceHandle};
 use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
@@ -83,15 +83,6 @@ pub struct AccessOutcome {
     /// complete). Always `<= latency`; zero for schemes without a flash
     /// queue or when the page was at rest.
     pub io_stall: CostNanos,
-}
-
-/// The result of a reclaim pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReclaimOutcome {
-    /// Pages removed from DRAM.
-    pub pages_reclaimed: usize,
-    /// Bytes of DRAM freed.
-    pub bytes_freed: usize,
 }
 
 /// What [`SwapScheme::release_app`] freed when a process was killed: the
@@ -190,13 +181,6 @@ impl MemoryConfig {
         config
     }
 
-    /// Override the compression algorithm.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
     /// Override the writeback policy.
     #[must_use]
     pub fn with_writeback(mut self, writeback: WritebackPolicy) -> Self {
@@ -229,19 +213,6 @@ pub struct MemoryPressure {
     pub target_pages: usize,
     /// How urgent the request is.
     pub level: PressureLevel,
-}
-
-impl MemoryPressure {
-    /// The equivalent proactive [`ReclaimRequest`].
-    #[must_use]
-    pub fn as_reclaim_request(&self) -> ReclaimRequest {
-        ReclaimRequest {
-            target_pages: self.target_pages,
-            reason: ReclaimReason::Proactive {
-                bytes: self.target_pages * PAGE_SIZE,
-            },
-        }
-    }
 }
 
 /// [`SchemeContext::poison_flags`] value: calibrated content profile.
@@ -691,14 +662,10 @@ pub trait SwapScheme {
         ctx: &SchemeContext,
     ) -> AccessOutcome;
 
-    /// Background reclaim (kswapd): evict at least `request.target_pages`
-    /// pages from DRAM according to the scheme's policy.
-    fn reclaim(
-        &mut self,
-        request: ReclaimRequest,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome;
+    /// Background reclaim (kswapd): evict at least `target_pages` pages
+    /// from DRAM according to the scheme's policy. Returns the pages
+    /// evicted.
+    fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize;
 
     /// The application moved to the foreground.
     fn on_foreground(&mut self, app: AppId);
@@ -717,13 +684,8 @@ pub trait SwapScheme {
     /// treats it as a proactive reclaim of `pressure.target_pages` pages;
     /// schemes with nothing to proactively reclaim (the DRAM baseline)
     /// override it to a no-op.
-    fn on_pressure(
-        &mut self,
-        pressure: MemoryPressure,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
-        self.reclaim(pressure.as_reclaim_request(), clock, ctx)
+    fn on_pressure(&mut self, pressure: MemoryPressure, clock: &mut SimClock, ctx: &SchemeContext) {
+        self.reclaim(pressure.target_pages, clock, ctx);
     }
 
     /// How many pages of deferred background work the scheme currently has
@@ -828,10 +790,8 @@ mod tests {
 
     #[test]
     fn config_builders_override_fields() {
-        let config = MemoryConfig::pixel7_scaled(64)
-            .with_algorithm(Algorithm::Lz4)
-            .with_writeback(WritebackPolicy::WritebackToFlash);
-        assert_eq!(config.algorithm, Algorithm::Lz4);
+        let config =
+            MemoryConfig::pixel7_scaled(64).with_writeback(WritebackPolicy::WritebackToFlash);
         assert_eq!(config.writeback, WritebackPolicy::WritebackToFlash);
     }
 
@@ -913,22 +873,6 @@ mod tests {
             ..SchemeStats::default()
         };
         assert!((stats.compression_ratio() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memory_pressure_converts_to_a_proactive_request() {
-        let pressure = MemoryPressure {
-            target_pages: 3,
-            level: PressureLevel::Medium,
-        };
-        let request = pressure.as_reclaim_request();
-        assert_eq!(request.target_pages, 3);
-        assert_eq!(
-            request.reason,
-            ReclaimReason::Proactive {
-                bytes: 3 * PAGE_SIZE
-            }
-        );
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! a flash read) and wears out the flash.
 
 use crate::scheme::{
-    AccessKind, AccessOutcome, MemoryConfig, ReclaimOutcome, ReleasedFootprint, SchemeContext,
-    SchemeStats, SwapScheme,
+    AccessKind, AccessOutcome, MemoryConfig, ReleasedFootprint, SchemeContext, SchemeStats,
+    SwapScheme,
 };
 use crate::swap_scheme_identity;
 use crate::writeback::charge_fault_io;
 use ariadne_compress::CostNanos;
 use ariadne_mem::{
-    AppId, CpuActivity, FlashDevice, LruList, MainMemory, PageId, PageLocation, ReclaimRequest,
-    SimClock, WriteRequest, PAGE_SIZE,
+    AppId, CpuActivity, FlashDevice, LruList, MainMemory, PageId, PageLocation, SimClock,
+    WriteRequest, PAGE_SIZE,
 };
 use std::collections::HashSet;
 
@@ -224,17 +224,8 @@ impl SwapScheme for FlashSwapScheme {
         }
     }
 
-    fn reclaim(
-        &mut self,
-        request: ReclaimRequest,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
-        let (evicted, _) = self.evict_to_flash(request.target_pages, false, clock, ctx);
-        ReclaimOutcome {
-            pages_reclaimed: evicted,
-            bytes_freed: evicted * PAGE_SIZE,
-        }
+    fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
+        self.evict_to_flash(target_pages, false, clock, ctx).0
     }
 
     fn on_foreground(&mut self, app: AppId) {
@@ -308,7 +299,6 @@ impl SwapScheme for FlashSwapScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ariadne_mem::reclaim::ReclaimReason;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
 
@@ -350,15 +340,7 @@ mod tests {
         for &page in pages.iter().take(50) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        let outcome = scheme.reclaim(
-            ReclaimRequest {
-                target_pages: 10,
-                reason: ReclaimReason::LowWatermark,
-            },
-            &mut clock,
-            &ctx,
-        );
-        assert_eq!(outcome.pages_reclaimed, 10);
+        assert_eq!(scheme.reclaim(10, &mut clock, &ctx), 10);
         assert_eq!(scheme.stats().flash.writes, 10);
         // The 10 least recently registered pages were evicted.
         assert_eq!(scheme.location_of(pages[0]), PageLocation::Flash);
@@ -371,14 +353,7 @@ mod tests {
         for &page in pages.iter().take(20) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(
-            ReclaimRequest {
-                target_pages: 5,
-                reason: ReclaimReason::LowWatermark,
-            },
-            &mut clock,
-            &ctx,
-        );
+        scheme.reclaim(5, &mut clock, &ctx);
         let outcome = scheme.access(pages[0], AccessKind::Relaunch, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::Flash);
         assert!(outcome.latency >= ctx.timing.flash_read(PAGE_SIZE));
@@ -412,14 +387,7 @@ mod tests {
             scheme.register_page(p, &mut clock, &ctx);
         }
         scheme.on_foreground(twitter.app());
-        scheme.reclaim(
-            ReclaimRequest {
-                target_pages: 5,
-                reason: ReclaimReason::LowWatermark,
-            },
-            &mut clock,
-            &ctx,
-        );
+        scheme.reclaim(5, &mut clock, &ctx);
         // Twitter's page was the global LRU victim but is foreground-protected.
         assert_eq!(scheme.location_of(twitter), PageLocation::Dram);
     }

@@ -11,15 +11,15 @@
 //! vendor default) or writes it back to flash (ZSWAP).
 
 use crate::scheme::{
-    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
+    SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
 use crate::swap_scheme_identity;
 use crate::writeback::{charge_fault_io, ZpoolWriteback};
 use ariadne_compress::{Algorithm, ChunkSize, CostNanos};
 use ariadne_mem::{
     AppId, CpuActivity, FlashDevice, FlashIoMode, Hotness, LruList, MainMemory, PageId,
-    PageLocation, ReclaimRequest, SimClock, Zpool, ZpoolHandle, PAGE_SIZE,
+    PageLocation, SimClock, Zpool, ZpoolHandle, PAGE_SIZE,
 };
 
 /// The baseline compressed-swap scheme (single-page compression, LRU victim
@@ -340,24 +340,15 @@ impl SwapScheme for ZramScheme {
         }
     }
 
-    fn reclaim(
-        &mut self,
-        request: ReclaimRequest,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
-        let victims = self.pick_victims(request.target_pages);
+    fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
+        let victims = self.pick_victims(target_pages);
         let scan = ctx.timing.reclaim_scan(victims.len().max(1));
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        let mut reclaimed = 0usize;
+        let reclaimed = victims.len();
         for page in victims {
             self.compress_page(page, clock, ctx);
-            reclaimed += 1;
         }
-        ReclaimOutcome {
-            pages_reclaimed: reclaimed,
-            bytes_freed: reclaimed * PAGE_SIZE,
-        }
+        reclaimed
     }
 
     fn on_foreground(&mut self, app: AppId) {
@@ -370,13 +361,8 @@ impl SwapScheme for ZramScheme {
         }
     }
 
-    fn on_pressure(
-        &mut self,
-        pressure: MemoryPressure,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> ReclaimOutcome {
-        let outcome = self.reclaim(pressure.as_reclaim_request(), clock, ctx);
+    fn on_pressure(&mut self, pressure: MemoryPressure, clock: &mut SimClock, ctx: &SchemeContext) {
+        self.reclaim(pressure.target_pages, clock, ctx);
         // The compressed pool is RAM too: a *critical* spike (an imminent
         // large allocation) additionally flushes pending zswap writeback
         // immediately instead of waiting for background drain ticks. Medium
@@ -387,7 +373,6 @@ impl SwapScheme for ZramScheme {
                 self.drain_deferred(pending, clock, ctx);
             }
         }
-        outcome
     }
 
     fn deferred_pages(&self) -> usize {
@@ -498,7 +483,6 @@ impl SwapScheme for ZramScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ariadne_mem::reclaim::ReclaimReason;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
 
@@ -528,21 +512,13 @@ mod tests {
         )
     }
 
-    fn reclaim_request(pages: usize) -> ReclaimRequest {
-        ReclaimRequest {
-            target_pages: pages,
-            reason: ReclaimReason::LowWatermark,
-        }
-    }
-
     #[test]
     fn reclaim_compresses_lru_victims_into_the_zpool() {
         let (mut scheme, ctx, mut clock, pages) = setup(4096, 1024);
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        let outcome = scheme.reclaim(reclaim_request(10), &mut clock, &ctx);
-        assert_eq!(outcome.pages_reclaimed, 10);
+        assert_eq!(scheme.reclaim(10, &mut clock, &ctx), 10);
         assert_eq!(scheme.stats().compression_ops, 10);
         assert_eq!(scheme.location_of(pages[0]), PageLocation::Zpool);
         assert_eq!(scheme.location_of(pages[30]), PageLocation::Dram);
@@ -557,7 +533,7 @@ mod tests {
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(10), &mut clock, &ctx);
+        scheme.reclaim(10, &mut clock, &ctx);
         let outcome = scheme.access(pages[0], AccessKind::Relaunch, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::Zpool);
         let decomp = ctx
@@ -601,7 +577,7 @@ mod tests {
         for &page in pages.iter().take(20) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(20), &mut clock, &ctx);
+        scheme.reclaim(20, &mut clock, &ctx);
         assert_eq!(scheme.stats().oracle_misses, 20);
         assert_eq!(scheme.stats().oracle_hits, 0);
         let zpool_bytes_of = |scheme: &ZramScheme, page: PageId| {
@@ -620,7 +596,7 @@ mod tests {
         for &page in pages.iter().take(10) {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(10), &mut clock, &ctx);
+        scheme.reclaim(10, &mut clock, &ctx);
         assert_eq!(scheme.stats().oracle_hits, 10);
         assert_eq!(scheme.stats().oracle_misses, 20);
         assert_eq!(scheme.stats().oracle_bytes_saved, 10 * PAGE_SIZE);
@@ -638,7 +614,7 @@ mod tests {
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(32), &mut clock, &ctx);
+        scheme.reclaim(32, &mut clock, &ctx);
         // Far more than 4 pages were compressed, so old entries were dropped.
         assert!(scheme.stats().dropped_pages > 0);
         assert!(scheme.stats().flash.writes == 0);
@@ -658,7 +634,7 @@ mod tests {
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(32), &mut clock, &ctx);
+        scheme.reclaim(32, &mut clock, &ctx);
         assert!(scheme.stats().flash.writes > 0);
         assert_eq!(scheme.name(), "ZSWAP");
         // A page written back to flash is still reachable.
@@ -683,7 +659,7 @@ mod tests {
         for &page in pages.iter().take(5) {
             scheme.access(page, AccessKind::Execution, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(5), &mut clock, &ctx);
+        scheme.reclaim(5, &mut clock, &ctx);
         let log = scheme.compression_log();
         assert_eq!(log.len(), 5);
         // Victims are the least recently used pages (5..10), not the touched ones.
@@ -702,7 +678,7 @@ mod tests {
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(8), &mut clock, &ctx);
+        scheme.reclaim(8, &mut clock, &ctx);
         assert!(
             scheme.deferred_pages() > 0,
             "a nearly full zswap pool should report deferred flush work"
@@ -726,7 +702,7 @@ mod tests {
             for &page in pages.iter().take(40) {
                 scheme.register_page(page, clock, &ctx);
             }
-            scheme.reclaim(reclaim_request(8), clock, &ctx);
+            scheme.reclaim(8, clock, &ctx);
             assert!(scheme.deferred_pages() > 0);
             scheme
         };
@@ -759,7 +735,7 @@ mod tests {
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(8), &mut clock, &ctx);
+        scheme.reclaim(8, &mut clock, &ctx);
         assert_eq!(scheme.deferred_pages(), 0);
         assert_eq!(scheme.drain_deferred(64, &mut clock, &ctx), 0);
     }
@@ -780,7 +756,7 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
         }
         // Compress enough of Twitter that data spreads over zpool and flash.
-        scheme.reclaim(reclaim_request(32), &mut clock, &ctx);
+        scheme.reclaim(32, &mut clock, &ctx);
         assert!(scheme.stats().flash.writes > 0);
 
         let victim = twitter[0].app();
@@ -813,7 +789,7 @@ mod tests {
         for &page in pages.iter().take(48) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(32), &mut clock, &ctx);
+        scheme.reclaim(32, &mut clock, &ctx);
         // Writeback commands are still in flight at this instant.
         assert!(scheme.next_io_completion().is_some());
 
@@ -835,7 +811,7 @@ mod tests {
         for &page in pages.iter().take(20) {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        scheme.reclaim(reclaim_request(10), &mut clock, &ctx);
+        scheme.reclaim(10, &mut clock, &ctx);
         scheme.access(pages[0], AccessKind::Relaunch, &mut clock, &ctx);
         let cpu = clock.cpu();
         assert!(cpu.total_for(CpuActivity::Compression) > CostNanos::zero());

@@ -105,8 +105,7 @@ fn every_scheme_preserves_page_reachability_under_pressure() {
 fn ariadne_scheme_is_usable_directly_through_the_facade() {
     // Exercise the public API without the simulator: construct the scheme,
     // feed it pages and force a reclaim, exactly as a downstream user would.
-    use ariadne::mem::reclaim::ReclaimReason;
-    use ariadne::mem::{ReclaimRequest, SimClock};
+    use ariadne::mem::SimClock;
     use ariadne::trace::WorkloadBuilder;
     use ariadne::zram::{AccessKind, SchemeContext};
 
@@ -120,15 +119,7 @@ fn ariadne_scheme_is_usable_directly_through_the_facade() {
     for &page in pages.iter().take(64) {
         scheme.register_page(page, &mut clock, &ctx);
     }
-    let outcome = scheme.reclaim(
-        ReclaimRequest {
-            target_pages: 16,
-            reason: ReclaimReason::LowWatermark,
-        },
-        &mut clock,
-        &ctx,
-    );
-    assert_eq!(outcome.pages_reclaimed, 16);
+    assert_eq!(scheme.reclaim(16, &mut clock, &ctx), 16);
     let compressed = pages
         .iter()
         .copied()
