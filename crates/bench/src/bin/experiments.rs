@@ -13,7 +13,8 @@
 //! (useful for a fast smoke run); `--scale` overrides the workload/memory
 //! scale denominator (64 is the default);
 //! `--json` emits one machine-readable JSON document instead of plain-text
-//! tables; `--list` prints the catalog (honouring `--json`).
+//! tables; `--list` prints the catalog (honouring `--json`) and takes no
+//! experiment names, `status`, `--trace-out` or `--metrics-json`.
 //!
 //! `--no-oracle` disables the memoized compression oracle. Output is
 //! byte-identical, only host wall-clock changes; the disabled oracle is the
@@ -103,6 +104,14 @@ fn parse_args(
             other if other.starts_with("--") => return Err(format!("unknown flag `{other}`")),
             name => names.push(name.to_string()),
         }
+    }
+    if output.list
+        && (!names.is_empty() || output.trace_out.is_some() || output.metrics_json.is_some())
+    {
+        return Err(
+            "`--list` takes no experiment names, `status`, `--trace-out` or `--metrics-json`"
+                .to_string(),
+        );
     }
     if names.iter().any(|name| name == "status") {
         if names.len() > 1 {
@@ -312,6 +321,24 @@ mod tests {
             let args = args.iter().map(|arg| (*arg).to_string());
             let (_, _, names) = parse_args(args).expect("valid arguments");
             assert_eq!(names, ["status"]);
+        }
+    }
+
+    #[test]
+    fn list_runs_alone() {
+        for args in [
+            &["--list", "fig10"][..],
+            &["--list", "status"],
+            &["--list", "--trace-out", "t.json"],
+            &["--metrics-json", "m.json", "--list"],
+        ] {
+            let args = args.iter().map(|arg| (*arg).to_string());
+            assert!(parse_args(args).is_err());
+        }
+        for args in [&["--list"][..], &["--list", "--json"]] {
+            let args = args.iter().map(|arg| (*arg).to_string());
+            let (_, output, names) = parse_args(args).expect("valid arguments");
+            assert!(output.list && names.is_empty());
         }
     }
 

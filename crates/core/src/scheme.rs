@@ -13,7 +13,7 @@
 //! Compression operates on the real synthetic page bytes (so compression
 //! ratios are genuine); latencies come from the calibrated cost models.
 
-use crate::adaptive::{AdaptiveComp, CompressionGroup};
+use crate::adaptive::AdaptiveComp;
 use crate::config::{AriadneConfig, HotListMode};
 use crate::hotness::HotnessOrg;
 use crate::identification::{IdentificationMetrics, IdentificationTracker};
@@ -21,12 +21,11 @@ use crate::predecomp::PreDecompBuffer;
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::FxHashMap;
 use ariadne_mem::{
-    AppId, CpuActivity, FlashDevice, Hotness, MainMemory, PageId, PageLocation, SimClock, Zpool,
-    ZpoolHandle, PAGE_SIZE,
+    AppId, CpuActivity, Hotness, PageId, PageLocation, SimClock, ZpoolEntry, PAGE_SIZE,
 };
 use ariadne_zram::{
-    swap_scheme_identity, writeback::charge_fault_io, AccessKind, AccessOutcome, ReleasedFootprint,
-    SchemeContext, SchemeStats, SwapScheme, ZpoolWriteback,
+    swap_scheme_identity, AccessKind, AccessOutcome, ReleasedFootprint, SchemeContext, SchemeStats,
+    SwapScheme, Tiers,
 };
 
 /// Metadata remembered for pages sitting in the pre-decompression buffer so
@@ -50,38 +49,32 @@ struct BufferedPageMeta {
 #[derive(Debug)]
 pub struct AriadneScheme {
     config: AriadneConfig,
-    dram: MainMemory,
-    zpool: Zpool,
-    flash: FlashDevice,
+    tiers: Tiers,
     org: HotnessOrg,
     adaptive: AdaptiveComp,
     buffer: PreDecompBuffer,
     buffer_meta: FxHashMap<PageId, BufferedPageMeta>,
     tracker: IdentificationTracker,
-    foreground: Option<AppId>,
-    stats: SchemeStats,
 }
 
 impl AriadneScheme {
     /// Create the scheme from an [`AriadneConfig`].
     #[must_use]
     pub fn new(config: AriadneConfig) -> Self {
-        let mut dram = MainMemory::new(config.memory.dram_bytes, config.memory.watermarks);
+        let mut tiers = Tiers::new(&config.memory);
         // The pre-decompression buffer lives in DRAM; reserve its capacity so
         // the memory accounting stays honest.
         let reserve = config.predecomp_buffer_pages * PAGE_SIZE;
-        let _ = dram.set_reserved(reserve.min(config.memory.dram_bytes / 2));
+        let _ = tiers
+            .dram
+            .set_reserved(reserve.min(config.memory.dram_bytes / 2));
         AriadneScheme {
-            dram,
-            zpool: Zpool::new(config.memory.zpool_bytes),
-            flash: FlashDevice::with_io(config.memory.flash_swap_bytes, config.memory.io),
+            tiers,
             org: HotnessOrg::new(),
             adaptive: AdaptiveComp::new(config.sizes),
             buffer: PreDecompBuffer::new(config.predecomp_buffer_pages),
             buffer_meta: FxHashMap::default(),
             tracker: IdentificationTracker::new(),
-            foreground: None,
-            stats: SchemeStats::default(),
             config,
         }
     }
@@ -112,86 +105,12 @@ impl AriadneScheme {
         &self.buffer
     }
 
-    fn algorithm(&self) -> ariadne_compress::Algorithm {
-        self.config.memory.algorithm
-    }
-
-    /// Compress one victim group into the zpool. Returns the compression
-    /// latency plus any user-visible cost of the cold-group swap-out the
-    /// overflow triggered.
-    fn compress_group(
-        &mut self,
-        group: &CompressionGroup,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> CostNanos {
-        // The oracle memoizes the codec run per (pages, algorithm, chunk
-        // size): a group evicted, faulted back and evicted again is a hash
-        // lookup, not a synthesis + codec pass. Sizes are bit-identical.
-        let outcome = ctx.compress_pages(&group.pages, self.algorithm(), group.chunk_size);
-        self.stats.record_oracle(&outcome);
-        let compressed_len = outcome.compressed_len;
-        let cost = ctx.compression_cost(
-            self.algorithm(),
-            group.chunk_size,
-            outcome.original_len,
-            clock.now().as_nanos(),
-        );
-
-        let writeback_latency = self.make_zpool_room(compressed_len, clock, ctx);
-        if self
-            .zpool
-            .store(
-                group.pages.clone(),
-                outcome.original_len,
-                compressed_len,
-                group.chunk_size,
-                group.hotness,
-            )
-            .is_err()
-        {
-            self.stats.dropped_pages += group.pages.len();
-        }
-        for page in &group.pages {
-            self.dram.remove(*page);
-        }
-
-        self.stats.record_compression(
-            group.pages.len(),
-            outcome.original_len,
-            compressed_len,
-            cost,
-            clock,
-        );
-        cost + writeback_latency
-    }
-
-    /// Free zpool space for `incoming_bytes`, preferring to move *cold*
-    /// entries out (to flash under the ZSWAP policy, or dropping them). The
-    /// victim selection and batched flush live in the shared
-    /// [`ZpoolWriteback`] helper; Ariadne's cold-group swap-out rides the
-    /// same queued submissions as ZSWAP's headroom flush. Returns the
-    /// user-visible latency of the eviction (inline device time under the
-    /// synchronous I/O model, queue stalls under the queued one).
-    fn make_zpool_room(
-        &mut self,
-        incoming_bytes: usize,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> CostNanos {
-        ZpoolWriteback {
-            zpool: &mut self.zpool,
-            flash: &mut self.flash,
-            policy: self.config.memory.writeback,
-            prefer_cold: true,
-            stats: &mut self.stats,
-        }
-        .make_room(incoming_bytes, clock, ctx)
-    }
-
     /// Reclaim at least `target_pages` pages. When `synchronous` the caller
     /// is waiting (direct reclaim) and the compression latency is returned as
-    /// user-visible latency.
+    /// user-visible latency. Any zpool overflow moves *cold* entries out
+    /// first (to flash under the ZSWAP policy, or dropping them), so
+    /// Ariadne's cold-group swap-out rides the same queued submissions as
+    /// ZSWAP's headroom flush.
     fn do_reclaim(
         &mut self,
         target_pages: usize,
@@ -200,14 +119,13 @@ impl AriadneScheme {
         ctx: &SchemeContext,
     ) -> (usize, CostNanos) {
         let allow_hot = self.config.mode == HotListMode::AllLists;
-        let mut victims = self
-            .org
-            .pick_victims(target_pages, allow_hot, self.foreground);
+        let foreground = self.tiers.foreground;
+        let mut victims = self.org.pick_victims(target_pages, allow_hot, foreground);
         if victims.is_empty() && !allow_hot {
             // Last resort (§4.2): if absolutely necessary, hot data is
             // compressed too — with the small chunk size, so the penalty on a
             // later relaunch stays limited.
-            victims = self.org.pick_victims(target_pages, true, self.foreground);
+            victims = self.org.pick_victims(target_pages, true, foreground);
         }
         if victims.is_empty() {
             return (0, CostNanos::zero());
@@ -218,17 +136,17 @@ impl AriadneScheme {
         let list_cpu = ctx.timing.lru_ops(victims.len());
         clock.charge_cpu(CpuActivity::ListMaintenance, list_cpu);
 
-        let reclaimed = victims.len();
         let mut latency = CostNanos::zero();
-        let groups = self.adaptive.group_victims(&victims);
-        for group in &groups {
-            let cost = self.compress_group(group, clock, ctx);
+        for group in &self.adaptive.group_victims(&victims) {
+            let cost =
+                self.tiers
+                    .compress(&group.pages, group.chunk_size, group.hotness, clock, ctx);
             if synchronous {
                 latency += cost;
                 clock.advance(cost);
             }
         }
-        (reclaimed, latency)
+        (victims.len(), latency)
     }
 
     /// Ensure there is room for `pages` more resident pages, via direct
@@ -240,8 +158,8 @@ impl AriadneScheme {
         ctx: &SchemeContext,
     ) -> CostNanos {
         let mut latency = CostNanos::zero();
-        while self.dram.free_bytes() < pages * PAGE_SIZE {
-            let needed = (pages * PAGE_SIZE - self.dram.free_bytes()).div_ceil(PAGE_SIZE);
+        while self.tiers.dram.free_bytes() < pages * PAGE_SIZE {
+            let needed = (pages * PAGE_SIZE - self.tiers.dram.free_bytes()).div_ceil(PAGE_SIZE);
             let (reclaimed, cost) = self.do_reclaim(needed, true, clock, ctx);
             latency += cost;
             if reclaimed == 0 {
@@ -251,61 +169,46 @@ impl AriadneScheme {
         latency
     }
 
-    /// Decompress the zpool entry behind `handle` and make its pages
-    /// resident. Returns (latency, pages, hotness).
+    /// Decompress a zpool entry already removed from the pool and make its
+    /// pages resident, after the direct reclaim that frees their room (the
+    /// removal keeps that reclaim from pushing the entry out of the pool).
+    /// Returns the latency.
     fn fault_in_entry(
         &mut self,
-        handle: ZpoolHandle,
+        entry: &ZpoolEntry,
         clock: &mut SimClock,
         ctx: &SchemeContext,
-    ) -> (CostNanos, Vec<PageId>, Hotness) {
-        let entry = self.zpool.remove(handle).expect("entry is live");
+    ) -> CostNanos {
         let mut latency = self.make_room_for(entry.pages.len(), clock, ctx);
-        let cost = ctx.decompression_cost(
-            self.algorithm(),
-            entry.chunk_size,
-            entry.original_bytes,
-            clock.now().as_nanos(),
-        );
-        latency += cost;
-        self.stats
-            .record_decompression(entry.pages.len(), cost, clock);
+        latency += self.tiers.decompress(entry, clock, ctx);
 
         // Proactive decompression: also decompress the entry at the next
         // sector (one page look-ahead, Insight 3) into the buffer. Its cost
         // is CPU work but not user-visible latency — that is the point.
         if self.config.predecomp_enabled {
-            self.pre_decompress_next(entry.sector, clock, ctx);
+            let next = self
+                .tiers
+                .zpool
+                .next_by_sector(entry.sector)
+                .filter(|(_, e)| e.pages.len() == 1)
+                .map(|(h, _)| h);
+            if let Some(handle) = next {
+                let next = self.tiers.zpool.remove(handle).expect("next entry is live");
+                self.buffer_entry(next, clock, ctx);
+            }
         }
 
         for page in &entry.pages {
-            let _ = self.dram.insert(*page);
+            let _ = self.tiers.dram.insert(*page);
         }
-        (latency, entry.pages, entry.hotness)
+        latency
     }
 
-    /// Speculatively decompress the single-page entry following `sector`.
-    fn pre_decompress_next(
-        &mut self,
-        sector: ariadne_mem::ZpoolSector,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) {
-        let candidate = self
-            .zpool
-            .next_by_sector(sector)
-            .filter(|(_, e)| e.pages.len() == 1)
-            .map(|(h, _)| h);
-        let Some(handle) = candidate else { return };
-        let entry = self.zpool.remove(handle).expect("candidate handle is live");
-        let cost = ctx.decompression_cost(
-            self.algorithm(),
-            entry.chunk_size,
-            entry.original_bytes,
-            clock.now().as_nanos(),
-        );
-        self.stats.record_decompression(1, cost, clock);
-
+    /// Decompress a single-page entry already removed from the zpool into
+    /// the pre-decompression buffer. Background CPU work: charged to the
+    /// ledger, never user-visible.
+    fn buffer_entry(&mut self, entry: ZpoolEntry, clock: &mut SimClock, ctx: &SchemeContext) {
+        let _ = self.tiers.decompress(&entry, clock, ctx);
         let page = entry.pages[0];
         self.buffer_meta.insert(
             page,
@@ -327,37 +230,27 @@ impl AriadneScheme {
             return;
         };
         let cost = ctx.compression_cost(
-            self.algorithm(),
+            self.tiers.config().algorithm,
             meta.chunk_size,
             PAGE_SIZE,
             clock.now().as_nanos(),
         );
-        self.stats
+        self.tiers
+            .stats
             .record_compression(1, PAGE_SIZE, meta.compressed_bytes, cost, clock);
         // Background work: any writeback the overflow triggers is queued
         // (or, under the sync model, paid by the background recompression
         // itself), never user-visible here.
-        let _ = self.make_zpool_room(meta.compressed_bytes, clock, ctx);
-        if self
-            .zpool
-            .store(
-                vec![page],
-                PAGE_SIZE,
-                meta.compressed_bytes,
-                meta.chunk_size,
-                meta.hotness,
-            )
-            .is_err()
-        {
-            self.stats.dropped_pages += 1;
-        }
-    }
-
-    /// Up to `limit` hot-labelled single-page zpool entries, oldest (lowest
-    /// sector) first — the candidates for a deferred pre-decompression
-    /// refill, served straight from the pool's hot-single sector index.
-    fn hot_refill_candidates(&self, limit: usize) -> Vec<ZpoolHandle> {
-        self.zpool.hot_single_oldest(limit)
+        let _ = self
+            .tiers
+            .make_zpool_room(meta.compressed_bytes, clock, ctx);
+        self.tiers.store(
+            vec![page],
+            PAGE_SIZE,
+            meta.compressed_bytes,
+            meta.chunk_size,
+            meta.hotness,
+        );
     }
 
     /// Update hotness organization and identification tracking for an access.
@@ -384,16 +277,12 @@ impl SwapScheme for AriadneScheme {
         self.config.scheme_name()
     }
 
-    fn attach_trace(&mut self, trace: &ariadne_obs::TraceHandle) {
-        self.flash.set_trace(trace);
-    }
-
     fn register_page(&mut self, page: PageId, clock: &mut SimClock, ctx: &SchemeContext) {
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             return;
         }
         let _ = self.make_room_for(1, clock, ctx);
-        if self.dram.insert(page).is_ok() {
+        if self.tiers.dram.insert(page).is_ok() {
             // New anonymous data generated during execution starts cold
             // (§4.2, hotness initialization); launch accesses promote it.
             self.org.insert(page, Hotness::Cold);
@@ -410,98 +299,66 @@ impl SwapScheme for AriadneScheme {
         ctx: &SchemeContext,
     ) -> AccessOutcome {
         // Fast path: already resident.
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             self.note_access(page, kind);
-            let latency = ctx.timing.dram_access(1);
-            clock.advance(latency);
-            return AccessOutcome {
-                latency,
-                found_in: PageLocation::Dram,
-                io_stall: CostNanos::zero(),
-            };
+            return AccessOutcome::dram_hit(clock, ctx);
         }
 
         // Pre-decompression buffer hit: the data is already uncompressed.
         if self.buffer.take(page) {
             self.buffer_meta.remove(&page);
             let mut latency = self.make_room_for(1, clock, ctx);
-            let _ = self.dram.insert(page);
+            let _ = self.tiers.dram.insert(page);
             self.note_access(page, kind);
-            latency += ctx.timing.dram_copy(1) + ctx.timing.dram_access(1);
-            clock.advance(latency);
-            return AccessOutcome {
+            latency += ctx.timing.dram_copy(1);
+            return AccessOutcome::fault(
                 latency,
-                found_in: PageLocation::PreDecompBuffer,
-                io_stall: CostNanos::zero(),
-            };
+                PageLocation::PreDecompBuffer,
+                CostNanos::zero(),
+                clock,
+                ctx,
+            );
         }
 
         let mut latency = ctx.timing.page_fault();
         let mut io_stall = CostNanos::zero();
-        let found_in;
-
-        if let Some(handle) = self.zpool.handle_for(page) {
-            found_in = PageLocation::Zpool;
-            let (fault_latency, pages, hotness) = self.fault_in_entry(handle, clock, ctx);
-            latency += fault_latency;
+        let found_in = if let Some(entry) = self.tiers.take_from_zpool(page) {
+            latency += self.fault_in_entry(&entry, clock, ctx);
             // Sibling pages decompressed alongside the requested one keep
             // their previous hotness; the requested page is classified by the
             // access that brought it in.
-            for sibling in pages.iter().filter(|p| **p != page) {
-                self.org.insert(*sibling, hotness);
+            for sibling in entry.pages.iter().filter(|p| **p != page) {
+                self.org.insert(*sibling, entry.hotness);
             }
-            self.note_access(page, kind);
-        } else if let Some(slot) = self.flash.slot_for(page) {
-            found_in = PageLocation::Flash;
-            let fault = self
-                .flash
-                .fault_in(slot, clock.now().as_nanos())
-                .expect("slot was just looked up");
+            PageLocation::Zpool
+        } else if let Some((_, fault)) = self.tiers.take_from_flash(page, clock) {
             let room = self.make_room_for(fault.pages.len(), clock, ctx);
             latency += room;
             // The direct reclaim above ran while the in-flight command (or
             // the sync busy window) kept draining, so only the stall
-            // remainder beyond it is charged (`overlapped`).
-            let (io_latency, stall) = charge_fault_io(&fault, room, &mut self.stats, clock, ctx);
+            // remainder beyond it is charged (`overlapped`). Cold data is
+            // compressed with the large chunk size before it is written
+            // back, so a compressed object is the slow path Ariadne tries to
+            // make rare.
+            let chunk = self.adaptive.chunk_size_for(Hotness::Cold);
+            let (io_latency, stall) = self.tiers.fault_flash(&fault, room, chunk, clock, ctx);
             latency += io_latency;
             io_stall = stall;
-            if fault.compressed {
-                // Cold data is compressed with the large chunk size before it
-                // is written back, so this is the slow path Ariadne tries to
-                // make rare.
-                let cost = ctx.decompression_cost(
-                    self.algorithm(),
-                    self.adaptive.chunk_size_for(Hotness::Cold),
-                    fault.original_bytes,
-                    clock.now().as_nanos(),
-                );
-                latency += cost;
-                self.stats
-                    .record_decompression(fault.pages.len(), cost, clock);
-            }
             for p in &fault.pages {
-                let _ = self.dram.insert(*p);
+                let _ = self.tiers.dram.insert(*p);
                 if *p != page {
                     self.org.insert(*p, Hotness::Cold);
                 }
             }
-            self.note_access(page, kind);
+            PageLocation::Flash
         } else {
-            found_in = PageLocation::Absent;
             latency += self.make_room_for(1, clock, ctx);
-            latency += ctx.timing.dram_copy(1);
-            self.stats.dropped_pages += 1;
-            let _ = self.dram.insert(page);
-            self.note_access(page, kind);
-        }
-
-        latency += ctx.timing.dram_access(1);
-        clock.advance(latency);
-        AccessOutcome {
-            latency,
-            found_in,
-            io_stall,
-        }
+            latency += self.tiers.fault_lost(ctx);
+            let _ = self.tiers.dram.insert(page);
+            PageLocation::Absent
+        };
+        self.note_access(page, kind);
+        AccessOutcome::fault(latency, found_in, io_stall, clock, ctx)
     }
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
@@ -509,14 +366,8 @@ impl SwapScheme for AriadneScheme {
     }
 
     fn on_foreground(&mut self, app: AppId) {
-        self.foreground = Some(app);
+        self.tiers.foreground = Some(app);
         self.org.touch_app(app);
-    }
-
-    fn on_background(&mut self, app: AppId) {
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
     }
 
     fn on_relaunch_start(&mut self, app: AppId) {
@@ -527,7 +378,7 @@ impl SwapScheme for AriadneScheme {
         // of this relaunch will rebuild the hot list (§4.2, hotness update).
         self.org.rotate_hot_list(app);
         self.org.touch_app(app);
-        self.foreground = Some(app);
+        self.tiers.foreground = Some(app);
     }
 
     fn on_relaunch_end(&mut self, app: AppId) {
@@ -548,7 +399,7 @@ impl SwapScheme for AriadneScheme {
         }
         // The engine only needs to know how much work fits in the buffer;
         // the pool maintains the hot-single count incrementally.
-        self.zpool.hot_single_count().min(room)
+        self.tiers.zpool.hot_single_count().min(room)
     }
 
     fn drain_deferred(
@@ -561,34 +412,15 @@ impl SwapScheme for AriadneScheme {
             return 0;
         }
         let room = self.buffer.capacity().saturating_sub(self.buffer.len());
-        let candidates = self.hot_refill_candidates(budget.min(room));
+        // Hot-labelled single-page entries, oldest (lowest sector) first.
+        let candidates = self.tiers.zpool.hot_single_oldest(budget.min(room));
         let mut refilled = 0usize;
         for handle in candidates {
             if self.buffer.len() >= self.buffer.capacity() {
                 break;
             }
-            let entry = self.zpool.remove(handle).expect("candidate handle is live");
-            let cost = ctx.decompression_cost(
-                self.algorithm(),
-                entry.chunk_size,
-                entry.original_bytes,
-                clock.now().as_nanos(),
-            );
-            // Background CPU work: charged to the ledger, never user-visible.
-            self.stats.record_decompression(1, cost, clock);
-
-            let page = entry.pages[0];
-            self.buffer_meta.insert(
-                page,
-                BufferedPageMeta {
-                    compressed_bytes: entry.compressed_bytes,
-                    chunk_size: entry.chunk_size,
-                    hotness: entry.hotness,
-                },
-            );
-            if let Some(evicted) = self.buffer.insert(page) {
-                self.recompress_buffered(evicted, clock, ctx);
-            }
+            let entry = self.tiers.zpool.remove(handle).expect("candidate is live");
+            self.buffer_entry(entry, clock, ctx);
             refilled += 1;
         }
         refilled
@@ -600,8 +432,8 @@ impl SwapScheme for AriadneScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> ReleasedFootprint {
-        let evicted = self.dram.evict_app(app);
-        // Purge the scheme-private caches first: the hotness lists stop
+        let (evicted, footprint) = self.tiers.release_app(app, clock);
+        // Purge the scheme-private caches too: the hotness lists stop
         // naming the app, buffered pre-decompressed pages are dropped (and
         // counted as wasted work), and the app's open identification window
         // is discarded — an interrupted relaunch is not a fair sample.
@@ -611,63 +443,29 @@ impl SwapScheme for AriadneScheme {
             self.buffer_meta.remove(page);
         }
         self.tracker.discard(app);
-
-        let (zpool_entries, zpool_pages) = self.zpool.release_app(app);
-        let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
         let cost = ctx
             .timing
-            .lru_ops(tracked.max(evicted.len()) + zpool_pages + flash_pages);
+            .lru_ops(tracked.max(evicted.len()) + footprint.zpool_pages + footprint.flash_pages);
         clock.charge_cpu(CpuActivity::ListMaintenance, cost);
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
         ReleasedFootprint {
-            dram_pages: evicted.len(),
-            zpool_entries,
-            zpool_pages,
-            flash_slots,
-            flash_pages,
             buffered_pages: buffered.len(),
+            ..footprint
         }
-    }
-
-    fn leak_check(&self) -> Result<(), String> {
-        self.flash.leak_check()
-    }
-
-    fn next_io_completion(&self) -> Option<u128> {
-        self.flash.next_completion()
-    }
-
-    fn complete_io(&mut self, now_nanos: u128) -> usize {
-        self.flash.retire_completed(now_nanos)
     }
 
     fn location_of(&self, page: PageId) -> PageLocation {
-        if self.dram.contains(page) {
-            PageLocation::Dram
-        } else if self.buffer.contains(page) {
+        if !self.tiers.dram.contains(page) && self.buffer.contains(page) {
             PageLocation::PreDecompBuffer
-        } else if self.zpool.contains(page) {
-            PageLocation::Zpool
-        } else if self.flash.contains(page) {
-            PageLocation::Flash
         } else {
-            PageLocation::Absent
+            self.tiers.location_of(page)
         }
-    }
-
-    fn dram(&self) -> &MainMemory {
-        &self.dram
     }
 
     fn stats(&self) -> SchemeStats {
         SchemeStats {
-            zpool: self.zpool.stats(),
-            flash: self.flash.stats(),
             predecomp_hits: self.buffer.hits(),
             predecomp_wasted: self.buffer.wasted(),
-            ..self.stats
+            ..self.tiers.stats()
         }
     }
 }
@@ -701,6 +499,7 @@ mod tests {
     /// The pages held in the zpool, in sector (compression) order.
     fn zpool_pages(scheme: &AriadneScheme) -> Vec<PageId> {
         scheme
+            .tiers
             .zpool
             .iter()
             .flat_map(|(_, entry)| entry.pages.iter().copied())
@@ -757,6 +556,7 @@ mod tests {
         assert_eq!(scheme.reclaim(2, &mut clock, &ctx), 2);
         // Small chunk size was used for the hot victims, one page per entry.
         let entries: Vec<(usize, ChunkSize)> = scheme
+            .tiers
             .zpool
             .iter()
             .map(|(_, entry)| (entry.pages.len(), entry.chunk_size))
@@ -991,13 +791,13 @@ mod tests {
         }
         scheme.reclaim(48, &mut clock, &ctx);
         assert!(
-            scheme.next_io_completion().is_some(),
+            scheme.tiers().flash.next_completion().is_some(),
             "cold-group swap-out should still be in flight"
         );
         scheme.release_app(pages[0].app(), &mut clock, &ctx);
         scheme.leak_check().unwrap();
-        while let Some(at) = scheme.next_io_completion() {
-            scheme.complete_io(at);
+        while let Some(at) = scheme.tiers().flash.next_completion() {
+            scheme.tiers_mut().flash.retire_completed(at);
         }
         scheme.leak_check().unwrap();
     }

@@ -5,13 +5,13 @@
 //! app lifecycles actually overlap. This experiment drives the canonical
 //! [`TimedScenario::concurrent_relaunch_storm`] (six overlapping apps,
 //! background churn, relaunches landing during memory-pressure spikes)
-//! through the event engine for all five schemes, one OS thread per scheme.
+//! through the event engine for all five schemes, one cell per scheme.
 
-use super::runner::{run_grid, GridCell};
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
 use ariadne_core::SizeConfig;
+use ariadne_mem::CpuActivity;
 use ariadne_trace::TimedScenario;
 
 /// The five schemes the concurrent experiment compares.
@@ -45,24 +45,25 @@ pub fn multiapp(opts: &ExperimentOptions) -> Table {
     );
     let config = opts.base_config();
     let scenario = TimedScenario::concurrent_relaunch_storm();
-    let cells: Vec<GridCell> = evaluated_schemes()
-        .into_iter()
-        .map(|spec| GridCell {
-            spec,
-            scenario: scenario.clone(),
-        })
-        .collect();
-    for outcome in run_grid(opts, config, cells) {
-        table.push_row(vec![
-            outcome.scheme,
-            fmt_unit(outcome.average_relaunch_millis, "ms"),
-            outcome.relaunches.to_string(),
-            outcome.compression_ops.to_string(),
-            outcome.decompression_ops.to_string(),
-            outcome.predecomp_hits.to_string(),
-            outcome.dropped_pages.to_string(),
-            fmt_unit(outcome.reclaim_cpu_millis, "ms"),
-        ]);
+    let rows = opts.run_cells(evaluated_schemes(), |spec| {
+        let mut system = opts.system(spec, config);
+        system.run_timed(&scenario);
+        let stats = system.stats();
+        let reclaim_cpu = system.cpu().total_for(CpuActivity::ReclaimScan)
+            + system.cpu().total_for(CpuActivity::Compression);
+        vec![
+            spec.label(),
+            fmt_unit(system.average_relaunch_millis(), "ms"),
+            system.measurements().len().to_string(),
+            stats.compression_ops.to_string(),
+            stats.decompression_ops.to_string(),
+            stats.predecomp_hits.to_string(),
+            stats.dropped_pages.to_string(),
+            fmt_unit(reclaim_cpu.as_millis_f64() * config.scale as f64, "ms"),
+        ]
+    });
+    for row in rows {
+        table.push_row(row);
     }
     table
 }

@@ -1,9 +1,9 @@
 //! The deterministic parallel experiment runner.
 //!
-//! Experiment cells — a [`SchemeSpec`] × scenario pair, or a whole named
-//! experiment table — are independent simulations: each constructs its own
-//! [`MobileSystem`](crate::MobileSystem) from a seeded
-//! [`SimulationConfig`], so no simulated state is shared between cells
+//! Experiment cells — a [`SchemeSpec`](crate::SchemeSpec) × scenario pair,
+//! or a whole named experiment table — are independent simulations: each
+//! constructs its own [`MobileSystem`](crate::MobileSystem) from a seeded
+//! [`SimulationConfig`](crate::SimulationConfig), so no simulated state is shared between cells
 //! (only the compression oracle, whose results never depend on which cell
 //! asked first, and the run's observers). The runner is a
 //! **deterministic work-stealing pool**: at most [`max_parallel_cells`]
@@ -23,10 +23,6 @@
 
 use super::ExperimentOptions;
 use crate::report::Table;
-use crate::schemes::SchemeSpec;
-use crate::system::SimulationConfig;
-use ariadne_mem::CpuActivity;
-use ariadne_trace::TimedScenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -101,73 +97,6 @@ where
         .collect()
 }
 
-/// One cell of a scheme × scenario grid.
-#[derive(Debug, Clone)]
-pub struct GridCell {
-    /// The scheme to instantiate.
-    pub spec: SchemeSpec,
-    /// The timed scenario to drive it with.
-    pub scenario: TimedScenario,
-}
-
-/// The summarized outcome of one grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridOutcome {
-    /// The scheme label (e.g. `ZRAM`, `Ariadne-EHL-1K-2K-16K`).
-    pub scheme: String,
-    /// The scenario name.
-    pub scenario: String,
-    /// Average relaunch latency in full-scale milliseconds.
-    pub average_relaunch_millis: f64,
-    /// Number of relaunches measured.
-    pub relaunches: usize,
-    /// Compression operations performed.
-    pub compression_ops: usize,
-    /// Decompression operations performed.
-    pub decompression_ops: usize,
-    /// Pages whose data was dropped (lost) along the way.
-    pub dropped_pages: usize,
-    /// Pre-decompression buffer hits (Ariadne only).
-    pub predecomp_hits: usize,
-    /// Pressure spikes absorbed.
-    pub pressure_spikes: usize,
-    /// Reclaim-related CPU in full-scale milliseconds.
-    pub reclaim_cpu_millis: f64,
-    /// Events dispatched by the engine.
-    pub events: usize,
-}
-
-/// Run every grid cell (one system each, built by
-/// [`ExperimentOptions::system`]) through [`ExperimentOptions::run_cells`]
-/// and return the outcomes in cell order.
-#[must_use]
-pub fn run_grid(
-    opts: &ExperimentOptions,
-    config: SimulationConfig,
-    cells: Vec<GridCell>,
-) -> Vec<GridOutcome> {
-    opts.run_cells(cells, |cell| {
-        let mut system = opts.system(cell.spec, config);
-        system.run_timed(&cell.scenario);
-        let stats = system.stats();
-        let reclaim_cpu = system.cpu().total_for(CpuActivity::ReclaimScan)
-            + system.cpu().total_for(CpuActivity::Compression);
-        GridOutcome {
-            scheme: cell.spec.label(),
-            scenario: cell.scenario.name.clone(),
-            average_relaunch_millis: system.average_relaunch_millis(),
-            relaunches: system.measurements().len(),
-            compression_ops: stats.compression_ops,
-            decompression_ops: stats.decompression_ops,
-            dropped_pages: stats.dropped_pages,
-            predecomp_hits: stats.predecomp_hits,
-            pressure_spikes: system.pressure_spikes(),
-            reclaim_cpu_millis: reclaim_cpu.as_millis_f64() * config.scale as f64,
-            events: system.events_processed(),
-        }
-    })
-}
-
 /// Run the named experiments through [`ExperimentOptions::run_cells`],
 /// returning `(name, table)` pairs in the order the names were given.
 /// Unknown names yield `None`, exactly like [`super::run_by_name`].
@@ -223,31 +152,6 @@ mod tests {
         );
         let expected: Vec<usize> = cells.iter().map(|n| n * 2).collect();
         assert_eq!(outputs, expected, "merge order must stay the input order");
-    }
-
-    #[test]
-    fn grid_outcomes_preserve_cell_order_and_labels() {
-        let config = SimulationConfig::new(7).with_scale(1024);
-        let scenario = TimedScenario::concurrent_relaunch_storm();
-        let cells = vec![
-            GridCell {
-                spec: SchemeSpec::Dram,
-                scenario: scenario.clone(),
-            },
-            GridCell {
-                spec: SchemeSpec::Zram,
-                scenario: scenario.clone(),
-            },
-        ];
-        let outcomes = run_grid(&ExperimentOptions::quick(), config, cells);
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].scheme, "DRAM");
-        assert_eq!(outcomes[1].scheme, "ZRAM");
-        assert_eq!(outcomes[0].scenario, "concurrent-relaunch-storm");
-        assert!(outcomes[0].relaunches > 0);
-        // ZRAM pays compression where DRAM does not.
-        assert_eq!(outcomes[0].compression_ops, 0);
-        assert!(outcomes[1].compression_ops > 0);
     }
 
     #[test]

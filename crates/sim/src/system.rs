@@ -425,7 +425,7 @@ impl MobileSystem {
     pub fn attach_trace(&mut self, trace: &TraceHandle) {
         let handle = trace.for_next_system();
         self.ctx = self.ctx.clone().with_trace(handle.clone());
-        self.scheme.attach_trace(&handle);
+        self.scheme.tiers_mut().flash.set_trace(&handle);
         self.trace = handle;
     }
 
@@ -661,7 +661,11 @@ impl MobileSystem {
                 // completion onto the deterministic event order and keeps
                 // the flash queue drained even when no fault ever touches
                 // the written-back pages again.
-                let _ = self.scheme.complete_io(scheduled.at_nanos);
+                let _ = self
+                    .scheme
+                    .tiers_mut()
+                    .flash
+                    .retire_completed(scheduled.at_nanos);
             }
             EngineEvent::LmkdWake => {
                 self.lmkd_pending = false;
@@ -744,7 +748,7 @@ impl MobileSystem {
     /// An event that arrives to find its command already retired (lazily, by
     /// a fault or a later submission) is a harmless no-op pop.
     fn schedule_io(&mut self) {
-        if let Some(completes_at) = self.scheme.next_io_completion() {
+        if let Some(completes_at) = self.scheme.tiers().flash.next_completion() {
             if self
                 .io_wake_at
                 .map_or(true, |pending| completes_at < pending)
@@ -1018,7 +1022,7 @@ impl MobileSystem {
     /// currently resident anonymous bytes back.
     fn do_pressure(&mut self, dram_percent: u8) {
         let percent = usize::from(dram_percent.min(100));
-        let target_bytes = self.scheme.dram().used_bytes() / 100 * percent;
+        let target_bytes = self.scheme.tiers().dram.used_bytes() / 100 * percent;
         let target_pages = target_bytes.div_ceil(PAGE_SIZE);
         self.pressure_spikes += 1;
         if target_pages == 0 {
@@ -1051,7 +1055,7 @@ impl MobileSystem {
     /// or no further progress can be made.
     fn kswapd_run(&mut self) {
         for _ in 0..64 {
-            let Some(target_pages) = self.scheme.dram().background_reclaim_pages() else {
+            let Some(target_pages) = self.scheme.tiers().dram.background_reclaim_pages() else {
                 break;
             };
             let evicted = self
@@ -1188,7 +1192,7 @@ mod tests {
             system.stats().compression_ops > 0,
             "no compression happened"
         );
-        assert!(system.scheme().dram().peak_used_bytes() > 0);
+        assert!(system.scheme().tiers().dram.peak_used_bytes() > 0);
     }
 
     #[test]
@@ -1265,12 +1269,12 @@ mod tests {
     fn pressure_spikes_reclaim_resident_memory() {
         let mut system = MobileSystem::new(SchemeSpec::Zram, quick_config());
         system.launch(AppName::Twitter);
-        let before = system.scheme().dram().used_bytes();
+        let before = system.scheme().tiers().dram.used_bytes();
         assert!(before > 0);
         system.run_event(ScenarioEvent::Pressure { dram_percent: 30 });
         assert_eq!(system.pressure_spikes(), 1);
         assert!(
-            system.scheme().dram().used_bytes() < before,
+            system.scheme().tiers().dram.used_bytes() < before,
             "a 30 % pressure spike should shrink residency"
         );
         assert!(system.stats().compression_ops > 0);

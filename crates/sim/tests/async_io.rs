@@ -93,7 +93,7 @@ fn engine_schedules_and_drains_io_completion_events() {
     );
     assert_eq!(system.io_completions(), io_events);
     assert_eq!(
-        system.scheme().next_io_completion(),
+        system.scheme().tiers().flash.next_completion(),
         None,
         "every in-flight command must be retired by the end of the run"
     );
@@ -128,7 +128,7 @@ fn faults_on_in_flight_writeback_stall_only_until_completion() {
     // The background flush submits queued writes "now"; a fault immediately
     // afterwards races them.
     scheme.drain_deferred(64, &mut clock, &ctx);
-    assert!(scheme.next_io_completion().is_some());
+    assert!(scheme.tiers().flash.next_completion().is_some());
     let in_flight = pages
         .iter()
         .take(40)

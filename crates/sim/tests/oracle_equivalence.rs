@@ -3,7 +3,7 @@
 //! ledger must be byte-identical with the oracle enabled or disabled.
 
 use ariadne_core::SizeConfig;
-use ariadne_sim::experiments::{run_by_name, runner, ExperimentOptions};
+use ariadne_sim::experiments::{run_by_name, ExperimentOptions};
 use ariadne_sim::{MobileSystem, SchemeSpec, SimulationConfig, Table};
 use ariadne_trace::TimedScenario;
 use ariadne_zram::{OracleHandle, OracleStats, SchemeStats};
@@ -45,33 +45,6 @@ fn experiment_tables_are_byte_identical_with_the_oracle_on_or_off() {
     // The options print the oracle's counters, never its entries.
     let debug = format!("{on:?}");
     assert!(debug.len() < 512, "{} bytes: {debug}", debug.len());
-}
-
-#[test]
-fn grid_outcomes_are_identical_with_the_oracle_on_or_off() {
-    let scenario = TimedScenario::concurrent_relaunch_storm();
-    let cells = |scenario: &TimedScenario| {
-        vec![
-            runner::GridCell {
-                spec: SchemeSpec::Zram,
-                scenario: scenario.clone(),
-            },
-            runner::GridCell {
-                spec: SchemeSpec::Zswap,
-                scenario: scenario.clone(),
-            },
-            runner::GridCell {
-                spec: SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
-                scenario: scenario.clone(),
-            },
-        ]
-    };
-    let base = SimulationConfig::new(0xD5).with_scale(512);
-    let grid = |oracle: bool| {
-        let opts = ExperimentOptions::quick().with_oracle(oracle);
-        runner::run_grid(&opts, base, cells(&scenario))
-    };
-    assert_eq!(grid(true), grid(false));
 }
 
 /// `SchemeStats` without the oracle's own counters, which are the one

@@ -62,8 +62,6 @@ impl TimedEvent {
 pub struct TimedScenario {
     /// Human-readable scenario name (used in reports and experiment tables).
     pub name: String,
-    /// The flavour of the scenario.
-    pub kind: ScenarioKind,
     /// The events, sorted by `at_nanos`; ties keep builder insertion order.
     pub events: Vec<TimedEvent>,
     /// Whether the engine may schedule deferred background work (ZSWAP-style
@@ -325,11 +323,9 @@ impl Scenario {
             ScenarioKind::Light => "light-switching",
             ScenarioKind::Heavy => "heavy-switching",
             ScenarioKind::RelaunchStudy => "relaunch-study",
-            ScenarioKind::Concurrent => "concurrent",
         };
         TimedScenario {
             name: name.to_string(),
-            kind: self.kind,
             events: self
                 .events
                 .iter()
@@ -354,7 +350,6 @@ impl Scenario {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioBuilder {
     name: String,
-    kind: ScenarioKind,
     cursor_millis: u64,
     events: Vec<(u64, ScenarioEvent)>,
     background_drains: bool,
@@ -367,19 +362,11 @@ impl ScenarioBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         ScenarioBuilder {
             name: name.into(),
-            kind: ScenarioKind::Concurrent,
             cursor_millis: 0,
             events: Vec::new(),
             background_drains: false,
             lmkd: false,
         }
-    }
-
-    /// Override the scenario kind (defaults to [`ScenarioKind::Concurrent`]).
-    #[must_use]
-    pub fn kind(mut self, kind: ScenarioKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// Move the cursor to an absolute time.
@@ -667,7 +654,6 @@ impl ScenarioBuilder {
         events.sort_by_key(|(at, _)| *at);
         TimedScenario {
             name: self.name,
-            kind: self.kind,
             events: events
                 .into_iter()
                 .map(|(at, event)| TimedEvent {

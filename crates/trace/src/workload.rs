@@ -444,9 +444,6 @@ pub enum ScenarioKind {
     Heavy,
     /// The relaunch-latency study of Figures 2 and 10.
     RelaunchStudy,
-    /// A concurrent multi-application scenario built with the timed DSL
-    /// (overlapping per-app timelines, launch storms, pressure spikes).
-    Concurrent,
 }
 
 /// A multi-application usage scenario.

@@ -9,12 +9,14 @@
 
 use crate::scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, ReleasedFootprint, SchemeContext,
-    SchemeStats, SwapScheme,
+    SwapScheme,
 };
 use crate::swap_scheme_identity;
-use ariadne_mem::{AppId, CpuActivity, MainMemory, PageId, PageLocation, SimClock};
+use crate::tiers::Tiers;
+use ariadne_mem::{AppId, CpuActivity, PageId, SimClock};
 
-/// The no-swap baseline.
+/// The no-swap baseline. Its zpool and flash device stay empty, so its
+/// statistics stay all zeros.
 ///
 /// ```
 /// use ariadne_zram::{DramOnlyScheme, MemoryConfig, SwapScheme};
@@ -24,7 +26,7 @@ use ariadne_mem::{AppId, CpuActivity, MainMemory, PageId, PageLocation, SimClock
 /// ```
 #[derive(Debug)]
 pub struct DramOnlyScheme {
-    dram: MainMemory,
+    tiers: Tiers,
 }
 
 impl DramOnlyScheme {
@@ -32,7 +34,7 @@ impl DramOnlyScheme {
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         DramOnlyScheme {
-            dram: MainMemory::new(config.dram_bytes, config.watermarks),
+            tiers: Tiers::new(&config),
         }
     }
 }
@@ -44,7 +46,7 @@ impl SwapScheme for DramOnlyScheme {
         // With unlimited DRAM insertion cannot fail; if a finite capacity was
         // configured we silently stop tracking overflowing pages, which keeps
         // this baseline optimistic rather than erroring.
-        let _ = self.dram.insert(page);
+        let _ = self.tiers.dram.insert(page);
         clock.charge_cpu(CpuActivity::Other, ctx.timing.lru_ops(1));
     }
 
@@ -55,14 +57,8 @@ impl SwapScheme for DramOnlyScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> AccessOutcome {
-        let _ = self.dram.insert(page);
-        let latency = ctx.timing.dram_access(1);
-        clock.advance(latency);
-        AccessOutcome {
-            latency,
-            found_in: PageLocation::Dram,
-            io_stall: ariadne_compress::CostNanos::zero(),
-        }
+        let _ = self.tiers.dram.insert(page);
+        AccessOutcome::dram_hit(clock, ctx)
     }
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
@@ -79,46 +75,25 @@ impl SwapScheme for DramOnlyScheme {
         // absorbed without reclaiming (or even scanning) anything.
     }
 
-    fn on_foreground(&mut self, _app: AppId) {}
-
-    fn on_background(&mut self, _app: AppId) {}
-
     fn release_app(
         &mut self,
         app: AppId,
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> ReleasedFootprint {
-        let evicted = self.dram.evict_app(app);
-        let cost = ctx.timing.lru_ops(evicted.len());
-        clock.charge_cpu(CpuActivity::Other, cost);
-        ReleasedFootprint {
-            dram_pages: evicted.len(),
-            ..ReleasedFootprint::default()
-        }
-    }
-
-    fn location_of(&self, page: PageId) -> PageLocation {
-        if self.dram.contains(page) {
-            PageLocation::Dram
-        } else {
-            PageLocation::Absent
-        }
-    }
-
-    fn dram(&self) -> &MainMemory {
-        &self.dram
-    }
-
-    fn stats(&self) -> SchemeStats {
-        // Nothing is ever compressed, swapped or dropped.
-        SchemeStats::default()
+        let (_, footprint) = self.tiers.release_app(app, clock);
+        clock.charge_cpu(
+            CpuActivity::Other,
+            ctx.timing.lru_ops(footprint.total_pages()),
+        );
+        footprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ariadne_mem::PageLocation;
     use ariadne_trace::{AppName, WorkloadBuilder};
 
     fn setup() -> (DramOnlyScheme, SchemeContext, SimClock, Vec<PageId>) {
@@ -146,10 +121,10 @@ mod tests {
         for &page in &pages {
             scheme.register_page(page, &mut clock, &ctx);
         }
-        let before = scheme.dram().resident_pages();
+        let before = scheme.tiers().dram.resident_pages();
         assert_eq!(scheme.reclaim(100, &mut clock, &ctx), 0);
-        assert_eq!(scheme.dram().resident_pages(), before);
-        assert_eq!(scheme.stats().compression_ops, 0);
+        assert_eq!(scheme.tiers().dram.resident_pages(), before);
+        assert_eq!(scheme.stats(), crate::SchemeStats::default());
     }
 
     #[test]

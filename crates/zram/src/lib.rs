@@ -1,8 +1,10 @@
 //! Baseline swap schemes for the Ariadne reproduction.
 //!
 //! This crate defines the [`SwapScheme`] abstraction that every memory-swap
-//! policy in the workspace implements, plus the three baselines the paper
-//! compares against:
+//! policy in the workspace implements, the [`Tiers`] every scheme holds —
+//! DRAM, the zpool and the flash swap device, with each tier move and each
+//! fault price written once — plus the three baselines the paper compares
+//! against:
 //!
 //! * [`DramOnlyScheme`] — the optimistic lower bound: DRAM is assumed large
 //!   enough that nothing is ever swapped (the `DRAM` bars of Figures 2, 3
@@ -15,8 +17,8 @@
 //!   of compressed data to flash when the zpool fills up.
 //!
 //! Ariadne itself lives in the `ariadne-core` crate and implements the same
-//! [`SwapScheme`] trait, so every experiment drives the four policies through
-//! identical machinery.
+//! [`SwapScheme`] trait on the same [`Tiers`], so every experiment drives
+//! the four policies through identical machinery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +27,7 @@ pub mod dram_only;
 pub mod oracle;
 pub mod scheme;
 pub mod swap;
-pub mod writeback;
+pub mod tiers;
 pub mod zram;
 
 pub use dram_only::DramOnlyScheme;
@@ -35,5 +37,5 @@ pub use scheme::{
     SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
 pub use swap::FlashSwapScheme;
-pub use writeback::ZpoolWriteback;
+pub use tiers::Tiers;
 pub use zram::ZramScheme;

@@ -1,18 +1,20 @@
 //! The [`SwapScheme`] abstraction shared by the baselines and by Ariadne.
 //!
-//! A swap scheme owns the memory hierarchy of the simulated device (DRAM,
-//! zpool, flash swap) and decides what happens on page registration, page
-//! access and memory reclaim. The whole-system simulator in `ariadne-sim`
-//! drives schemes exclusively through this trait, so the baseline-versus-
-//! Ariadne comparisons of the paper's evaluation are apples-to-apples.
+//! A swap scheme holds the memory hierarchy of the simulated device (DRAM,
+//! zpool, flash swap) in one [`Tiers`] and decides what happens on page
+//! registration, page access and memory reclaim. The whole-system
+//! simulator in `ariadne-sim` drives schemes exclusively through this
+//! trait, so the baseline-versus-Ariadne comparisons of the paper's
+//! evaluation are apples-to-apples.
 
 use crate::oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
+use crate::tiers::Tiers;
 use ariadne_compress::{
     Algorithm, ChunkSize, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
 };
 use ariadne_mem::{
-    AppId, CpuActivity, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
-    PageLocation, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
+    AppId, CpuActivity, FlashIoConfig, FlashStats, MemTimingModel, PageId, PageLocation, SimClock,
+    Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::{Histogram, TraceEventKind, TraceHandle};
 use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
@@ -31,14 +33,16 @@ thread_local! {
 }
 
 /// Implements the [`SwapScheme`] identity boilerplate (`as_any`,
-/// `as_any_mut` and optionally `name`) inside a `impl SwapScheme for ...`
-/// block. Every scheme in the workspace repeats these verbatim; the macro
-/// keeps them in one place.
+/// `as_any_mut`, `tiers`, `tiers_mut` and optionally `name`) inside a
+/// `impl SwapScheme for ...` block, for a scheme that keeps its
+/// [`Tiers`](crate::Tiers) in a field named `tiers`. Every scheme in the
+/// workspace repeats these verbatim; the macro keeps them in one place.
 ///
-/// * `swap_scheme_identity!("DRAM");` expands to the two upcasts plus a
-///   `name` returning the given literal;
-/// * `swap_scheme_identity!();` expands to the upcasts only, for schemes
-///   whose name depends on runtime configuration.
+/// * `swap_scheme_identity!("DRAM");` expands to the upcasts and the tier
+///   accessors plus a `name` returning the given literal;
+/// * `swap_scheme_identity!();` expands to the upcasts and the tier
+///   accessors only, for schemes whose name depends on runtime
+///   configuration.
 #[macro_export]
 macro_rules! swap_scheme_identity {
     ($name:expr) => {
@@ -55,6 +59,14 @@ macro_rules! swap_scheme_identity {
 
         fn as_any_mut(&mut self) -> &mut dyn ::std::any::Any {
             self
+        }
+
+        fn tiers(&self) -> &$crate::Tiers {
+            &self.tiers
+        }
+
+        fn tiers_mut(&mut self) -> &mut $crate::Tiers {
+            &mut self.tiers
         }
     };
 }
@@ -83,6 +95,38 @@ pub struct AccessOutcome {
     /// complete). Always `<= latency`; zero for schemes without a flash
     /// queue or when the page was at rest.
     pub io_stall: CostNanos,
+}
+
+impl AccessOutcome {
+    /// A DRAM hit: one DRAM access, with the clock advanced past it.
+    pub fn dram_hit(clock: &mut SimClock, ctx: &SchemeContext) -> Self {
+        let latency = ctx.timing.dram_access(1);
+        clock.advance(latency);
+        AccessOutcome {
+            latency,
+            found_in: PageLocation::Dram,
+            io_stall: CostNanos::zero(),
+        }
+    }
+
+    /// A fault served from `found_in` that cost `latency` before the page
+    /// became resident: the final DRAM access is added and the clock
+    /// advanced past the whole fault.
+    pub fn fault(
+        latency: CostNanos,
+        found_in: PageLocation,
+        io_stall: CostNanos,
+        clock: &mut SimClock,
+        ctx: &SchemeContext,
+    ) -> Self {
+        let latency = latency + ctx.timing.dram_access(1);
+        clock.advance(latency);
+        AccessOutcome {
+            latency,
+            found_in,
+            io_stall,
+        }
+    }
 }
 
 /// What [`SwapScheme::release_app`] freed when a process was killed: the
@@ -630,6 +674,9 @@ impl fmt::Display for SchemeStats {
 }
 
 /// A memory-swap policy: the baseline schemes and Ariadne all implement this.
+///
+/// Every scheme holds one [`Tiers`] (DRAM, zpool, flash, foreground app and
+/// ledger) and implements only its policy on top of it.
 pub trait SwapScheme {
     /// Upcast to [`std::any::Any`] so experiments can reach scheme-specific
     /// probes (e.g. Ariadne's identification metrics) behind `dyn SwapScheme`.
@@ -641,12 +688,13 @@ pub trait SwapScheme {
     /// Human-readable name (used in reports, e.g. `ZRAM`, `Ariadne-EHL-1K-2K-16K`).
     fn name(&self) -> String;
 
-    /// Attach a trace sink to the scheme's internals (the flash device's
-    /// writeback submit/complete hooks, for schemes that have one). The
-    /// default ignores the handle: schemes without traced internals need no
-    /// code. Observation never perturbs simulation — implementations must
-    /// only copy values out through the handle.
-    fn attach_trace(&mut self, _trace: &TraceHandle) {}
+    /// The scheme's memory tiers. The driver reads DRAM watermarks and the
+    /// flash queue through them, and attaches its trace sink to the flash
+    /// device's writeback hooks.
+    fn tiers(&self) -> &Tiers;
+
+    /// Mutable variant of [`SwapScheme::tiers`].
+    fn tiers_mut(&mut self) -> &mut Tiers;
 
     /// Register a freshly allocated anonymous page and make it resident.
     /// May trigger direct reclaim internally if DRAM is full.
@@ -668,10 +716,17 @@ pub trait SwapScheme {
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize;
 
     /// The application moved to the foreground.
-    fn on_foreground(&mut self, app: AppId);
+    fn on_foreground(&mut self, app: AppId) {
+        self.tiers_mut().foreground = Some(app);
+    }
 
     /// The application moved to the background.
-    fn on_background(&mut self, app: AppId);
+    fn on_background(&mut self, app: AppId) {
+        let tiers = self.tiers_mut();
+        if tiers.foreground == Some(app) {
+            tiers.foreground = None;
+        }
+    }
 
     /// A relaunch of `app` is about to start (Ariadne rotates its hot list
     /// here; baselines ignore it).
@@ -710,25 +765,6 @@ pub trait SwapScheme {
         0
     }
 
-    /// Completion time (simulated nanoseconds) of the earliest in-flight
-    /// flash write command, if any. The event engine schedules an
-    /// `IoComplete` event at this instant so completions land on the
-    /// deterministic `(time, class, seq)` queue. Schemes without a flash
-    /// queue keep the default of `None`.
-    fn next_io_completion(&self) -> Option<u128> {
-        None
-    }
-
-    /// Retire every flash write command whose completion time has passed
-    /// `now_nanos`; its data becomes at-rest flash contents. Retirement is
-    /// also performed lazily (by timestamp) on every device operation, so
-    /// calling this is an accounting convenience, never a semantic
-    /// requirement — that equivalence is what keeps event-driven and
-    /// imperative replays byte-identical. Returns the commands retired.
-    fn complete_io(&mut self, _now_nanos: u128) -> usize {
-        0
-    }
-
     /// The process of `app` was killed (by lmkd or the user): free the
     /// app's **entire** footprint — resident DRAM pages, compressed zpool
     /// entries, flash swap slots (including objects whose write command is
@@ -748,24 +784,24 @@ pub trait SwapScheme {
 
     /// Verify the scheme's internal slot/index invariants (today: the flash
     /// device's [`leak_check`](ariadne_mem::FlashDevice::leak_check)).
-    /// Schemes without a flash device keep the default `Ok`.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     fn leak_check(&self) -> Result<(), String> {
-        Ok(())
+        self.tiers().flash.leak_check()
     }
 
     /// Where `page` currently lives.
-    fn location_of(&self, page: PageId) -> PageLocation;
-
-    /// The scheme's DRAM model (for watermark checks by the driver).
-    fn dram(&self) -> &MainMemory;
+    fn location_of(&self, page: PageId) -> PageLocation {
+        self.tiers().location_of(page)
+    }
 
     /// Lifetime statistics, with the flash, zpool and pre-decompression
     /// counters read from their owners at call time.
-    fn stats(&self) -> SchemeStats;
+    fn stats(&self) -> SchemeStats {
+        self.tiers().stats()
+    }
 }
 
 #[cfg(test)]

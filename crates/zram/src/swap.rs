@@ -8,15 +8,13 @@
 //! a flash read) and wears out the flash.
 
 use crate::scheme::{
-    AccessKind, AccessOutcome, MemoryConfig, ReleasedFootprint, SchemeContext, SchemeStats,
-    SwapScheme,
+    AccessKind, AccessOutcome, MemoryConfig, ReleasedFootprint, SchemeContext, SwapScheme,
 };
 use crate::swap_scheme_identity;
-use crate::writeback::charge_fault_io;
-use ariadne_compress::CostNanos;
+use crate::tiers::Tiers;
+use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, FlashDevice, LruList, MainMemory, PageId, PageLocation, SimClock,
-    WriteRequest, PAGE_SIZE,
+    AppId, CpuActivity, LruList, PageId, PageLocation, SimClock, WriteRequest, PAGE_SIZE,
 };
 use std::collections::HashSet;
 
@@ -30,11 +28,8 @@ use std::collections::HashSet;
 /// ```
 #[derive(Debug)]
 pub struct FlashSwapScheme {
-    dram: MainMemory,
-    flash: FlashDevice,
+    tiers: Tiers,
     lru: LruList<PageId>,
-    foreground: Option<AppId>,
-    stats: SchemeStats,
 }
 
 impl FlashSwapScheme {
@@ -42,35 +37,9 @@ impl FlashSwapScheme {
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         FlashSwapScheme {
-            dram: MainMemory::new(config.dram_bytes, config.watermarks),
-            flash: FlashDevice::with_io(config.flash_swap_bytes, config.io),
+            tiers: Tiers::new(&config),
             lru: LruList::new(),
-            foreground: None,
-            stats: SchemeStats::default(),
         }
-    }
-
-    /// Pick up to `count` LRU victims, protecting the foreground app when
-    /// other victims exist.
-    fn pick_victims(&mut self, count: usize) -> Vec<PageId> {
-        let mut victims: Vec<PageId> = Vec::with_capacity(count);
-        let mut skipped: Vec<PageId> = Vec::new();
-        while victims.len() < count {
-            match self.lru.pop_lru() {
-                None => break,
-                Some(page) => {
-                    if Some(page.app()) == self.foreground && !self.lru.is_empty() {
-                        skipped.push(page);
-                    } else {
-                        victims.push(page);
-                    }
-                }
-            }
-        }
-        for page in skipped {
-            self.lru.insert_lru(page);
-        }
-        victims
     }
 
     /// Evict `target_pages` LRU victims to flash in one (possibly batched)
@@ -84,7 +53,9 @@ impl FlashSwapScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> (usize, CostNanos) {
-        let victims = self.pick_victims(target_pages);
+        let mut victims = Vec::with_capacity(target_pages);
+        self.tiers
+            .pick_lru_victims(&mut self.lru, target_pages, &mut victims);
         if victims.is_empty() {
             return (0, CostNanos::zero());
         }
@@ -92,7 +63,7 @@ impl FlashSwapScheme {
         let scan = ctx.timing.reclaim_scan(victims.len());
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
 
-        let requests: Vec<WriteRequest> = victims
+        let requests = victims
             .iter()
             .map(|page| WriteRequest {
                 pages: vec![*page],
@@ -101,11 +72,7 @@ impl FlashSwapScheme {
                 compressed: false,
             })
             .collect();
-        let result = self.flash.submit_writes(requests, clock.now().as_nanos());
-        if result.commands > 0 {
-            let io_cpu = ctx.timing.lru_ops(2 * result.commands);
-            clock.charge_cpu(CpuActivity::SwapIo, io_cpu);
-        }
+        let result = self.tiers.write_to_flash(requests, clock, ctx);
 
         // Rejected pages (swap area full) stay resident.
         let rejected: HashSet<PageId> = result
@@ -118,11 +85,10 @@ impl FlashSwapScheme {
             if rejected.contains(&page) {
                 self.lru.insert_lru(page);
             } else {
-                self.dram.remove(page);
+                self.tiers.dram.remove(page);
                 evicted += 1;
             }
         }
-        self.stats.io_queue_stall_time += result.queue_stall;
 
         let mut visible_latency = CostNanos::zero();
         if synchronous {
@@ -138,7 +104,7 @@ impl FlashSwapScheme {
     /// necessary. Returns the user-visible latency incurred.
     fn make_room(&mut self, clock: &mut SimClock, ctx: &SchemeContext) -> CostNanos {
         let mut latency = CostNanos::zero();
-        while self.dram.free_bytes() < PAGE_SIZE {
+        while self.tiers.dram.free_bytes() < PAGE_SIZE {
             let (evicted, lat) = self.evict_to_flash(1, true, clock, ctx);
             latency += lat;
             if evicted == 0 {
@@ -154,17 +120,13 @@ impl SwapScheme for FlashSwapScheme {
     // `reclaim`): flash swap has no deferred work, eviction is the whole job.
     swap_scheme_identity!("SWAP");
 
-    fn attach_trace(&mut self, trace: &ariadne_obs::TraceHandle) {
-        self.flash.set_trace(trace);
-    }
-
     fn register_page(&mut self, page: PageId, clock: &mut SimClock, ctx: &SchemeContext) {
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             self.lru.touch(page);
             return;
         }
         let _ = self.make_room(clock, ctx);
-        if self.dram.insert(page).is_ok() {
+        if self.tiers.dram.insert(page).is_ok() {
             self.lru.touch(page);
             clock.charge_cpu(CpuActivity::Other, ctx.timing.lru_ops(1));
         }
@@ -177,65 +139,36 @@ impl SwapScheme for FlashSwapScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> AccessOutcome {
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             self.lru.touch(page);
-            let latency = ctx.timing.dram_access(1);
-            clock.advance(latency);
-            return AccessOutcome {
-                latency,
-                found_in: PageLocation::Dram,
-                io_stall: CostNanos::zero(),
-            };
+            return AccessOutcome::dram_hit(clock, ctx);
         }
 
-        let found_in = if self.flash.contains(page) {
-            PageLocation::Flash
-        } else {
-            PageLocation::Absent
-        };
         let mut latency = ctx.timing.page_fault();
         let mut io_stall = CostNanos::zero();
         latency += self.make_room(clock, ctx);
 
-        if let Some(slot) = self.flash.slot_for(page) {
-            let fault = self
-                .flash
-                .fault_in(slot, clock.now().as_nanos())
-                .expect("slot was just looked up");
+        let found_in = if let Some((_, fault)) = self.tiers.take_from_flash(page, clock) {
+            // Pages go to flash uncompressed, so no chunk size applies.
             let (io_latency, stall) =
-                charge_fault_io(&fault, CostNanos::zero(), &mut self.stats, clock, ctx);
+                self.tiers
+                    .fault_flash(&fault, CostNanos::zero(), ChunkSize::k4(), clock, ctx);
             latency += io_latency;
             io_stall = stall;
+            PageLocation::Flash
         } else {
-            // Never swapped (or dropped): model a minor fault that maps a
-            // fresh zero page.
-            latency += ctx.timing.dram_copy(1);
-            self.stats.dropped_pages += 1;
-        }
+            // Never swapped (or dropped): map a fresh zero page.
+            latency += self.tiers.fault_lost(ctx);
+            PageLocation::Absent
+        };
 
-        let _ = self.dram.insert(page);
+        let _ = self.tiers.dram.insert(page);
         self.lru.touch(page);
-        latency += ctx.timing.dram_access(1);
-        clock.advance(latency);
-        AccessOutcome {
-            latency,
-            found_in,
-            io_stall,
-        }
+        AccessOutcome::fault(latency, found_in, io_stall, clock, ctx)
     }
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
         self.evict_to_flash(target_pages, false, clock, ctx).0
-    }
-
-    fn on_foreground(&mut self, app: AppId) {
-        self.foreground = Some(app);
-    }
-
-    fn on_background(&mut self, app: AppId) {
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
     }
 
     fn release_app(
@@ -244,55 +177,15 @@ impl SwapScheme for FlashSwapScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> ReleasedFootprint {
-        let evicted = self.dram.evict_app(app);
+        let (evicted, footprint) = self.tiers.release_app(app, clock);
         for page in &evicted {
             self.lru.remove(page);
         }
-        let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
-        let cost = ctx.timing.lru_ops(evicted.len() + flash_pages);
-        clock.charge_cpu(CpuActivity::Other, cost);
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
-        ReleasedFootprint {
-            dram_pages: evicted.len(),
-            flash_slots,
-            flash_pages,
-            ..ReleasedFootprint::default()
-        }
-    }
-
-    fn leak_check(&self) -> Result<(), String> {
-        self.flash.leak_check()
-    }
-
-    fn next_io_completion(&self) -> Option<u128> {
-        self.flash.next_completion()
-    }
-
-    fn complete_io(&mut self, now_nanos: u128) -> usize {
-        self.flash.retire_completed(now_nanos)
-    }
-
-    fn location_of(&self, page: PageId) -> PageLocation {
-        if self.dram.contains(page) {
-            PageLocation::Dram
-        } else if self.flash.contains(page) {
-            PageLocation::Flash
-        } else {
-            PageLocation::Absent
-        }
-    }
-
-    fn dram(&self) -> &MainMemory {
-        &self.dram
-    }
-
-    fn stats(&self) -> SchemeStats {
-        SchemeStats {
-            flash: self.flash.stats(),
-            ..self.stats
-        }
+        clock.charge_cpu(
+            CpuActivity::Other,
+            ctx.timing.lru_ops(footprint.total_pages()),
+        );
+        footprint
     }
 }
 
@@ -367,7 +260,7 @@ mod tests {
             scheme.register_page(page, &mut clock, &ctx);
         }
         // Only 8 pages fit; the rest forced direct reclaim to flash.
-        assert_eq!(scheme.dram().resident_pages(), 8);
+        assert_eq!(scheme.tiers().dram.resident_pages(), 8);
         assert!(scheme.stats().flash.writes >= 8);
     }
 

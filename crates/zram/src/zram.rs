@@ -12,14 +12,13 @@
 
 use crate::scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
-    SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    SchemeContext, SwapScheme, WritebackPolicy,
 };
 use crate::swap_scheme_identity;
-use crate::writeback::{charge_fault_io, ZpoolWriteback};
-use ariadne_compress::{Algorithm, ChunkSize, CostNanos};
+use crate::tiers::Tiers;
+use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, FlashDevice, FlashIoMode, Hotness, LruList, MainMemory, PageId,
-    PageLocation, SimClock, Zpool, ZpoolHandle, PAGE_SIZE,
+    AppId, CpuActivity, FlashIoMode, Hotness, LruList, PageId, PageLocation, SimClock, PAGE_SIZE,
 };
 
 /// The baseline compressed-swap scheme (single-page compression, LRU victim
@@ -33,22 +32,17 @@ use ariadne_mem::{
 /// ```
 #[derive(Debug)]
 pub struct ZramScheme {
-    config: MemoryConfig,
-    dram: MainMemory,
-    zpool: Zpool,
-    flash: FlashDevice,
+    tiers: Tiers,
     lru: LruList<PageId>,
-    foreground: Option<AppId>,
-    stats: SchemeStats,
     /// Order in which pages were compressed (the Figure 4 analysis sorts
     /// compressed data by compression time).
     compression_log: Vec<PageId>,
     /// zpool sectors and flash slots touched by swap-ins, in access order
     /// (the Table 3 locality analysis runs over this sequence).
     swapin_sectors: Vec<u64>,
-    /// Reusable buffer for foreground pages popped and reinserted during a
-    /// victim scan, so the per-page `make_room` loop never allocates.
-    pick_scratch: Vec<PageId>,
+    /// Reusable buffer for the single victim of each direct-reclaim step,
+    /// so the per-page `make_room` loop never allocates.
+    victim: Vec<PageId>,
 }
 
 impl ZramScheme {
@@ -56,23 +50,12 @@ impl ZramScheme {
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         ZramScheme {
-            dram: MainMemory::new(config.dram_bytes, config.watermarks),
-            zpool: Zpool::new(config.zpool_bytes),
-            flash: FlashDevice::with_io(config.flash_swap_bytes, config.io),
+            tiers: Tiers::new(&config),
             lru: LruList::new(),
-            foreground: None,
-            stats: SchemeStats::default(),
             compression_log: Vec::new(),
             swapin_sectors: Vec::new(),
-            pick_scratch: Vec::new(),
-            config,
+            victim: Vec::new(),
         }
-    }
-
-    /// The compression algorithm in use.
-    #[must_use]
-    pub fn algorithm(&self) -> Algorithm {
-        self.config.algorithm
     }
 
     /// Every page compressed so far, in compression order.
@@ -88,163 +71,54 @@ impl ZramScheme {
         &self.swapin_sectors
     }
 
-    /// Compress one victim page into the zpool. Returns the compression
-    /// latency plus any user-visible writeback cost the overflow incurred
-    /// (charged to the caller as CPU; also user-visible if the caller is a
-    /// direct reclaim).
+    /// Compress one victim page into the zpool (single-page entries, all
+    /// labelled cold). Returns the compression latency plus any
+    /// user-visible writeback cost the overflow incurred.
     fn compress_page(
         &mut self,
         page: PageId,
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> CostNanos {
-        // The oracle memoizes the codec run: recompressing the same page
-        // (relaunch storms do this constantly) is a hash lookup, not a
-        // synthesis + codec pass. Sizes are bit-identical either way.
-        let outcome = ctx.compress_pages(&[page], self.config.algorithm, ChunkSize::k4());
-        self.stats.record_oracle(&outcome);
-        let compressed_len = outcome.compressed_len;
-        let cost = ctx.compression_cost(
-            self.config.algorithm,
-            ChunkSize::k4(),
-            outcome.original_len,
-            clock.now().as_nanos(),
-        );
-
-        let writeback_latency = self.make_zpool_room(compressed_len, clock, ctx);
-        if self
-            .zpool
-            .store(
-                vec![page],
-                outcome.original_len,
-                compressed_len,
-                ChunkSize::k4(),
-                Hotness::Cold,
-            )
-            .is_err()
-        {
-            // Even after writeback the pool cannot take the entry (tiny test
-            // configurations); drop the data instead.
-            self.stats.dropped_pages += 1;
-        }
-        self.dram.remove(page);
-
-        self.stats
-            .record_compression(1, outcome.original_len, compressed_len, cost, clock);
         self.compression_log.push(page);
-        cost + writeback_latency
+        self.tiers
+            .compress(&[page], ChunkSize::k4(), Hotness::Cold, clock, ctx)
     }
 
-    /// Free zpool space for `incoming_bytes` according to the writeback
-    /// policy (oldest entries first; the shared [`ZpoolWriteback`] helper).
-    /// Returns the user-visible latency of the eviction: inline device time
-    /// under the synchronous I/O model, queue stalls under the queued one.
-    fn make_zpool_room(
-        &mut self,
-        incoming_bytes: usize,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> CostNanos {
-        ZpoolWriteback {
-            zpool: &mut self.zpool,
-            flash: &mut self.flash,
-            policy: self.config.writeback,
-            prefer_cold: false,
-            stats: &mut self.stats,
-        }
-        .make_room(incoming_bytes, clock, ctx)
+    /// Whether the ZSWAP background flush is active: only under the ZSWAP
+    /// policy, and only when writeback can overlap foreground work (under
+    /// the synchronous I/O model the flush happens inline on the reclaim
+    /// path instead).
+    fn flushes_in_background(&self) -> bool {
+        let config = self.tiers.config();
+        config.writeback == WritebackPolicy::WritebackToFlash && config.io.mode != FlashIoMode::Sync
     }
 
     /// The zpool fill level above which the ZSWAP policy wants a background
-    /// flush to flash (7/8 of capacity), so the synchronous `make_zpool_room`
-    /// path stays rare.
+    /// flush to flash (7/8 of capacity), so the synchronous
+    /// `make_zpool_room` path stays rare.
     fn flush_threshold_bytes(&self) -> usize {
-        self.config.zpool_bytes - self.config.zpool_bytes / 8
-    }
-
-    /// Pick up to `count` LRU victims, protecting the foreground app when
-    /// other victims exist.
-    fn pick_victims(&mut self, count: usize) -> Vec<PageId> {
-        let mut victims = Vec::with_capacity(count);
-        let mut skipped = std::mem::take(&mut self.pick_scratch);
-        while victims.len() < count {
-            match self.lru.pop_lru() {
-                None => break,
-                Some(page) => {
-                    if Some(page.app()) == self.foreground && !self.lru.is_empty() {
-                        skipped.push(page);
-                    } else {
-                        victims.push(page);
-                    }
-                }
-            }
-        }
-        for page in skipped.drain(..) {
-            self.lru.insert_lru(page);
-        }
-        self.pick_scratch = skipped;
-        victims
-    }
-
-    /// Single-victim fast path for the per-page `make_room` loop: the same
-    /// pop/skip/reinsert sequence as `pick_victims(1)`, without building the
-    /// one-element vector.
-    fn pick_one_victim(&mut self) -> Option<PageId> {
-        let mut victim = None;
-        let mut skipped = std::mem::take(&mut self.pick_scratch);
-        while victim.is_none() {
-            match self.lru.pop_lru() {
-                None => break,
-                Some(page) => {
-                    if Some(page.app()) == self.foreground && !self.lru.is_empty() {
-                        skipped.push(page);
-                    } else {
-                        victim = Some(page);
-                    }
-                }
-            }
-        }
-        for page in skipped.drain(..) {
-            self.lru.insert_lru(page);
-        }
-        self.pick_scratch = skipped;
-        victim
+        let capacity = self.tiers.config().zpool_bytes;
+        capacity - capacity / 8
     }
 
     /// Ensure one more page fits in DRAM, compressing victims synchronously
     /// if needed. Returns the user-visible latency.
     fn make_room(&mut self, clock: &mut SimClock, ctx: &SchemeContext) -> CostNanos {
         let mut latency = CostNanos::zero();
-        while self.dram.free_bytes() < PAGE_SIZE {
-            let Some(page) = self.pick_one_victim() else {
+        let mut victim = std::mem::take(&mut self.victim);
+        while self.tiers.dram.free_bytes() < PAGE_SIZE {
+            victim.clear();
+            self.tiers.pick_lru_victims(&mut self.lru, 1, &mut victim);
+            let Some(&page) = victim.first() else {
                 break;
             };
             let cost = self.compress_page(page, clock, ctx);
             latency += cost;
             clock.advance(cost);
         }
+        self.victim = victim;
         latency
-    }
-
-    /// Decompress the entry behind `handle` and log its zpool sector as a
-    /// swap-in. Returns the latency.
-    fn decompress_entry(
-        &mut self,
-        handle: ZpoolHandle,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> CostNanos {
-        let entry = self.zpool.remove(handle).expect("entry is live");
-        let cost = ctx.decompression_cost(
-            self.config.algorithm,
-            entry.chunk_size,
-            entry.original_bytes,
-            clock.now().as_nanos(),
-        );
-        self.stats
-            .record_decompression(entry.pages.len(), cost, clock);
-        self.swapin_sectors.push(entry.sector.value());
-        cost
     }
 }
 
@@ -252,23 +126,19 @@ impl SwapScheme for ZramScheme {
     swap_scheme_identity!();
 
     fn name(&self) -> String {
-        match self.config.writeback {
+        match self.tiers.config().writeback {
             WritebackPolicy::DropOldest => "ZRAM".to_string(),
             WritebackPolicy::WritebackToFlash => "ZSWAP".to_string(),
         }
     }
 
-    fn attach_trace(&mut self, trace: &ariadne_obs::TraceHandle) {
-        self.flash.set_trace(trace);
-    }
-
     fn register_page(&mut self, page: PageId, clock: &mut SimClock, ctx: &SchemeContext) {
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             self.lru.touch(page);
             return;
         }
         let _ = self.make_room(clock, ctx);
-        if self.dram.insert(page).is_ok() {
+        if self.tiers.dram.insert(page).is_ok() {
             self.lru.touch(page);
             clock.charge_cpu(CpuActivity::Other, ctx.timing.lru_ops(1));
         }
@@ -281,84 +151,49 @@ impl SwapScheme for ZramScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> AccessOutcome {
-        if self.dram.contains(page) {
+        if self.tiers.dram.contains(page) {
             self.lru.touch(page);
-            let latency = ctx.timing.dram_access(1);
-            clock.advance(latency);
-            return AccessOutcome {
-                latency,
-                found_in: PageLocation::Dram,
-                io_stall: CostNanos::zero(),
-            };
+            return AccessOutcome::dram_hit(clock, ctx);
         }
 
         let mut latency = ctx.timing.page_fault();
         let mut io_stall = CostNanos::zero();
+        // Direct reclaim runs before the tier lookup: it may push the
+        // faulted page's own entry out of the zpool.
         latency += self.make_room(clock, ctx);
-        let found_in;
 
-        if let Some(handle) = self.zpool.handle_for(page) {
-            found_in = PageLocation::Zpool;
-            let cost = self.decompress_entry(handle, clock, ctx);
-            latency += cost;
-        } else if let Some(slot) = self.flash.slot_for(page) {
-            found_in = PageLocation::Flash;
-            let fault = self
-                .flash
-                .fault_in(slot, clock.now().as_nanos())
-                .expect("slot was just looked up");
+        let found_in = if let Some(entry) = self.tiers.take_from_zpool(page) {
+            latency += self.tiers.decompress(&entry, clock, ctx);
+            self.swapin_sectors.push(entry.sector.value());
+            PageLocation::Zpool
+        } else if let Some((slot, fault)) = self.tiers.take_from_flash(page, clock) {
             let (io_latency, stall) =
-                charge_fault_io(&fault, CostNanos::zero(), &mut self.stats, clock, ctx);
+                self.tiers
+                    .fault_flash(&fault, CostNanos::zero(), ChunkSize::k4(), clock, ctx);
             latency += io_latency;
             io_stall = stall;
-            if fault.compressed {
-                let cost = ctx.decompression_cost(
-                    self.config.algorithm,
-                    ChunkSize::k4(),
-                    fault.original_bytes,
-                    clock.now().as_nanos(),
-                );
-                latency += cost;
-                self.stats
-                    .record_decompression(fault.pages.len(), cost, clock);
-            }
             self.swapin_sectors.push(slot.value());
+            PageLocation::Flash
         } else {
-            found_in = PageLocation::Absent;
-            latency += ctx.timing.dram_copy(1);
-            self.stats.dropped_pages += 1;
-        }
+            latency += self.tiers.fault_lost(ctx);
+            PageLocation::Absent
+        };
 
-        let _ = self.dram.insert(page);
+        let _ = self.tiers.dram.insert(page);
         self.lru.touch(page);
-        latency += ctx.timing.dram_access(1);
-        clock.advance(latency);
-        AccessOutcome {
-            latency,
-            found_in,
-            io_stall,
-        }
+        AccessOutcome::fault(latency, found_in, io_stall, clock, ctx)
     }
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
-        let victims = self.pick_victims(target_pages);
+        let mut victims = Vec::with_capacity(target_pages);
+        self.tiers
+            .pick_lru_victims(&mut self.lru, target_pages, &mut victims);
         let scan = ctx.timing.reclaim_scan(victims.len().max(1));
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        let reclaimed = victims.len();
-        for page in victims {
+        for &page in &victims {
             self.compress_page(page, clock, ctx);
         }
-        reclaimed
-    }
-
-    fn on_foreground(&mut self, app: AppId) {
-        self.foreground = Some(app);
-    }
-
-    fn on_background(&mut self, app: AppId) {
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
+        victims.len()
     }
 
     fn on_pressure(&mut self, pressure: MemoryPressure, clock: &mut SimClock, ctx: &SchemeContext) {
@@ -378,15 +213,12 @@ impl SwapScheme for ZramScheme {
     fn deferred_pages(&self) -> usize {
         // Under the ZSWAP policy, compressed data above the flush threshold
         // is deferred writeback work the engine can drain off the critical
-        // path. Plain ZRAM (DropOldest) has no deferred work, and under the
-        // synchronous I/O model writeback cannot overlap foreground work at
-        // all — the flush happens inline on the reclaim path instead.
-        if self.config.writeback != WritebackPolicy::WritebackToFlash
-            || self.config.io.mode == FlashIoMode::Sync
-        {
+        // path. Plain ZRAM (DropOldest) has no deferred work.
+        if !self.flushes_in_background() {
             return 0;
         }
-        self.zpool
+        self.tiers
+            .zpool
             .used_bytes()
             .saturating_sub(self.flush_threshold_bytes())
             .div_ceil(PAGE_SIZE)
@@ -398,20 +230,11 @@ impl SwapScheme for ZramScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> usize {
-        if self.config.writeback != WritebackPolicy::WritebackToFlash
-            || self.config.io.mode == FlashIoMode::Sync
-        {
+        if !self.flushes_in_background() {
             return 0;
         }
         let threshold = self.flush_threshold_bytes();
-        ZpoolWriteback {
-            zpool: &mut self.zpool,
-            flash: &mut self.flash,
-            policy: self.config.writeback,
-            prefer_cold: false,
-            stats: &mut self.stats,
-        }
-        .flush_above(threshold, budget, clock, ctx)
+        self.tiers.flush_zpool_above(threshold, budget, clock, ctx)
     }
 
     fn release_app(
@@ -420,69 +243,22 @@ impl SwapScheme for ZramScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> ReleasedFootprint {
-        let evicted = self.dram.evict_app(app);
+        let (evicted, footprint) = self.tiers.release_app(app, clock);
         for page in &evicted {
             self.lru.remove(page);
         }
-        let (zpool_entries, zpool_pages) = self.zpool.release_app(app);
-        let (flash_slots, flash_pages) = self.flash.release_app(app, clock.now().as_nanos());
-        let cost = ctx
-            .timing
-            .lru_ops(evicted.len() + zpool_pages + flash_pages);
-        clock.charge_cpu(CpuActivity::Other, cost);
-        if self.foreground == Some(app) {
-            self.foreground = None;
-        }
-        ReleasedFootprint {
-            dram_pages: evicted.len(),
-            zpool_entries,
-            zpool_pages,
-            flash_slots,
-            flash_pages,
-            buffered_pages: 0,
-        }
-    }
-
-    fn leak_check(&self) -> Result<(), String> {
-        self.flash.leak_check()
-    }
-
-    fn next_io_completion(&self) -> Option<u128> {
-        self.flash.next_completion()
-    }
-
-    fn complete_io(&mut self, now_nanos: u128) -> usize {
-        self.flash.retire_completed(now_nanos)
-    }
-
-    fn location_of(&self, page: PageId) -> PageLocation {
-        if self.dram.contains(page) {
-            PageLocation::Dram
-        } else if self.zpool.contains(page) {
-            PageLocation::Zpool
-        } else if self.flash.contains(page) {
-            PageLocation::Flash
-        } else {
-            PageLocation::Absent
-        }
-    }
-
-    fn dram(&self) -> &MainMemory {
-        &self.dram
-    }
-
-    fn stats(&self) -> SchemeStats {
-        SchemeStats {
-            zpool: self.zpool.stats(),
-            flash: self.flash.stats(),
-            ..self.stats
-        }
+        clock.charge_cpu(
+            CpuActivity::Other,
+            ctx.timing.lru_ops(footprint.total_pages()),
+        );
+        footprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ariadne_compress::Algorithm;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
 
@@ -555,7 +331,7 @@ mod tests {
         assert_eq!(scheme.stats().compression_ops, 0);
         scheme.register_page(pages[8], &mut clock, &ctx);
         assert!(scheme.stats().compression_ops >= 1);
-        assert_eq!(scheme.dram().resident_pages(), 8);
+        assert_eq!(scheme.tiers().dram.resident_pages(), 8);
 
         // A fault on a compressed page while DRAM is full pays for both the
         // on-demand compression of a victim and its own decompression.
@@ -581,8 +357,12 @@ mod tests {
         assert_eq!(scheme.stats().oracle_misses, 20);
         assert_eq!(scheme.stats().oracle_hits, 0);
         let zpool_bytes_of = |scheme: &ZramScheme, page: PageId| {
-            let handle = scheme.zpool.handle_for(page).expect("page is compressed");
-            scheme.zpool.entry(handle).unwrap().compressed_bytes
+            let handle = scheme
+                .tiers
+                .zpool
+                .handle_for(page)
+                .expect("page is compressed");
+            scheme.tiers.zpool.entry(handle).unwrap().compressed_bytes
         };
         let first_sizes: Vec<usize> = pages
             .iter()
@@ -647,6 +427,32 @@ mod tests {
         let outcome = scheme.access(written_back, AccessKind::Relaunch, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::Flash);
         assert!(outcome.latency >= ctx.timing.flash_read(1));
+    }
+
+    #[test]
+    fn zswap_writes_back_the_oldest_compressed_pages_first() {
+        let (_, ctx, mut clock, pages) = setup(4096, 4);
+        let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
+        let mut scheme = ZramScheme::new(config);
+        for &page in pages.iter().take(64) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        scheme.reclaim(32, &mut clock, &ctx);
+        // Every entry is labelled cold, so overflow leaves in compression
+        // order: flash holds a prefix of the log and the zpool the rest.
+        let log = scheme.compression_log();
+        let flushed = log
+            .iter()
+            .take_while(|&&page| scheme.location_of(page) == PageLocation::Flash)
+            .count();
+        assert!(
+            flushed > 0 && flushed < log.len(),
+            "{flushed} of {}",
+            log.len()
+        );
+        assert!(log[flushed..]
+            .iter()
+            .all(|&page| scheme.location_of(page) == PageLocation::Zpool));
     }
 
     #[test]
@@ -791,13 +597,13 @@ mod tests {
         }
         scheme.reclaim(32, &mut clock, &ctx);
         // Writeback commands are still in flight at this instant.
-        assert!(scheme.next_io_completion().is_some());
+        assert!(scheme.tiers().flash.next_completion().is_some());
 
         scheme.release_app(pages[0].app(), &mut clock, &ctx);
         scheme.leak_check().unwrap();
         // The orphaned commands retire harmlessly.
-        while let Some(at) = scheme.next_io_completion() {
-            scheme.complete_io(at);
+        while let Some(at) = scheme.tiers().flash.next_completion() {
+            scheme.tiers_mut().flash.retire_completed(at);
         }
         scheme.leak_check().unwrap();
         for &page in pages.iter().take(48) {

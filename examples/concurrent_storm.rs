@@ -3,15 +3,14 @@
 //! Builds an overlapping three-app timeline with the scenario DSL — a
 //! launch storm, background churn, and relaunches arriving while
 //! memory-pressure spikes are still being absorbed — then runs it for all
-//! five schemes on the parallel grid runner (one OS thread per scheme,
-//! results merged in a fixed order).
+//! five schemes on the parallel cell runner (one cell per scheme, results
+//! merged in a fixed order).
 //!
 //! ```text
 //! cargo run --release --example concurrent_storm
 //! ```
 
-use ariadne::sim::experiments::runner::{run_grid, GridCell};
-use ariadne::sim::experiments::ExperimentOptions;
+use ariadne::sim::experiments::{concurrent, ExperimentOptions};
 use ariadne::sim::SimulationConfig;
 use ariadne::trace::{AppName, ScenarioBuilder};
 
@@ -33,14 +32,6 @@ fn main() {
     assert!(scenario.has_overlap());
 
     let config = SimulationConfig::new(42).with_scale(256);
-    let cells: Vec<GridCell> = ariadne::sim::experiments::concurrent::evaluated_schemes()
-        .into_iter()
-        .map(|spec| GridCell {
-            spec,
-            scenario: scenario.clone(),
-        })
-        .collect();
-
     println!(
         "{} events over {} ms across {} apps\n",
         scenario.events.len(),
@@ -53,14 +44,20 @@ fn main() {
     );
     // The five cells share the options' compression oracle.
     let opts = ExperimentOptions::quick();
-    for outcome in run_grid(&opts, config, cells) {
-        println!(
+    let rows = opts.run_cells(concurrent::evaluated_schemes(), |spec| {
+        let mut system = opts.system(spec, config);
+        system.run_timed(&scenario);
+        let stats = system.stats();
+        format!(
             "{:<24} {:>12.2}ms {:>10} {:>10} {:>10}",
-            outcome.scheme,
-            outcome.average_relaunch_millis,
-            outcome.compression_ops,
-            outcome.decompression_ops,
-            outcome.events
-        );
+            spec.label(),
+            system.average_relaunch_millis(),
+            stats.compression_ops,
+            stats.decompression_ops,
+            system.events_processed()
+        )
+    });
+    for row in rows {
+        println!("{row}");
     }
 }
