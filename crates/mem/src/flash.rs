@@ -569,9 +569,9 @@ impl FlashDevice {
     }
 
     /// Write an object covering `pages` to the swap area, inline and
-    /// outside the command queue. Only tests and examples use it; schemes
-    /// write through [`FlashDevice::submit_writes`], whose
-    /// [`FlashIoMode::Sync`] mode also writes inline.
+    /// outside the command queue. Only tests use it; schemes write through
+    /// [`FlashDevice::submit_writes`], whose [`FlashIoMode::Sync`] mode also
+    /// writes inline.
     ///
     /// `stored_bytes` is what actually hits the flash (compressed size for
     /// ZSWAP-style writeback, `pages.len() * 4096` for the SWAP baseline).

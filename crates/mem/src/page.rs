@@ -155,6 +155,18 @@ pub enum PageLocation {
     Absent,
 }
 
+impl PageLocation {
+    /// All locations in declaration order, so `location as usize` indexes
+    /// this array (and any per-location tally laid out like it).
+    pub const ALL: [PageLocation; 5] = [
+        PageLocation::Dram,
+        PageLocation::Zpool,
+        PageLocation::Flash,
+        PageLocation::PreDecompBuffer,
+        PageLocation::Absent,
+    ];
+}
+
 impl fmt::Display for PageLocation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -193,6 +205,13 @@ mod tests {
         assert!(Hotness::Hot < Hotness::Warm);
         assert!(Hotness::Warm < Hotness::Cold);
         assert_eq!(Hotness::ALL[0], Hotness::Hot);
+    }
+
+    #[test]
+    fn page_locations_index_their_own_list() {
+        for (i, location) in PageLocation::ALL.into_iter().enumerate() {
+            assert_eq!(location as usize, i);
+        }
     }
 
     #[test]

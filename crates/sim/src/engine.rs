@@ -1,8 +1,8 @@
 //! The deterministic discrete-event core of the simulator.
 //!
-//! [`MobileSystem`](crate::MobileSystem) no longer replays scenarios with a
-//! synchronous loop; it pushes every scenario event into an [`EventQueue`]
-//! and pops them in `(time, class, seq)` order:
+//! [`MobileSystem`](crate::MobileSystem) runs every scenario here: it pushes
+//! each scenario event into an [`EventQueue`] and pops them in
+//! `(time, class, seq)` order:
 //!
 //! 1. **time** — the scheduled simulated instant, in nanoseconds;
 //! 2. **class** — at equal times, app-lifecycle events run before kswapd
@@ -168,12 +168,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drop all pending events (used when a driver is reset between
-    /// scenarios).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -265,11 +259,6 @@ mod tests {
         queue.push(0, EngineEvent::KswapdWake);
         queue.push(1, EngineEvent::DrainTick);
         assert_eq!(queue.len(), 2);
-        queue.clear();
-        assert!(queue.is_empty());
-        // The seq counter keeps increasing across clears, so replays of the
-        // same stream stay comparable.
-        queue.push(0, EngineEvent::KswapdWake);
-        assert_eq!(queue.pop().unwrap().seq, 2);
+        assert!(!queue.is_empty());
     }
 }

@@ -6,7 +6,7 @@ use super::ExperimentOptions;
 use crate::energy::EnergyModel;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
-use ariadne_trace::{Scenario, ScenarioKind};
+use ariadne_trace::TimedScenario;
 
 const BASELINE_SCHEMES: [SchemeSpec; 3] = [SchemeSpec::Dram, SchemeSpec::Zram, SchemeSpec::Swap];
 
@@ -23,7 +23,7 @@ pub fn fig2(opts: &ExperimentOptions) -> Table {
         let mut cells = vec![app.to_string()];
         for spec in BASELINE_SCHEMES {
             let mut system = opts.system(spec, config);
-            system.run_scenario(&Scenario::relaunch_study(app));
+            system.run_timed(&TimedScenario::relaunch_study(app));
             cells.push(fmt_unit(system.average_relaunch_millis(), "ms"));
         }
         table.push_row(cells);
@@ -42,11 +42,11 @@ pub fn fig3(opts: &ExperimentOptions) -> Table {
     );
     let config = opts.base_config();
     let rounds = if opts.quick { 1 } else { 2 };
-    let scenario = Scenario::heavy_switching(rounds);
+    let scenario = TimedScenario::heavy_switching(rounds);
     let mut results = Vec::new();
     for spec in BASELINE_SCHEMES {
         let mut system = opts.system(spec, config);
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         let cpu_seconds = system.cpu().reclaim_related().as_secs_f64() * opts.scale as f64;
         results.push((spec.label(), cpu_seconds));
     }
@@ -76,21 +76,17 @@ pub fn table2(opts: &ExperimentOptions) -> Table {
     let config = opts.base_config();
     let model = EnergyModel::pixel7();
     let rounds = if opts.quick { 1 } else { 2 };
-    for (kind, scenario) in [
-        (ScenarioKind::Light, Scenario::light_switching(rounds)),
-        (ScenarioKind::Heavy, Scenario::heavy_switching(rounds)),
+    // Application execution CPU over the 60 s window differs between the
+    // light workload (1 s intermissions) and the heavy one (back-to-back
+    // launches) but is identical across swap schemes.
+    for (label, baseline_cpu_seconds, scenario) in [
+        ("Light", 8.0, TimedScenario::light_switching(rounds)),
+        ("Heavy", 22.0, TimedScenario::heavy_switching(rounds)),
     ] {
-        // Application execution CPU over the 60 s window differs between the
-        // light workload (1 s intermissions) and the heavy one (back-to-back
-        // launches) but is identical across swap schemes.
-        let baseline_cpu_seconds = match kind {
-            ScenarioKind::Light => 8.0,
-            _ => 22.0,
-        };
         let mut energies = Vec::new();
         for spec in BASELINE_SCHEMES {
             let mut system = opts.system(spec, config);
-            system.run_scenario(&scenario);
+            system.run_timed(&scenario);
             let energy = model.energy_joules(
                 60.0,
                 baseline_cpu_seconds,
@@ -101,10 +97,6 @@ pub fn table2(opts: &ExperimentOptions) -> Table {
             energies.push((spec.label(), energy));
         }
         let dram_energy = energies.first().map(|(_, e)| *e).unwrap_or(1.0);
-        let label = match kind {
-            ScenarioKind::Light => "Light",
-            _ => "Heavy",
-        };
         for (scheme, energy) in energies {
             table.push_row(vec![
                 label.to_string(),

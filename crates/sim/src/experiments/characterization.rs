@@ -8,7 +8,7 @@ use crate::system::MobileSystem;
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressionRatio, LatencyModel};
 use ariadne_mem::{Hotness, PageId, PAGE_SIZE};
 use ariadne_trace::{
-    measure_consecutive_probability, AppName, PageDataGenerator, Scenario, WorkloadBuilder,
+    measure_consecutive_probability, AppName, PageDataGenerator, TimedScenario, WorkloadBuilder,
 };
 use ariadne_zram::ZramScheme;
 use std::collections::HashMap;
@@ -58,7 +58,7 @@ pub fn fig4(opts: &ExperimentOptions) -> Table {
     let config = opts.base_config();
     for app in opts.reported_apps() {
         let mut system = opts.system(SchemeSpec::Zram, config);
-        system.run_scenario(&Scenario::relaunch_study(app));
+        system.run_timed(&TimedScenario::relaunch_study(app));
         let log = zram(&system).compression_log();
         if log.is_empty() {
             continue;
@@ -128,7 +128,8 @@ pub fn fig5(opts: &ExperimentOptions) -> Table {
 ///
 /// Ratios are measured by genuinely compressing synthetic anonymous data;
 /// latencies report what the calibrated cost model predicts for the paper's
-/// 576 MB corpus on the Pixel 7 (see DESIGN.md for the substitution).
+/// 576 MB corpus on the Pixel 7 (see [`ariadne_compress::LatencyModel`] for
+/// the substitution).
 #[must_use]
 pub fn fig6(opts: &ExperimentOptions) -> Table {
     let mut table = Table::new(
@@ -219,7 +220,7 @@ pub fn table3(opts: &ExperimentOptions) -> Table {
     let config = opts.base_config();
     for app in opts.reported_apps() {
         let mut system = opts.system(SchemeSpec::Zram, config);
-        system.run_scenario(&Scenario::relaunch_study(app));
+        system.run_timed(&TimedScenario::relaunch_study(app));
         let trace = zram(&system).swapin_sectors();
         let p2 = measure_consecutive_probability(trace, 2);
         let p4 = measure_consecutive_probability(trace, 4);

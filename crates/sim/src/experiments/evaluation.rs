@@ -7,7 +7,7 @@ use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
 use ariadne_core::SizeConfig;
-use ariadne_trace::{AppName, Scenario};
+use ariadne_trace::{AppName, ScenarioEvent, TimedScenario};
 
 /// Everything measured from one (application, scheme) relaunch-study run.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,31 +34,23 @@ pub struct RunResult {
 /// because Ariadne's benefit there comes from *not* repeatedly compressing
 /// and decompressing the hot data of applications the user keeps returning
 /// to — an effect a single relaunch cannot show.
-fn cycling_scenario(target: ariadne_trace::AppName, rounds: usize) -> Scenario {
-    use ariadne_trace::{ScenarioEvent, ScenarioKind};
+fn cycling_scenario(target: AppName, rounds: usize) -> TimedScenario {
     let mut events = Vec::new();
     for round in 1..=rounds {
         events.push(ScenarioEvent::Background(target));
-        for other in ariadne_trace::AppName::ALL
-            .iter()
-            .filter(|&&a| a != target)
-            .take(2)
-        {
+        for other in AppName::ALL.into_iter().filter(|&a| a != target).take(2) {
             events.push(ScenarioEvent::Relaunch {
-                app: *other,
+                app: other,
                 relaunch_index: round % 5,
             });
-            events.push(ScenarioEvent::Background(*other));
+            events.push(ScenarioEvent::Background(other));
         }
         events.push(ScenarioEvent::Relaunch {
             app: target,
             relaunch_index: round % 5,
         });
     }
-    Scenario {
-        kind: ScenarioKind::RelaunchStudy,
-        events,
-    }
+    TimedScenario::sequence("relaunch-cycling", events)
 }
 
 /// Run the relaunch study (or the relaunch-cycling scenario when `cycling`)
@@ -77,13 +69,13 @@ pub fn run_matrix(opts: &ExperimentOptions, specs: &[SchemeSpec], cycling: bool)
                 // relaunch study first, snapshot the compression counters,
                 // then measure only the CPU spent while the user keeps
                 // cycling between applications (what Figure 11 reports).
-                system.run_scenario(&Scenario::relaunch_study(app));
+                system.run_timed(&TimedScenario::relaunch_study(app));
                 let before = (
                     system.stats().compression_cpu(),
                     system.stats().compression_time,
                     system.stats().decompression_time,
                 );
-                system.run_scenario(&cycling_scenario(app, rounds));
+                system.run_timed(&cycling_scenario(app, rounds));
                 let stats = system.stats();
                 (
                     (stats.compression_cpu().as_secs_f64() - before.0.as_secs_f64()) * scale,
@@ -91,7 +83,7 @@ pub fn run_matrix(opts: &ExperimentOptions, specs: &[SchemeSpec], cycling: bool)
                     (stats.decompression_time.as_millis_f64() - before.2.as_millis_f64()) * scale,
                 )
             } else {
-                system.run_scenario(&Scenario::relaunch_study(app));
+                system.run_timed(&TimedScenario::relaunch_study(app));
                 let stats = system.stats();
                 (
                     stats.compression_cpu().as_secs_f64() * scale,

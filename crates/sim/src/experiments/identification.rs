@@ -4,19 +4,18 @@ use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
 use crate::schemes::SchemeSpec;
 use ariadne_core::{AriadneScheme, SizeConfig};
-use ariadne_trace::{AppName, Scenario, ScenarioEvent, ScenarioKind};
+use ariadne_trace::{AppName, ScenarioEvent, TimedScenario};
 
 /// Build a scenario that relaunches `target` several times with other
 /// applications launched in between (so hot-list predictions are exercised
 /// under real memory pressure).
-fn repeated_relaunch_scenario(target: AppName, rounds: usize) -> Scenario {
+fn repeated_relaunch_scenario(target: AppName, rounds: usize) -> TimedScenario {
     let mut events = vec![
         ScenarioEvent::Launch(target),
         ScenarioEvent::Background(target),
     ];
-    for app in AppName::ALL.iter().filter(|&&a| a != target) {
-        events.push(ScenarioEvent::Launch(*app));
-        events.push(ScenarioEvent::Background(*app));
+    for app in AppName::ALL.into_iter().filter(|&a| a != target) {
+        events.extend([ScenarioEvent::Launch(app), ScenarioEvent::Background(app)]);
     }
     for round in 0..rounds {
         events.push(ScenarioEvent::Relaunch {
@@ -25,18 +24,15 @@ fn repeated_relaunch_scenario(target: AppName, rounds: usize) -> Scenario {
         });
         events.push(ScenarioEvent::Background(target));
         // Touch two other applications between relaunches of the target.
-        for other in AppName::ALL.iter().filter(|&&a| a != target).take(2) {
+        for other in AppName::ALL.into_iter().filter(|&a| a != target).take(2) {
             events.push(ScenarioEvent::Relaunch {
-                app: *other,
+                app: other,
                 relaunch_index: round,
             });
-            events.push(ScenarioEvent::Background(*other));
+            events.push(ScenarioEvent::Background(other));
         }
     }
-    Scenario {
-        kind: ScenarioKind::RelaunchStudy,
-        events,
-    }
+    TimedScenario::sequence("repeated-relaunch", events)
 }
 
 /// Figure 14: per-application coverage and accuracy of hot-data
@@ -51,7 +47,7 @@ pub fn fig14(opts: &ExperimentOptions) -> Table {
     let rounds = if opts.quick { 3 } else { 4 };
     for app in opts.reported_apps() {
         let mut system = opts.system(SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()), config);
-        system.run_scenario(&repeated_relaunch_scenario(app, rounds));
+        system.run_timed(&repeated_relaunch_scenario(app, rounds));
         let target_id = system.workload(app).app;
         let ariadne = system
             .scheme_mut()
@@ -106,7 +102,7 @@ mod tests {
             .iter()
             .filter(|e| {
                 matches!(
-                    e,
+                    e.event,
                     ScenarioEvent::Relaunch {
                         app: AppName::Twitter,
                         ..

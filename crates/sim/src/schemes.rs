@@ -23,8 +23,6 @@ pub enum SchemeSpec {
         sizes: SizeConfig,
         /// EHL or AL evaluation mode.
         mode: HotListMode,
-        /// Whether proactive decompression is enabled.
-        predecomp: bool,
     },
 }
 
@@ -35,33 +33,27 @@ impl SchemeSpec {
         let mut specs = Vec::new();
         for sizes in [SizeConfig::k1_k2_k16(), SizeConfig::b256_k2_k32()] {
             for mode in [HotListMode::ExcludeHotList, HotListMode::AllLists] {
-                specs.push(SchemeSpec::Ariadne {
-                    sizes,
-                    mode,
-                    predecomp: true,
-                });
+                specs.push(SchemeSpec::Ariadne { sizes, mode });
             }
         }
         specs
     }
 
-    /// Shorthand for an EHL Ariadne spec with pre-decompression enabled.
+    /// Shorthand for an EHL Ariadne spec.
     #[must_use]
     pub fn ariadne_ehl(sizes: SizeConfig) -> SchemeSpec {
         SchemeSpec::Ariadne {
             sizes,
             mode: HotListMode::ExcludeHotList,
-            predecomp: true,
         }
     }
 
-    /// Shorthand for an AL Ariadne spec with pre-decompression enabled.
+    /// Shorthand for an AL Ariadne spec.
     #[must_use]
     pub fn ariadne_al(sizes: SizeConfig) -> SchemeSpec {
         SchemeSpec::Ariadne {
             sizes,
             mode: HotListMode::AllLists,
-            predecomp: true,
         }
     }
 
@@ -80,17 +72,11 @@ impl SchemeSpec {
             SchemeSpec::Zswap => Box::new(ZramScheme::new(
                 memory.with_writeback(WritebackPolicy::WritebackToFlash),
             )),
-            SchemeSpec::Ariadne {
-                sizes,
-                mode,
-                predecomp,
-            } => {
+            SchemeSpec::Ariadne { sizes, mode } => {
                 // Ariadne swaps compressed cold data to flash when the zpool
                 // fills (§4.1), i.e. it always behaves like ZSWAP for overflow.
                 let memory = memory.with_writeback(WritebackPolicy::WritebackToFlash);
-                let mut config = AriadneConfig::new(sizes, mode, memory);
-                config.predecomp_enabled = predecomp;
-                Box::new(AriadneScheme::new(config))
+                Box::new(AriadneScheme::new(AriadneConfig::new(sizes, mode, memory)))
             }
         }
     }
@@ -103,7 +89,7 @@ impl SchemeSpec {
             SchemeSpec::Swap => "SWAP".to_string(),
             SchemeSpec::Zram => "ZRAM".to_string(),
             SchemeSpec::Zswap => "ZSWAP".to_string(),
-            SchemeSpec::Ariadne { sizes, mode, .. } => format!("Ariadne-{mode}-{sizes}"),
+            SchemeSpec::Ariadne { sizes, mode } => format!("Ariadne-{mode}-{sizes}"),
         }
     }
 }

@@ -1,37 +1,36 @@
 //! The whole-system driver: a discrete-event engine that launches,
 //! backgrounds and relaunches applications against a swap scheme.
 //!
-//! Scenario events — from the legacy [`Scenario`] lists or from the timed
-//! [`TimedScenario`] DSL — are pushed into a deterministic
-//! [`EventQueue`] and are popped in
-//! `(time, class, seq)` order. kswapd-style background reclaim and deferred
-//! scheme work (ZSWAP writeback flushes, Ariadne pre-decompression refills)
-//! are scheduled as events of their own rather than inlined calls, so
+//! The events of a [`TimedScenario`] are pushed into a deterministic
+//! [`EventQueue`] and are popped in `(time, class, seq)` order; running a
+//! scenario ([`MobileSystem::run_timed`]) or stepping through one
+//! ([`MobileSystem::enqueue`], [`MobileSystem::step`]) is the only way to
+//! drive a system. kswapd-style background reclaim and deferred scheme work
+//! (ZSWAP writeback flushes, Ariadne pre-decompression refills) are
+//! scheduled as events of their own rather than inlined calls, so
 //! concurrent multi-app timelines can interleave relaunches with background
-//! pressure. Legacy scenarios convert via [`Scenario::timeline`] into a
-//! strictly ordered stream that replays with semantics (and numbers)
-//! identical to the old synchronous loop.
+//! pressure, while a [`TimedScenario::sequence`] runs each event and its
+//! kswapd pass to completion before the next one.
 
 use crate::engine::{EngineEvent, EventQueue};
 use crate::lifecycle::{AppState, Lmkd, LmkdConfig, ProcessTable};
 use crate::schemes::SchemeSpec;
 use ariadne_compress::{CostNanos, ThermalConfig};
 use ariadne_mem::{
-    CpuBreakdown, FlashIoConfig, PageLocation, SimClock, SimInstant, Watermarks, PAGE_SIZE,
+    CpuBreakdown, FlashIoConfig, PageId, PageLocation, SimClock, SimInstant, Watermarks, PAGE_SIZE,
 };
 use ariadne_obs::{
     metrics::names as metric_names, Histogram, MetricsHandle, MetricsRegistry, TraceEventKind,
     TraceHandle,
 };
 use ariadne_trace::{
-    AppMask, AppName, AppWorkload, DeviceClass, Scenario, ScenarioEvent, TimedScenario,
-    WorkloadBuilder,
+    AppMask, AppName, AppWorkload, DeviceClass, ScenarioEvent, TimedScenario, WorkloadBuilder,
 };
 use ariadne_zram::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
     SchemeContext, SchemeStats, SwapScheme,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simulated nanoseconds between successive deferred-work drain ticks.
@@ -49,8 +48,6 @@ pub struct SimulationConfig {
     /// Scale denominator applied to both workload volumes and memory sizes.
     /// 1 reproduces the full Pixel 7; the experiments default to 64.
     pub scale: usize,
-    /// Number of relaunch traces generated per application.
-    pub relaunches: usize,
     /// The flash-device I/O model every scheme is built with (queued/async
     /// by default; the `writeback` experiment overrides it per cell).
     pub io: FlashIoConfig,
@@ -60,9 +57,6 @@ pub struct SimulationConfig {
     /// pools, and I/O-heavy experiments use this knob to reproduce that
     /// regime (sustained writeback traffic). 1 leaves the paper's sizing.
     pub zpool_shrink: usize,
-    /// Thresholds and pacing of the low-memory killer. Only consulted when
-    /// the scenario arms lmkd ([`TimedScenario::lmkd`]).
-    pub lmkd: LmkdConfig,
     /// The thermal throttling model (see
     /// [`ariadne_compress::ThermalConfig`]). Disabled by default, in which
     /// case every cost is byte-identical to a build without the model.
@@ -77,16 +71,14 @@ pub struct SimulationConfig {
 }
 
 impl SimulationConfig {
-    /// The default experiment configuration (scale 64, five relaunches).
+    /// The default experiment configuration (scale 64).
     #[must_use]
     pub fn new(seed: u64) -> Self {
         SimulationConfig {
             seed,
             scale: 64,
-            relaunches: 5,
             io: FlashIoConfig::ufs31(),
             zpool_shrink: 1,
-            lmkd: LmkdConfig::default(),
             thermal: ThermalConfig::off(),
             device: DeviceClass::Flagship12Gb,
             incompressible: AppMask::none(),
@@ -112,13 +104,6 @@ impl SimulationConfig {
     #[must_use]
     pub fn with_zpool_shrink(mut self, shrink: usize) -> Self {
         self.zpool_shrink = shrink.max(1);
-        self
-    }
-
-    /// Override the low-memory-killer thresholds.
-    #[must_use]
-    pub fn with_lmkd(mut self, lmkd: LmkdConfig) -> Self {
-        self.lmkd = lmkd;
         self
     }
 
@@ -167,7 +152,6 @@ impl SimulationConfig {
     pub fn workloads(&self) -> Vec<AppWorkload> {
         WorkloadBuilder::new(self.seed)
             .scale(self.scale)
-            .relaunches(self.relaunches)
             .incompressible(self.incompressible)
             .build_all()
     }
@@ -220,6 +204,17 @@ impl RelaunchMeasurement {
     }
 }
 
+/// What one access replay added up: the latency and I/O stall of its
+/// accesses, the pages it touched, and how many of them were found in each
+/// location (indexed like [`PageLocation::ALL`]).
+#[derive(Default)]
+struct Replay {
+    latency: CostNanos,
+    io_stall: CostNanos,
+    pages: usize,
+    found_in: [usize; PageLocation::ALL.len()],
+}
+
 /// A single kill executed by the low-memory killer (or an explicit
 /// scenario kill), as reported by [`MobileSystem::kill_records`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,7 +255,6 @@ pub struct MobileSystem {
     /// Shared (`Arc`) so event handlers can hold a workload across `&mut
     /// self` scheme calls without deep-copying its page and trace vectors.
     workloads: HashMap<AppName, Arc<AppWorkload>>,
-    launched: HashSet<AppName>,
     measurements: Vec<RelaunchMeasurement>,
     queue: EventQueue,
     drains_enabled: bool,
@@ -315,7 +309,6 @@ impl MobileSystem {
                 .into_iter()
                 .map(|w| (w.name, Arc::new(w)))
                 .collect(),
-            launched: HashSet::new(),
             measurements: Vec::new(),
             queue: EventQueue::new(),
             drains_enabled: false,
@@ -327,7 +320,7 @@ impl MobileSystem {
             io_completions: 0,
             pressure_spikes: 0,
             procs: ProcessTable::new(),
-            lmkd: Lmkd::new(config.lmkd),
+            lmkd: Lmkd::new(LmkdConfig::default()),
             lmkd_enabled: false,
             lmkd_pending: false,
             memory_stall: CostNanos::zero(),
@@ -486,12 +479,14 @@ impl MobileSystem {
         registry
     }
 
-    /// Applications that have been launched so far, in name order.
+    /// Applications that have run so far (alive or killed), in
+    /// [`AppName::ALL`] order.
     #[must_use]
     pub fn launched_apps(&self) -> Vec<AppName> {
-        let mut apps: Vec<AppName> = self.launched.iter().copied().collect();
-        apps.sort_by_key(|a| a.uid());
-        apps
+        AppName::ALL
+            .into_iter()
+            .filter(|&app| self.procs.state(app).is_some())
+            .collect()
     }
 
     /// Number of events the engine has dispatched.
@@ -583,7 +578,7 @@ impl MobileSystem {
 
     /// Access a single page through the scheme on this system's clock (a
     /// probe used by invariant tests and scheme-specific experiments).
-    pub fn touch(&mut self, page: ariadne_mem::PageId, kind: AccessKind) -> AccessOutcome {
+    pub fn touch(&mut self, page: PageId, kind: AccessKind) -> AccessOutcome {
         self.scheme.access(page, kind, &mut self.clock, &self.ctx)
     }
 
@@ -608,13 +603,6 @@ impl MobileSystem {
     pub fn run_timed(&mut self, scenario: &TimedScenario) {
         self.enqueue(scenario);
         while self.step().is_some() {}
-    }
-
-    /// Run a whole legacy scenario. The conversion through
-    /// [`Scenario::timeline`] preserves the flat list's total order, so this
-    /// reproduces the synchronous driver's numbers exactly.
-    pub fn run_scenario(&mut self, scenario: &Scenario) {
-        self.run_timed(&scenario.timeline());
     }
 
     /// Pop and dispatch the next pending event. Returns the dispatched event,
@@ -679,14 +667,14 @@ impl MobileSystem {
 
     fn dispatch_app_event(&mut self, event: ScenarioEvent) {
         match event {
-            ScenarioEvent::Launch(app) => self.do_launch(app),
+            ScenarioEvent::Launch(app) => {
+                self.do_launch(app);
+            }
             ScenarioEvent::Background(app) => self.do_background(app),
             ScenarioEvent::Relaunch {
                 app,
                 relaunch_index,
-            } => {
-                self.do_relaunch(app, relaunch_index);
-            }
+            } => self.do_relaunch(app, relaunch_index),
             ScenarioEvent::Idle { millis } => self.do_idle(millis),
             ScenarioEvent::Pressure { dram_percent } => self.do_pressure(dram_percent),
         }
@@ -760,61 +748,12 @@ impl MobileSystem {
     }
 
     // ------------------------------------------------------------------
-    // Legacy imperative API (each call runs synchronously, including the
-    // kswapd pass that follows every app-lifecycle transition)
-    // ------------------------------------------------------------------
-
-    /// Run a single scenario event synchronously.
-    pub fn run_event(&mut self, event: ScenarioEvent) {
-        match event {
-            ScenarioEvent::Launch(app) => self.launch(app),
-            ScenarioEvent::Background(app) => self.background(app),
-            ScenarioEvent::Relaunch {
-                app,
-                relaunch_index,
-            } => {
-                self.relaunch(app, relaunch_index);
-            }
-            ScenarioEvent::Idle { millis } => self.idle(millis),
-            ScenarioEvent::Pressure { dram_percent } => {
-                self.do_pressure(dram_percent);
-                self.kswapd_run();
-            }
-        }
-    }
-
-    /// Cold-launch `app`: create its anonymous pages and touch its launch
-    /// (hot) data set.
-    pub fn launch(&mut self, app: AppName) {
-        self.do_launch(app);
-        self.kswapd_run();
-    }
-
-    /// Send `app` to the background.
-    pub fn background(&mut self, app: AppName) {
-        self.do_background(app);
-        self.kswapd_run();
-    }
-
-    /// Hot-launch (relaunch) `app`, replaying its `relaunch_index`-th trace.
-    /// Returns the measurement (also recorded in [`MobileSystem::measurements`]).
-    pub fn relaunch(&mut self, app: AppName, relaunch_index: usize) -> RelaunchMeasurement {
-        let measurement = self.do_relaunch(app, relaunch_index);
-        self.kswapd_run();
-        measurement
-    }
-
-    /// The user pauses; background reclaim gets a chance to run.
-    pub fn idle(&mut self, millis: u64) {
-        self.do_idle(millis);
-        self.kswapd_run();
-    }
-
-    // ------------------------------------------------------------------
     // Event handlers
     // ------------------------------------------------------------------
 
-    fn do_launch(&mut self, app: AppName) {
+    /// Cold-launch `app`: create its anonymous pages and replay its launch
+    /// set (the hot set of its first relaunch trace).
+    fn do_launch(&mut self, app: AppName) -> Replay {
         let workload = self.workloads[&app].clone();
         self.scheme.on_foreground(workload.app);
         self.procs.on_foreground(app);
@@ -822,13 +761,8 @@ impl MobileSystem {
             self.scheme
                 .register_page(spec.page, &mut self.clock, &self.ctx);
         }
-        for &page in &workload.relaunches[0].hot_accesses {
-            let outcome = self
-                .scheme
-                .access(page, AccessKind::Launch, &mut self.clock, &self.ctx);
-            self.note_stall(app, &outcome);
-        }
-        self.launched.insert(app);
+        let launch_set = &workload.relaunches[0].hot_accesses;
+        self.replay(app, launch_set, AccessKind::Launch)
     }
 
     fn do_background(&mut self, app: AppName) {
@@ -837,101 +771,69 @@ impl MobileSystem {
         self.procs.on_background(app);
     }
 
-    fn do_relaunch(&mut self, app: AppName, relaunch_index: usize) -> RelaunchMeasurement {
-        if self.procs.is_killed(app) {
-            // The process is gone: the user pays a full cold launch.
-            return self.do_cold_relaunch(app);
-        }
-        if !self.launched.contains(&app) {
-            // Mirror the old driver exactly: an implicit cold launch runs its
-            // own kswapd pass before the relaunch replay begins.
-            self.do_launch(app);
-            self.kswapd_run();
-        }
+    /// Relaunch `app`, replaying its `relaunch_index`-th trace (clamped to
+    /// the traces generated), and record the measurement.
+    ///
+    /// A **killed** application's process must be created from scratch: the
+    /// user pays the per-profile cold-start cost (process creation,
+    /// application init) plus a full launch — none of it can be served from
+    /// the zpool or flash, because the kill freed the entire footprint.
+    fn do_relaunch(&mut self, app: AppName, relaunch_index: usize) {
         let workload = self.workloads[&app].clone();
-        let index = relaunch_index.min(workload.relaunches.len() - 1);
-        let trace = &workload.relaunches[index];
-
-        self.scheme.on_relaunch_start(workload.app);
-        self.procs.on_foreground(app);
-        let mut latency = CostNanos::zero();
-        let mut io_stall = CostNanos::zero();
-        let mut found_in: HashMap<PageLocation, usize> = HashMap::new();
-        for &page in &trace.hot_accesses {
-            let outcome =
-                self.scheme
-                    .access(page, AccessKind::Relaunch, &mut self.clock, &self.ctx);
-            latency += outcome.latency;
-            io_stall += outcome.io_stall;
-            *found_in.entry(outcome.found_in).or_insert(0) += 1;
-            self.note_stall(app, &outcome);
-        }
-        self.scheme.on_relaunch_end(workload.app);
-
-        // Post-relaunch execution: warm accesses, not on the critical path.
-        for &page in &trace.execution_accesses {
-            let outcome =
-                self.scheme
-                    .access(page, AccessKind::Execution, &mut self.clock, &self.ctx);
-            self.note_stall(app, &outcome);
-        }
-
+        let (kind, replay) = if self.procs.is_killed(app) {
+            let init = workload.profile.cold_start_cost(self.config.scale);
+            self.clock.advance(init);
+            let mut replay = self.do_launch(app);
+            replay.latency += init;
+            (RelaunchKind::Cold, replay)
+        } else {
+            if self.procs.state(app).is_none() {
+                // An app that never ran launches first, with a kswapd pass
+                // of its own before the relaunch replay begins.
+                self.do_launch(app);
+                self.kswapd_run();
+            }
+            let index = relaunch_index.min(workload.relaunches.len() - 1);
+            let trace = &workload.relaunches[index];
+            self.scheme.on_relaunch_start(workload.app);
+            self.procs.on_foreground(app);
+            let replay = self.replay(app, &trace.hot_accesses, AccessKind::Relaunch);
+            self.scheme.on_relaunch_end(workload.app);
+            // Post-relaunch execution: warm accesses, not on the critical path.
+            self.replay(app, &trace.execution_accesses, AccessKind::Execution);
+            (RelaunchKind::Warm, replay)
+        };
         let measurement = RelaunchMeasurement {
             app,
-            kind: RelaunchKind::Warm,
-            latency,
-            io_stall,
-            pages_accessed: trace.hot_accesses.len(),
-            found_in,
+            kind,
+            latency: replay.latency,
+            io_stall: replay.io_stall,
+            pages_accessed: replay.pages,
+            found_in: PageLocation::ALL
+                .into_iter()
+                .zip(replay.found_in)
+                .filter(|&(_, pages)| pages > 0)
+                .collect(),
         };
         self.trace_relaunch(&measurement);
-        self.measurements.push(measurement.clone());
-        measurement
+        self.measurements.push(measurement);
     }
 
-    /// A relaunch of a **killed** application: the process must be created
-    /// from scratch, so the user pays the per-profile cold-start cost
-    /// (process creation, application init) plus the rebuilding of the
-    /// launch data set — none of it can be served from the zpool or flash,
-    /// because the kill freed the entire footprint.
-    fn do_cold_relaunch(&mut self, app: AppName) -> RelaunchMeasurement {
-        let workload = self.workloads[&app].clone();
-        // Process re-creation and application initialisation: app CPU that a
-        // warm relaunch never pays, from the calibrated profile.
-        let init = workload.profile.cold_start_cost(self.config.scale);
-        self.clock.advance(init);
-
-        self.scheme.on_foreground(workload.app);
-        self.procs.on_foreground(app);
-        let mut latency = init;
-        let mut io_stall = CostNanos::zero();
-        let mut found_in: HashMap<PageLocation, usize> = HashMap::new();
-        for spec in &workload.pages {
-            self.scheme
-                .register_page(spec.page, &mut self.clock, &self.ctx);
-        }
-        for &page in &workload.relaunches[0].hot_accesses {
-            let outcome = self
-                .scheme
-                .access(page, AccessKind::Launch, &mut self.clock, &self.ctx);
-            latency += outcome.latency;
-            io_stall += outcome.io_stall;
-            *found_in.entry(outcome.found_in).or_insert(0) += 1;
+    /// Access `pages` of `app` in order as `kind`, feeding every access to
+    /// PSI, and add up what the accesses cost and where the pages were.
+    fn replay(&mut self, app: AppName, pages: &[PageId], kind: AccessKind) -> Replay {
+        let mut replay = Replay {
+            pages: pages.len(),
+            ..Replay::default()
+        };
+        for &page in pages {
+            let outcome = self.scheme.access(page, kind, &mut self.clock, &self.ctx);
+            replay.latency += outcome.latency;
+            replay.io_stall += outcome.io_stall;
+            replay.found_in[outcome.found_in as usize] += 1;
             self.note_stall(app, &outcome);
         }
-        self.launched.insert(app);
-
-        let measurement = RelaunchMeasurement {
-            app,
-            kind: RelaunchKind::Cold,
-            latency,
-            io_stall,
-            pages_accessed: workload.relaunches[0].hot_accesses.len(),
-            found_in,
-        };
-        self.trace_relaunch(&measurement);
-        self.measurements.push(measurement.clone());
-        measurement
+        replay
     }
 
     /// Kill `app`: the scheme frees its entire footprint across DRAM, the
@@ -1157,11 +1059,15 @@ mod tests {
         );
     }
 
+    /// Run `events` as one sequence on `system`.
+    fn run(system: &mut MobileSystem, events: impl IntoIterator<Item = ScenarioEvent>) {
+        system.run_timed(&TimedScenario::sequence("test", events));
+    }
+
     #[test]
     fn relaunch_study_produces_a_measurement_per_relaunch() {
         let mut system = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        let scenario = Scenario::relaunch_study(AppName::Twitter);
-        system.run_scenario(&scenario);
+        system.run_timed(&TimedScenario::relaunch_study(AppName::Twitter));
         assert_eq!(system.measurements().len(), 1);
         let m = &system.measurements()[0];
         assert_eq!(m.app, AppName::Twitter);
@@ -1171,11 +1077,11 @@ mod tests {
 
     #[test]
     fn dram_baseline_is_faster_than_zram_under_pressure() {
-        let scenario = Scenario::relaunch_study(AppName::Youtube);
+        let scenario = TimedScenario::relaunch_study(AppName::Youtube);
         let mut dram = MobileSystem::new(SchemeSpec::Dram, quick_config());
-        dram.run_scenario(&scenario);
+        dram.run_timed(&scenario);
         let mut zram = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        zram.run_scenario(&scenario);
+        zram.run_timed(&scenario);
         assert!(
             zram.average_relaunch_millis() > dram.average_relaunch_millis(),
             "zram {} vs dram {}",
@@ -1187,7 +1093,7 @@ mod tests {
     #[test]
     fn memory_pressure_triggers_compression_under_zram() {
         let mut system = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        system.run_scenario(&Scenario::relaunch_study(AppName::Firefox));
+        system.run_timed(&TimedScenario::relaunch_study(AppName::Firefox));
         assert!(
             system.stats().compression_ops > 0,
             "no compression happened"
@@ -1198,16 +1104,37 @@ mod tests {
     #[test]
     fn relaunching_an_unlaunched_app_launches_it_first() {
         let mut system = MobileSystem::new(SchemeSpec::Dram, quick_config());
-        let measurement = system.relaunch(AppName::Edge, 0);
+        run(
+            &mut system,
+            [ScenarioEvent::Relaunch {
+                app: AppName::Edge,
+                relaunch_index: 0,
+            }],
+        );
+        assert_eq!(system.launched_apps(), vec![AppName::Edge]);
+        let measurement = &system.measurements()[0];
+        assert_eq!(measurement.kind, RelaunchKind::Warm);
         assert!(measurement.pages_accessed > 0);
     }
 
     #[test]
     fn relaunch_index_is_clamped_to_available_traces() {
         let mut system = MobileSystem::new(SchemeSpec::Dram, quick_config());
-        system.launch(AppName::TikTok);
-        let measurement = system.relaunch(AppName::TikTok, 99);
-        assert!(measurement.pages_accessed > 0);
+        run(
+            &mut system,
+            [
+                ScenarioEvent::Launch(AppName::TikTok),
+                ScenarioEvent::Relaunch {
+                    app: AppName::TikTok,
+                    relaunch_index: 99,
+                },
+            ],
+        );
+        let last = system.workload(AppName::TikTok).relaunches.last().unwrap();
+        assert_eq!(
+            system.measurements()[0].pages_accessed,
+            last.hot_accesses.len()
+        );
     }
 
     #[test]
@@ -1221,30 +1148,6 @@ mod tests {
             found_in: HashMap::new(),
         };
         assert!((m.full_scale_millis(64) - 128.0).abs() < 1e-9);
-    }
-
-    /// The semantics-preservation contract of the refactor: replaying a
-    /// legacy scenario through the event engine produces exactly the numbers
-    /// the old synchronous loop produced (here reproduced by the imperative
-    /// `run_event` path).
-    #[test]
-    fn event_engine_reproduces_the_synchronous_replay_exactly() {
-        for scenario in [
-            Scenario::relaunch_study(AppName::Youtube),
-            Scenario::light_switching(1),
-        ] {
-            let mut engine = MobileSystem::new(SchemeSpec::Zram, quick_config());
-            engine.run_scenario(&scenario);
-
-            let mut sync = MobileSystem::new(SchemeSpec::Zram, quick_config());
-            for event in &scenario.events {
-                sync.run_event(*event);
-            }
-
-            assert_eq!(engine.measurements(), sync.measurements());
-            assert_eq!(engine.stats(), sync.stats());
-            assert_eq!(engine.cpu(), sync.cpu());
-        }
     }
 
     #[test]
@@ -1268,10 +1171,10 @@ mod tests {
     #[test]
     fn pressure_spikes_reclaim_resident_memory() {
         let mut system = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        system.launch(AppName::Twitter);
+        run(&mut system, [ScenarioEvent::Launch(AppName::Twitter)]);
         let before = system.scheme().tiers().dram.used_bytes();
         assert!(before > 0);
-        system.run_event(ScenarioEvent::Pressure { dram_percent: 30 });
+        run(&mut system, [ScenarioEvent::Pressure { dram_percent: 30 }]);
         assert_eq!(system.pressure_spikes(), 1);
         assert!(
             system.scheme().tiers().dram.used_bytes() < before,
@@ -1283,17 +1186,25 @@ mod tests {
     #[test]
     fn killed_apps_relaunch_cold_with_the_profile_cold_start_cost() {
         let mut system = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        system.launch(AppName::Twitter);
-        system.background(AppName::Twitter);
-        let warm = system.relaunch(AppName::Twitter, 0);
-        assert_eq!(warm.kind, RelaunchKind::Warm);
-        system.background(AppName::Twitter);
+        run(
+            &mut system,
+            [
+                ScenarioEvent::Launch(AppName::Twitter),
+                ScenarioEvent::Background(AppName::Twitter),
+                ScenarioEvent::Relaunch {
+                    app: AppName::Twitter,
+                    relaunch_index: 0,
+                },
+                ScenarioEvent::Background(AppName::Twitter),
+            ],
+        );
+        assert_eq!(system.measurements()[0].kind, RelaunchKind::Warm);
 
         let footprint = system.kill_app(AppName::Twitter);
         assert!(footprint.total_pages() > 0);
         assert_eq!(system.app_state(AppName::Twitter), Some(AppState::Killed));
         assert_eq!(system.kills(), 1);
-        let pages: Vec<ariadne_mem::PageId> = system
+        let pages: Vec<PageId> = system
             .workload(AppName::Twitter)
             .pages
             .iter()
@@ -1303,7 +1214,16 @@ mod tests {
             assert_eq!(system.scheme().location_of(page), PageLocation::Absent);
         }
 
-        let cold = system.relaunch(AppName::Twitter, 1);
+        run(
+            &mut system,
+            [ScenarioEvent::Relaunch {
+                app: AppName::Twitter,
+                relaunch_index: 1,
+            }],
+        );
+        let [warm, cold] = system.measurements() else {
+            panic!("expected one warm and one cold relaunch");
+        };
         assert_eq!(cold.kind, RelaunchKind::Cold);
         assert!(
             cold.latency >= AppName::Twitter.profile().cold_start_cost(512),
@@ -1332,11 +1252,11 @@ mod tests {
     #[test]
     fn memory_stall_accumulates_only_off_the_dram_fast_path() {
         let mut dram = MobileSystem::new(SchemeSpec::Dram, quick_config());
-        dram.run_scenario(&Scenario::relaunch_study(AppName::Youtube));
+        dram.run_timed(&TimedScenario::relaunch_study(AppName::Youtube));
         assert_eq!(dram.memory_stall(), CostNanos::zero());
 
         let mut zram = MobileSystem::new(SchemeSpec::Zram, quick_config());
-        zram.run_scenario(&Scenario::relaunch_study(AppName::Youtube));
+        zram.run_timed(&TimedScenario::relaunch_study(AppName::Youtube));
         assert!(zram.memory_stall() > CostNanos::zero());
     }
 

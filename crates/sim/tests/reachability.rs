@@ -9,7 +9,7 @@
 use ariadne_core::SizeConfig;
 use ariadne_mem::{PageId, PageLocation, PAGE_SIZE};
 use ariadne_sim::{AppState, MobileSystem, RelaunchKind, SchemeSpec, SimulationConfig};
-use ariadne_trace::{AppName, TimedScenario};
+use ariadne_trace::{AppName, ScenarioEvent, TimedScenario};
 use ariadne_zram::AccessKind;
 
 fn config() -> SimulationConfig {
@@ -184,17 +184,55 @@ fn release_app_frees_every_page_and_leaks_nothing_across_schemes() {
 fn killed_apps_come_back_fully_reachable_after_a_cold_launch() {
     for (spec, _) in all_specs() {
         let mut system = MobileSystem::new(spec, config());
-        system.launch(AppName::Twitter);
-        system.background(AppName::Twitter);
+        system.run_timed(&TimedScenario::sequence(
+            "launch",
+            [
+                ScenarioEvent::Launch(AppName::Twitter),
+                ScenarioEvent::Background(AppName::Twitter),
+            ],
+        ));
         system.kill_app(AppName::Twitter);
         assert_eq!(system.app_state(AppName::Twitter), Some(AppState::Killed));
 
-        let measurement = system.relaunch(AppName::Twitter, 0);
-        assert_eq!(measurement.kind, RelaunchKind::Cold, "{spec}");
+        system.run_timed(&TimedScenario::sequence(
+            "relaunch",
+            [ScenarioEvent::Relaunch {
+                app: AppName::Twitter,
+                relaunch_index: 0,
+            }],
+        ));
+        assert_eq!(system.measurements()[0].kind, RelaunchKind::Cold, "{spec}");
         assert_eq!(system.app_state(AppName::Twitter), Some(AppState::Alive));
         for page in registered_pages(&system) {
             let outcome = system.touch(page, AccessKind::Execution);
             assert_ne!(outcome.found_in, PageLocation::Absent, "{spec}: {page:?}");
+        }
+    }
+}
+
+/// Every page a measured relaunch touched is accounted to exactly one
+/// location: the `found_in` counts of each warm and cold relaunch of the
+/// kill storm sum to `pages_accessed`, with no zero entries.
+#[test]
+fn found_in_accounts_for_every_relaunch_page() {
+    let scenario = TimedScenario::kill_storm();
+    for (spec, _) in all_specs() {
+        let mut system = MobileSystem::new(spec, config());
+        system.run_timed(&scenario);
+        assert_eq!(system.measurements().len(), scenario.relaunch_count());
+        for m in system.measurements() {
+            assert_eq!(
+                m.found_in.values().sum::<usize>(),
+                m.pages_accessed,
+                "{spec}: {} {:?} relaunch",
+                m.app,
+                m.kind
+            );
+            assert!(
+                m.found_in.values().all(|&pages| pages > 0),
+                "{spec}: zero entry in {:?}",
+                m.found_in
+            );
         }
     }
 }

@@ -21,10 +21,14 @@
 //! pages, ground-truth hotness labels and relaunch access traces) and
 //! [`PageDataGenerator`] (deterministically synthesises the *bytes* of any
 //! page so compression ratios are real without storing gigabytes).
-//! [`ScenarioBuilder`] composes timestamped multi-application scenarios —
-//! launch storms, background churn, relaunch-under-pressure — into the
-//! [`TimedScenario`] event streams the discrete-event engine in
-//! `ariadne-sim` consumes.
+//!
+//! Every workload is a [`TimedScenario`], the event stream the
+//! discrete-event engine in `ariadne-sim` consumes. The paper's fixed
+//! workloads — [`TimedScenario::relaunch_study`] and the light and heavy
+//! switching of Table 2 — are strictly ordered
+//! [`TimedScenario::sequence`]s; [`ScenarioBuilder`] composes overlapping
+//! multi-application scenarios — launch storms, background churn,
+//! relaunch-under-pressure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +45,4 @@ pub use device::DeviceClass;
 pub use locality::{measure_consecutive_probability, RunLengthSampler};
 pub use profiles::{AdversarialMix, AppMask, AppName, AppProfile};
 pub use scenario::{ScenarioBuilder, TimedEvent, TimedScenario};
-pub use workload::{
-    AppWorkload, PageSpec, RelaunchTrace, Scenario, ScenarioEvent, ScenarioKind, WorkloadBuilder,
-};
+pub use workload::{AppWorkload, PageSpec, RelaunchTrace, ScenarioEvent, WorkloadBuilder};

@@ -1,23 +1,18 @@
-//! The timed scenario DSL.
-//!
-//! The legacy [`Scenario`] type is a flat, strictly ordered list of events:
-//! the driver replays them one at a time, so two applications can never be
-//! mid-flight at once. This module adds the composable, *timestamped* layer
-//! the discrete-event engine consumes:
+//! The timed scenario DSL: every workload the discrete-event engine runs.
 //!
 //! * [`TimedEvent`] — a [`ScenarioEvent`] stamped with the simulated instant
 //!   at which it is injected;
 //! * [`TimedScenario`] — a named stream of timed events, sorted by time with
 //!   ties broken by insertion order (the engine's determinism contract);
+//! * [`TimedScenario::sequence`] — a strictly ordered stream, event *i*
+//!   stamped *i* nanoseconds after the epoch, so two applications are never
+//!   mid-flight at once. The paper's fixed workloads are sequences:
+//!   [`TimedScenario::relaunch_study`] (§5) and the light and heavy
+//!   switching of Table 2;
 //! * [`ScenarioBuilder`] — a cursor-based builder with combinators for the
 //!   concurrent usage patterns the paper's setting implies: launch storms,
 //!   background-app churn, relaunch-under-pressure and memory-pressure
 //!   spikes.
-//!
-//! Every legacy [`Scenario`] converts losslessly via [`Scenario::timeline`]:
-//! event *i* is stamped *i* nanoseconds after the epoch, which preserves the
-//! original total order exactly (the event engine replays it with identical
-//! semantics to the old synchronous loop).
 //!
 //! ```
 //! use ariadne_trace::{AppName, ScenarioBuilder};
@@ -35,7 +30,7 @@
 //! ```
 
 use crate::profiles::AppName;
-use crate::workload::{Scenario, ScenarioEvent, ScenarioKind};
+use crate::workload::ScenarioEvent;
 use serde::{Deserialize, Serialize};
 
 const NANOS_PER_MILLI: u128 = 1_000_000;
@@ -66,18 +61,96 @@ pub struct TimedScenario {
     pub events: Vec<TimedEvent>,
     /// Whether the engine may schedule deferred background work (ZSWAP-style
     /// writeback flushes, Ariadne pre-decompression drains) between events.
-    /// Legacy conversions leave this off so they replay with byte-identical
-    /// semantics to the synchronous driver.
+    /// Sequences and the default builder leave it off.
     pub background_drains: bool,
     /// Whether the low-memory killer (lmkd) is armed for this scenario: the
     /// engine then samples PSI-style memory pressure and may kill cached
     /// background apps, turning their next relaunch into a cold launch.
-    /// Legacy conversions and the default builder leave it off so existing
-    /// scenarios replay unchanged.
+    /// Sequences and the default builder leave it off.
     pub lmkd: bool,
 }
 
 impl TimedScenario {
+    /// A strictly ordered sequence: event *i* is stamped *i* nanoseconds
+    /// after the epoch, with background drains and lmkd off. Each event —
+    /// and the kswapd pass it schedules — therefore finishes before the
+    /// next one starts.
+    #[must_use]
+    pub fn sequence(
+        name: impl Into<String>,
+        events: impl IntoIterator<Item = ScenarioEvent>,
+    ) -> Self {
+        TimedScenario {
+            name: name.into(),
+            events: events
+                .into_iter()
+                .enumerate()
+                .map(|(i, event)| TimedEvent {
+                    at_nanos: i as u128,
+                    event,
+                })
+                .collect(),
+            background_drains: false,
+            lmkd: false,
+        }
+    }
+
+    /// The paper's relaunch study (§5): launch the target, background it,
+    /// launch the nine other applications to build memory pressure, then
+    /// relaunch the target.
+    #[must_use]
+    pub fn relaunch_study(target: AppName) -> Self {
+        let mut events = vec![
+            ScenarioEvent::Launch(target),
+            ScenarioEvent::Background(target),
+        ];
+        for app in AppName::ALL.into_iter().filter(|&app| app != target) {
+            events.extend([ScenarioEvent::Launch(app), ScenarioEvent::Background(app)]);
+        }
+        events.push(ScenarioEvent::Relaunch {
+            app: target,
+            relaunch_index: 0,
+        });
+        Self::sequence("relaunch-study", events)
+    }
+
+    /// The light workload of Table 2: launch the ten applications, then
+    /// switch between them for `rounds` rounds with a one-second
+    /// intermission after each relaunch.
+    #[must_use]
+    pub fn light_switching(rounds: usize) -> Self {
+        Self::switching(
+            "light-switching",
+            rounds,
+            Some(ScenarioEvent::Idle { millis: 1000 }),
+        )
+    }
+
+    /// The heavy workload of Table 2: launch the ten applications, then
+    /// relaunch them back to back for `rounds` rounds with no intermission.
+    #[must_use]
+    pub fn heavy_switching(rounds: usize) -> Self {
+        Self::switching("heavy-switching", rounds, None)
+    }
+
+    fn switching(name: &str, rounds: usize, intermission: Option<ScenarioEvent>) -> Self {
+        let mut events = Vec::new();
+        for app in AppName::ALL {
+            events.extend([ScenarioEvent::Launch(app), ScenarioEvent::Background(app)]);
+        }
+        for round in 0..rounds {
+            for app in AppName::ALL {
+                events.push(ScenarioEvent::Relaunch {
+                    app,
+                    relaunch_index: round % 5,
+                });
+                events.extend(intermission);
+                events.push(ScenarioEvent::Background(app));
+            }
+        }
+        Self::sequence(name, events)
+    }
+
     /// Number of relaunch events in the scenario.
     #[must_use]
     pub fn relaunch_count(&self) -> usize {
@@ -308,36 +381,6 @@ impl TimedScenario {
             .with_background_drains()
             .with_lmkd()
             .build()
-    }
-}
-
-impl Scenario {
-    /// Convert a legacy scenario into a timed one. Event *i* is stamped
-    /// *i* nanoseconds after the epoch: the strict ordering of the flat list
-    /// is preserved exactly, so the event engine replays it with the same
-    /// semantics (and therefore the same numbers) as the old synchronous
-    /// phase-replay loop.
-    #[must_use]
-    pub fn timeline(&self) -> TimedScenario {
-        let name = match self.kind {
-            ScenarioKind::Light => "light-switching",
-            ScenarioKind::Heavy => "heavy-switching",
-            ScenarioKind::RelaunchStudy => "relaunch-study",
-        };
-        TimedScenario {
-            name: name.to_string(),
-            events: self
-                .events
-                .iter()
-                .enumerate()
-                .map(|(i, event)| TimedEvent {
-                    at_nanos: i as u128,
-                    event: *event,
-                })
-                .collect(),
-            background_drains: false,
-            lmkd: false,
-        }
     }
 }
 
@@ -728,24 +771,40 @@ mod tests {
         assert!(youtube_launch.at_nanos < twitter_bg.at_nanos);
     }
 
+    /// A sequence (the paper's strictly ordered workload shape) stamps
+    /// event *i* at *i* ns, keeps the given order, and arms nothing.
     #[test]
     fn legacy_timeline_preserves_total_order() {
-        let legacy = Scenario::relaunch_study(AppName::Twitter);
-        let timed = legacy.timeline();
-        assert_eq!(timed.events.len(), legacy.events.len());
-        assert!(!timed.background_drains);
-        for (i, timed_event) in timed.events.iter().enumerate() {
-            assert_eq!(timed_event.at_nanos, i as u128);
-            assert_eq!(timed_event.event, legacy.events[i]);
+        let events = [
+            ScenarioEvent::Launch(AppName::Twitter),
+            ScenarioEvent::Idle { millis: 5 },
+            ScenarioEvent::Background(AppName::Twitter),
+            ScenarioEvent::Relaunch {
+                app: AppName::Twitter,
+                relaunch_index: 2,
+            },
+        ];
+        let sequence = TimedScenario::sequence("seq", events);
+        assert_eq!(sequence.name, "seq");
+        assert!(!sequence.background_drains);
+        assert!(!sequence.lmkd);
+        assert_eq!(sequence.events.len(), events.len());
+        for (i, timed) in sequence.events.iter().enumerate() {
+            assert_eq!(timed.at_nanos, i as u128);
+            assert_eq!(timed.event, events[i]);
         }
     }
 
+    /// The paper's fixed sequences never overlap two apps; the storm does.
     #[test]
     fn legacy_scenarios_do_not_overlap_but_the_storm_does() {
-        assert!(!Scenario::relaunch_study(AppName::Edge)
-            .timeline()
-            .has_overlap());
-        assert!(!Scenario::light_switching(1).timeline().has_overlap());
+        for sequence in [
+            TimedScenario::relaunch_study(AppName::Edge),
+            TimedScenario::light_switching(1),
+            TimedScenario::heavy_switching(1),
+        ] {
+            assert!(!sequence.has_overlap(), "{}", sequence.name);
+        }
         let storm = TimedScenario::concurrent_relaunch_storm();
         assert!(storm.has_overlap());
         assert!(storm.apps().len() >= 3);
@@ -988,9 +1047,18 @@ mod tests {
         assert_ne!(baseline.name, hostile.name);
     }
 
+    /// The paper's fixed sequences and the two non-kill storms leave lmkd
+    /// off.
     #[test]
     fn legacy_timelines_never_arm_lmkd() {
-        assert!(!Scenario::relaunch_study(AppName::Edge).timeline().lmkd);
+        for sequence in [
+            TimedScenario::relaunch_study(AppName::Edge),
+            TimedScenario::light_switching(1),
+            TimedScenario::heavy_switching(1),
+        ] {
+            assert!(!sequence.lmkd, "{}", sequence.name);
+            assert!(!sequence.background_drains, "{}", sequence.name);
+        }
         assert!(!TimedScenario::concurrent_relaunch_storm().lmkd);
         assert!(!TimedScenario::writeback_storm().lmkd);
     }

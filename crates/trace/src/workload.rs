@@ -11,9 +11,9 @@
 //!   probability `reuse_fraction` (Figure 5);
 //! * post-relaunch execution accesses over the warm set.
 //!
-//! [`Scenario`] strings several applications together into the usage patterns
-//! the paper evaluates: the 10-application relaunch study and the light /
-//! heavy switching workloads of Table 2.
+//! [`ScenarioEvent`] is one step of a usage scenario;
+//! [`TimedScenario`](crate::TimedScenario) strings the steps of several
+//! applications together.
 
 use crate::locality::RunLengthSampler;
 use crate::profiles::{AppMask, AppName, AppProfile};
@@ -23,6 +23,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+
+/// Relaunch traces generated per application: the paper relaunches each
+/// application five times.
+const RELAUNCHES: usize = 5;
 
 /// One anonymous page of an application, with its ground-truth hotness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,7 +149,6 @@ impl AppWorkload {
 pub struct WorkloadBuilder {
     seed: u64,
     scale_denominator: usize,
-    relaunch_count: usize,
     use_steady_state_volume: bool,
     incompressible: AppMask,
 }
@@ -157,7 +160,6 @@ impl WorkloadBuilder {
         WorkloadBuilder {
             seed,
             scale_denominator: 64,
-            relaunch_count: 5,
             use_steady_state_volume: true,
             incompressible: AppMask::none(),
         }
@@ -171,14 +173,6 @@ impl WorkloadBuilder {
     #[must_use]
     pub fn scale(mut self, denominator: usize) -> Self {
         self.scale_denominator = denominator.max(1);
-        self
-    }
-
-    /// Number of relaunch traces to generate (the paper relaunches each app
-    /// five times).
-    #[must_use]
-    pub fn relaunches(mut self, count: usize) -> Self {
-        self.relaunch_count = count.max(1);
         self
     }
 
@@ -314,14 +308,14 @@ impl WorkloadBuilder {
             .collect();
 
         let sampler = RunLengthSampler::from_probabilities(profile.locality_2, profile.locality_4);
-        let mut relaunches: Vec<RelaunchTrace> = Vec::with_capacity(self.relaunch_count);
+        let mut relaunches: Vec<RelaunchTrace> = Vec::with_capacity(RELAUNCHES);
         let mut current_hot: Vec<PageId> = hot_pages.clone();
         // Hot pages that fell out of the previous relaunch's hot set but are
         // still re-used as warm data (the behaviour behind Figure 5's ~98 %
         // "Reused Data").
         let mut demoted_to_warm: Vec<PageId> = Vec::new();
 
-        for _ in 0..self.relaunch_count {
+        for _ in 0..RELAUNCHES {
             let hot_accesses = Self::order_with_locality(&current_hot, &sampler, rng);
 
             // Execution accesses: a random sample of roughly half the warm
@@ -427,115 +421,12 @@ pub enum ScenarioEvent {
     /// A memory-pressure spike: the platform (e.g. a camera burst, a large
     /// file-cache allocation) suddenly demands memory, forcing the scheme to
     /// proactively reclaim the given percentage of the currently resident
-    /// anonymous data. Only emitted by the timed scenario DSL; the legacy
-    /// scenarios never contain it.
+    /// anonymous data. The [`ScenarioBuilder`](crate::ScenarioBuilder)
+    /// combinators emit it; the paper's fixed sequences never contain it.
     Pressure {
         /// Percentage (0–100) of resident anonymous bytes to reclaim.
         dram_percent: u8,
     },
-}
-
-/// The flavour of a scenario, used by the energy experiment (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScenarioKind {
-    /// Switching between applications with an intermission between switches.
-    Light,
-    /// Launching applications back-to-back with no intermission.
-    Heavy,
-    /// The relaunch-latency study of Figures 2 and 10.
-    RelaunchStudy,
-}
-
-/// A multi-application usage scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Scenario {
-    /// The flavour of the scenario.
-    pub kind: ScenarioKind,
-    /// The events, in order.
-    pub events: Vec<ScenarioEvent>,
-}
-
-impl Scenario {
-    /// The paper's relaunch study (§5): launch the target, background it,
-    /// launch the nine other applications to build memory pressure, then
-    /// relaunch the target.
-    #[must_use]
-    pub fn relaunch_study(target: AppName) -> Self {
-        let mut events = vec![
-            ScenarioEvent::Launch(target),
-            ScenarioEvent::Background(target),
-        ];
-        for app in AppName::ALL.iter().filter(|&&a| a != target) {
-            events.push(ScenarioEvent::Launch(*app));
-            events.push(ScenarioEvent::Background(*app));
-        }
-        events.push(ScenarioEvent::Relaunch {
-            app: target,
-            relaunch_index: 0,
-        });
-        Scenario {
-            kind: ScenarioKind::RelaunchStudy,
-            events,
-        }
-    }
-
-    /// The light workload of Table 2: switch between the ten applications
-    /// with a one-second intermission between switches.
-    #[must_use]
-    pub fn light_switching(rounds: usize) -> Self {
-        let mut events = Vec::new();
-        for app in AppName::ALL {
-            events.push(ScenarioEvent::Launch(app));
-            events.push(ScenarioEvent::Background(app));
-        }
-        for round in 0..rounds {
-            for app in AppName::ALL {
-                events.push(ScenarioEvent::Relaunch {
-                    app,
-                    relaunch_index: round % 5,
-                });
-                events.push(ScenarioEvent::Idle { millis: 1000 });
-                events.push(ScenarioEvent::Background(app));
-            }
-        }
-        Scenario {
-            kind: ScenarioKind::Light,
-            events,
-        }
-    }
-
-    /// The heavy workload of Table 2: launch the ten applications
-    /// sequentially with no intermission.
-    #[must_use]
-    pub fn heavy_switching(rounds: usize) -> Self {
-        let mut events = Vec::new();
-        for app in AppName::ALL {
-            events.push(ScenarioEvent::Launch(app));
-            events.push(ScenarioEvent::Background(app));
-        }
-        for round in 0..rounds {
-            for app in AppName::ALL {
-                events.push(ScenarioEvent::Relaunch {
-                    app,
-                    relaunch_index: round % 5,
-                });
-                events.push(ScenarioEvent::Background(app));
-            }
-        }
-        Scenario {
-            kind: ScenarioKind::Heavy,
-            events,
-        }
-    }
-
-    /// Number of relaunch events in the scenario.
-    #[must_use]
-    pub fn relaunch_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ScenarioEvent::Relaunch { .. }))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -635,34 +526,45 @@ mod tests {
 
     #[test]
     fn scenarios_have_the_expected_shape() {
-        let study = Scenario::relaunch_study(AppName::Youtube);
+        use crate::TimedScenario;
+        let study = TimedScenario::relaunch_study(AppName::Youtube);
         assert_eq!(study.relaunch_count(), 1);
         assert_eq!(study.events.len(), 2 + 9 * 2 + 1);
         assert!(matches!(
-            study.events[0],
+            study.events[0].event,
             ScenarioEvent::Launch(AppName::Youtube)
         ));
         assert!(matches!(
-            *study.events.last().unwrap(),
+            study.events.last().unwrap().event,
             ScenarioEvent::Relaunch {
                 app: AppName::Youtube,
                 ..
             }
         ));
 
-        let light = Scenario::light_switching(2);
-        let heavy = Scenario::heavy_switching(2);
+        // Light has a one-second intermission after every relaunch; heavy
+        // has none and differs in nothing else.
+        let light = TimedScenario::light_switching(2);
+        let heavy = TimedScenario::heavy_switching(2);
         assert_eq!(light.relaunch_count(), 20);
         assert_eq!(heavy.relaunch_count(), 20);
-        // Light has idle intermissions, heavy does not.
-        assert!(light
+        let idles = |scenario: &TimedScenario| {
+            scenario
+                .events
+                .iter()
+                .filter(|e| e.event == ScenarioEvent::Idle { millis: 1000 })
+                .count()
+        };
+        assert_eq!(idles(&light), 20);
+        assert_eq!(idles(&heavy), 0);
+        let without_idles: Vec<ScenarioEvent> = light
             .events
             .iter()
-            .any(|e| matches!(e, ScenarioEvent::Idle { .. })));
-        assert!(!heavy
-            .events
-            .iter()
-            .any(|e| matches!(e, ScenarioEvent::Idle { .. })));
+            .map(|e| e.event)
+            .filter(|e| !matches!(e, ScenarioEvent::Idle { .. }))
+            .collect();
+        let heavy_events: Vec<ScenarioEvent> = heavy.events.iter().map(|e| e.event).collect();
+        assert_eq!(without_idles, heavy_events);
     }
 
     #[test]

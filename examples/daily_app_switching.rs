@@ -7,11 +7,11 @@
 
 use ariadne::core::SizeConfig;
 use ariadne::sim::{EnergyModel, MobileSystem, SchemeSpec, SimulationConfig};
-use ariadne::trace::Scenario;
+use ariadne::trace::TimedScenario;
 
 fn main() {
     let config = SimulationConfig::new(7).with_scale(128);
-    let scenario = Scenario::light_switching(2); // 20 relaunches
+    let scenario = TimedScenario::light_switching(2); // 20 relaunches
     let energy_model = EnergyModel::pixel7();
 
     println!("Two rounds of switching through all ten applications:\n");
@@ -25,7 +25,7 @@ fn main() {
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
     ] {
         let mut system = MobileSystem::new(spec, config);
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         let cpu_ms = system.stats().compression_cpu().as_millis_f64() * config.scale as f64;
         let energy = energy_model.energy_joules(
             60.0,

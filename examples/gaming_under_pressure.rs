@@ -9,13 +9,12 @@
 use ariadne::core::SizeConfig;
 use ariadne::mem::PageLocation;
 use ariadne::sim::{MobileSystem, SchemeSpec, SimulationConfig};
-use ariadne::trace::{AppName, Scenario, ScenarioEvent, ScenarioKind};
+use ariadne::trace::{AppName, ScenarioEvent, TimedScenario};
 
-fn gaming_scenario(rounds: usize) -> Scenario {
+fn gaming_scenario(rounds: usize) -> TimedScenario {
     let mut events = Vec::new();
     for app in AppName::ALL {
-        events.push(ScenarioEvent::Launch(app));
-        events.push(ScenarioEvent::Background(app));
+        events.extend([ScenarioEvent::Launch(app), ScenarioEvent::Background(app)]);
     }
     for round in 0..rounds {
         events.push(ScenarioEvent::Relaunch {
@@ -32,10 +31,7 @@ fn gaming_scenario(rounds: usize) -> Scenario {
             events.push(ScenarioEvent::Background(other));
         }
     }
-    Scenario {
-        kind: ScenarioKind::Heavy,
-        events,
-    }
+    TimedScenario::sequence("gaming", events)
 }
 
 fn main() {
@@ -47,7 +43,7 @@ fn main() {
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
     ] {
         let mut system = MobileSystem::new(spec, config);
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         println!("== {} ==", spec.label());
         for measurement in system
             .measurements()

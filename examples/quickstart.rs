@@ -4,13 +4,13 @@
 
 use ariadne::core::SizeConfig;
 use ariadne::sim::{MobileSystem, SchemeSpec, SimulationConfig};
-use ariadne::trace::{AppName, Scenario};
+use ariadne::trace::{AppName, TimedScenario};
 
 fn main() {
     // Scale 1/128 keeps the example fast; the relative results are the same
     // as at full scale.
     let config = SimulationConfig::new(2024).with_scale(128);
-    let scenario = Scenario::relaunch_study(AppName::Youtube);
+    let scenario = TimedScenario::relaunch_study(AppName::Youtube);
 
     println!("Relaunching YouTube after nine other apps filled memory:\n");
     println!(
@@ -25,7 +25,7 @@ fn main() {
         SchemeSpec::ariadne_al(SizeConfig::k1_k2_k16()),
     ] {
         let mut system = MobileSystem::new(spec, config);
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         println!(
             "{:<26} {:>14.1} {:>12} {:>13.2}x",
             spec.label(),

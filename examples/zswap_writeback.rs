@@ -10,12 +10,12 @@
 
 use ariadne::core::SizeConfig;
 use ariadne::sim::{MobileSystem, SchemeSpec, SimulationConfig};
-use ariadne::trace::Scenario;
+use ariadne::trace::TimedScenario;
 
 fn main() {
     let scale = 128;
     let config = SimulationConfig::new(5).with_scale(scale);
-    let scenario = Scenario::heavy_switching(2);
+    let scenario = TimedScenario::heavy_switching(2);
 
     println!(
         "{:<26} {:>14} {:>16} {:>16} {:>16}",
@@ -27,7 +27,7 @@ fn main() {
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
     ] {
         let mut system = MobileSystem::new(spec, config);
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         let stats = system.stats();
         println!(
             "{:<26} {:>14} {:>16.1} {:>16} {:>16.1}",

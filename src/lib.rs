@@ -18,13 +18,16 @@
 //!
 //! # Quickstart
 //!
+//! Every workload is a [`trace::TimedScenario`] run by the discrete-event
+//! engine; the paper's relaunch study is one of its constructors:
+//!
 //! ```
 //! use ariadne::sim::{MobileSystem, SchemeSpec, SimulationConfig};
-//! use ariadne::trace::{AppName, Scenario};
+//! use ariadne::trace::{AppName, TimedScenario};
 //!
 //! let config = SimulationConfig::new(42).with_scale(512);
 //! let mut system = MobileSystem::new(SchemeSpec::Zram, config);
-//! system.run_scenario(&Scenario::relaunch_study(AppName::Twitter));
+//! system.run_timed(&TimedScenario::relaunch_study(AppName::Twitter));
 //! assert_eq!(system.measurements().len(), 1);
 //! ```
 //!
@@ -66,23 +69,24 @@
 //!
 //! ```
 //! use ariadne::sim::{AppState, MobileSystem, RelaunchKind, SchemeSpec, SimulationConfig};
-//! use ariadne::trace::AppName;
+//! use ariadne::trace::ScenarioEvent::{Background, Launch, Relaunch};
+//! use ariadne::trace::{AppName::Twitter, TimedScenario};
 //!
 //! let config = SimulationConfig::new(42).with_scale(512);
 //! let mut system = MobileSystem::new(SchemeSpec::Zram, config);
-//! system.launch(AppName::Twitter);
-//! system.background(AppName::Twitter);
+//! system.run_timed(&TimedScenario::sequence("launch", [Launch(Twitter), Background(Twitter)]));
 //!
 //! // What lmkd does when the PSI stall signal crosses its threshold
 //! // (scenarios built with `.with_lmkd()` arm it on the event queue):
-//! let freed = system.kill_app(AppName::Twitter);
+//! let freed = system.kill_app(Twitter);
 //! assert!(freed.total_pages() > 0);
-//! assert_eq!(system.app_state(AppName::Twitter), Some(AppState::Killed));
+//! assert_eq!(system.app_state(Twitter), Some(AppState::Killed));
 //!
 //! // The process is gone: the next relaunch pays the full cold launch.
-//! let measurement = system.relaunch(AppName::Twitter, 0);
-//! assert_eq!(measurement.kind, RelaunchKind::Cold);
-//! assert_eq!(system.app_state(AppName::Twitter), Some(AppState::Alive));
+//! let relaunch = Relaunch { app: Twitter, relaunch_index: 0 };
+//! system.run_timed(&TimedScenario::sequence("relaunch", [relaunch]));
+//! assert_eq!(system.measurements()[0].kind, RelaunchKind::Cold);
+//! assert_eq!(system.app_state(Twitter), Some(AppState::Alive));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -6,7 +6,7 @@ use ariadne::core::{AriadneConfig, AriadneScheme, SizeConfig};
 use ariadne::mem::PageLocation;
 use ariadne::sim::experiments::{self, ExperimentOptions};
 use ariadne::sim::{MobileSystem, SchemeSpec, SimulationConfig};
-use ariadne::trace::{AppName, Scenario};
+use ariadne::trace::{AppName, TimedScenario};
 use ariadne::zram::{MemoryConfig, SwapScheme};
 
 fn quick_config() -> SimulationConfig {
@@ -29,19 +29,19 @@ fn facade_reexports_every_layer() {
 
 #[test]
 fn headline_result_ariadne_relaunches_faster_than_zram() {
-    let scenario = Scenario::relaunch_study(AppName::Youtube);
+    let scenario = TimedScenario::relaunch_study(AppName::Youtube);
 
     let mut zram = MobileSystem::new(SchemeSpec::Zram, quick_config());
-    zram.run_scenario(&scenario);
+    zram.run_timed(&scenario);
 
     let mut ariadne = MobileSystem::new(
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
         quick_config(),
     );
-    ariadne.run_scenario(&scenario);
+    ariadne.run_timed(&scenario);
 
     let mut dram = MobileSystem::new(SchemeSpec::Dram, quick_config());
-    dram.run_scenario(&scenario);
+    dram.run_timed(&scenario);
 
     let zram_ms = zram.average_relaunch_millis();
     let ariadne_ms = ariadne.average_relaunch_millis();
@@ -59,15 +59,15 @@ fn headline_result_ariadne_relaunches_faster_than_zram() {
 
 #[test]
 fn ariadne_reduces_compression_related_cpu_relative_to_zram() {
-    let scenario = Scenario::relaunch_study(AppName::Twitter);
+    let scenario = TimedScenario::relaunch_study(AppName::Twitter);
 
     let mut zram = MobileSystem::new(SchemeSpec::Zram, quick_config());
-    zram.run_scenario(&scenario);
+    zram.run_timed(&scenario);
     let mut ariadne = MobileSystem::new(
         SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
         quick_config(),
     );
-    ariadne.run_scenario(&scenario);
+    ariadne.run_timed(&scenario);
 
     let zram_cpu = zram.stats().compression_cpu();
     let ariadne_cpu = ariadne.stats().compression_cpu();
@@ -84,14 +84,14 @@ fn every_scheme_preserves_page_reachability_under_pressure() {
     // Whatever the scheme does (compress, swap, writeback), a page that was
     // registered must still be readable afterwards — unless the scheme
     // explicitly dropped it, which only plain ZRAM may do.
-    let scenario = Scenario::relaunch_study(AppName::Firefox);
+    let scenario = TimedScenario::relaunch_study(AppName::Firefox);
     for spec in [
         SchemeSpec::Swap,
         SchemeSpec::Zswap,
         SchemeSpec::ariadne_al(SizeConfig::k1_k2_k16()),
     ] {
         let mut system = MobileSystem::new(spec, quick_config());
-        system.run_scenario(&scenario);
+        system.run_timed(&scenario);
         assert_eq!(
             system.stats().dropped_pages,
             0,
