@@ -164,10 +164,13 @@ fn kernel_corpus() -> Vec<u8> {
     corpus
 }
 
-/// Compress the corpus page by page with every algorithm, once with the
-/// production word-wide kernel and once with the scalar reference loop the
-/// kernel replaced. The pair of numbers makes the SWAR speedup (or a
-/// regression) directly visible per algorithm.
+/// Compress the corpus with every algorithm, once with the production
+/// word-wide kernel and once with the scalar reference loop the kernel
+/// replaced. The pair of numbers makes the SWAR speedup (or a regression)
+/// directly visible per algorithm. Each pair runs over 4 KiB pieces (ZRAM's
+/// unit, rows `kernel_{algorithm}_{label}`) and over 16 KiB pieces
+/// (Ariadne's cold chunk, rows suffixed `_16k`), where LZO's chains and
+/// head table fill up and its cost per byte rises.
 fn compression_kernels(c: &mut Criterion) {
     let corpus = kernel_corpus();
     for algorithm in Algorithm::ALL {
@@ -176,18 +179,20 @@ fn compression_kernels(c: &mut Criterion) {
             ("scalar", scalar_codec(algorithm)),
         ];
         for (label, codec) in variants {
-            let mut out = Vec::with_capacity(2 * PAGE_SIZE);
-            c.bench_function(format!("kernel_{algorithm}_{label}"), |b| {
-                b.iter(|| {
-                    let mut total = 0usize;
-                    for page in corpus.chunks(PAGE_SIZE) {
-                        out.clear();
-                        codec.compress_into(page, &mut out).expect("compress");
-                        total += out.len();
-                    }
-                    total
-                })
-            });
+            for (suffix, piece) in [("", PAGE_SIZE), ("_16k", 4 * PAGE_SIZE)] {
+                let mut out = Vec::with_capacity(2 * piece);
+                c.bench_function(format!("kernel_{algorithm}_{label}{suffix}"), |b| {
+                    b.iter(|| {
+                        let mut total = 0usize;
+                        for chunk in corpus.chunks(piece) {
+                            out.clear();
+                            codec.compress_into(chunk, &mut out).expect("compress");
+                            total += out.len();
+                        }
+                        total
+                    })
+                });
+            }
         }
     }
 }

@@ -9,14 +9,14 @@
 
 use crate::algorithm::Codec;
 use crate::error::CompressError;
-use crate::swar::{common_prefix, StampedTable};
+use crate::swar::{common_prefix, PositionTable};
 use std::cell::RefCell;
 
 thread_local! {
     /// Per-thread match table, reused across compress calls so the hot path
     /// never allocates (the scalar codec paid a 64 KiB `vec!` per call).
-    static MATCH_TABLE: RefCell<StampedTable> =
-        RefCell::new(StampedTable::new(1 << HASH_LOG));
+    static MATCH_TABLE: RefCell<PositionTable> =
+        RefCell::new(PositionTable::new(1 << HASH_LOG));
 }
 
 /// Minimum match length encodable by the LZ4 block format.
@@ -123,7 +123,7 @@ impl Codec for Lz4 {
 
         MATCH_TABLE.with(|table| {
             let mut table = table.borrow_mut();
-            table.begin_pass();
+            table.begin_pass(n);
             let match_limit = n - MF_LIMIT;
             let mut anchor = 0usize;
             let mut pos = 0usize;

@@ -19,21 +19,22 @@
 
 use crate::algorithm::Codec;
 use crate::error::CompressError;
-use crate::swar::{common_prefix, StampedTable};
+use crate::swar::{common_prefix, PositionTable};
 use std::cell::RefCell;
 
 thread_local! {
     /// Per-thread hash-chain scratch (head table + `prev` links), reused
     /// across compress calls. The scalar codec allocated a 128 KiB head
-    /// table plus an `n`-entry chain vector per call; the stamped table
-    /// invalidates in O(1) and `prev` only grows. Stale `prev` contents are
-    /// harmless: a chain walk only reaches positions inserted during the
-    /// current pass, and every insertion writes `prev[p]` first. Links are
-    /// `u32` (positions are bounded by the packed head table anyway), which
-    /// halves the chain's cache traffic — every input position is inserted
-    /// exactly once, so the insert path is the hottest loop in the codec.
-    static CHAIN_SCRATCH: RefCell<(StampedTable, Vec<u32>)> =
-        RefCell::new((StampedTable::new(1 << HASH_LOG), Vec::new()));
+    /// table plus an `n`-entry chain vector per call; the 64 KiB position
+    /// table invalidates in O(1) and `prev` only grows. Stale `prev`
+    /// contents are harmless: a chain walk only reaches positions inserted
+    /// during the current pass, and every insertion writes `prev[p]` first.
+    /// Links are `u32` (positions are bounded by the head table anyway),
+    /// which halves the chain's cache traffic — every input position is
+    /// inserted exactly once, so the insert path is the hottest loop in the
+    /// codec.
+    static CHAIN_SCRATCH: RefCell<(PositionTable, Vec<u32>)> =
+        RefCell::new((PositionTable::new(1 << HASH_LOG), Vec::new()));
 }
 
 const MIN_MATCH: usize = 4;
@@ -75,14 +76,15 @@ impl Lzo {
     #[inline]
     fn hash(data: &[u8], pos: usize) -> usize {
         // A single 4-byte slice load (one bounds check) — this runs once per
-        // input byte on the insert path.
+        // input position, on the insert path.
         let word = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte slice"));
         ((word.wrapping_mul(2_654_435_761)) >> (32 - HASH_LOG)) as usize
     }
 
-    /// Find the longest match for `pos` by walking the hash chain, keeping
-    /// only matches strictly longer than `floor` (callers pass
-    /// `MIN_MATCH - 1`, or the length a candidate must displace).
+    /// Find the longest match for `pos` by walking the hash chain from
+    /// `candidate` (the head the insertion of `pos` displaced), keeping only
+    /// matches strictly longer than `floor` (callers pass `MIN_MATCH - 1`,
+    /// or the length a candidate must displace).
     ///
     /// The floor doubles as a cheap rejection filter: a candidate whose byte
     /// at the current-best offset differs from `input[pos + best]` cannot
@@ -94,7 +96,7 @@ impl Lzo {
     fn find_match(
         input: &[u8],
         pos: usize,
-        head: &StampedTable,
+        mut candidate: usize,
         prev: &[u32],
         max_len: usize,
         floor: usize,
@@ -104,7 +106,6 @@ impl Lzo {
         }
         let mut best_len = floor;
         let mut best_dist = 0usize;
-        let mut candidate = head.get(Self::hash(input, pos));
         let mut chain = 0usize;
         // `best_len < max_len` holds throughout (a best reaching `max_len`
         // breaks out below), so the probe byte is always in bounds.
@@ -186,7 +187,7 @@ impl Codec for Lzo {
         CHAIN_SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             let (head, prev) = &mut *scratch;
-            head.begin_pass();
+            head.begin_pass(n);
             if prev.len() < n {
                 prev.resize(n, u32::MAX);
             }
@@ -245,77 +246,75 @@ impl Codec for Lzo {
 
 impl Lzo {
     /// The compress loop proper, operating on borrowed per-thread scratch.
-    /// Identical match decisions to the scalar reference: the stamped head
-    /// table behaves exactly like a fresh `vec![usize::MAX; _]`, and the
-    /// word-wide compare returns the same lengths the byte loop did.
+    /// Identical match decisions to the scalar reference: the position table
+    /// behaves exactly like a fresh `vec![usize::MAX; _]`, and the word-wide
+    /// compare returns the same lengths the byte loop did.
+    ///
+    /// The reference inserts each walked position right after its chain
+    /// walk, which starts from the head that insertion displaces. Inserting
+    /// first and walking from the displaced head changes no chain the walk
+    /// sees (it only follows links of earlier positions), so each position
+    /// costs one hash and one access to its head slot.
     fn compress_with_scratch(
         &self,
         input: &[u8],
         out: &mut Vec<u8>,
-        head: &mut StampedTable,
+        head: &mut PositionTable,
         prev: &mut [u32],
     ) {
         let n = input.len();
         let hash_limit = n.saturating_sub(MIN_MATCH);
 
-        let insert = |head: &mut StampedTable, prev: &mut [u32], p: usize| {
-            if p < hash_limit {
-                let h = Self::hash(input, p);
-                // Truncating the `usize::MAX` empty sentinel yields
-                // `u32::MAX`, the chain-end sentinel the walk widens back.
-                prev[p] = head.replace(h, p) as u32;
-            }
+        // Insert `p` and return the head it displaced. The reference skips
+        // the last walked position, `hash_limit`; inserting it is harmless,
+        // because no walk follows it in this pass.
+        let insert = |head: &mut PositionTable, prev: &mut [u32], p: usize| {
+            let displaced = head.replace(Self::hash(input, p), p);
+            // Truncating the `usize::MAX` empty sentinel yields `u32::MAX`,
+            // the chain-end sentinel the walk widens back.
+            prev[p] = displaced as u32;
+            displaced
         };
 
         let mut anchor = 0usize;
         let mut pos = 0usize;
         while pos + MIN_MATCH <= n {
-            let max_len = n - pos;
-            let found = Self::find_match(input, pos, head, prev, max_len, MIN_MATCH - 1);
-            match found {
-                None => {
-                    insert(head, prev, pos);
-                    pos += 1;
-                }
-                Some((len, dist)) => {
-                    // Lazy evaluation: peek one position ahead; if it yields a
-                    // strictly longer match, emit the current byte as a
-                    // literal instead.
-                    let mut use_len = len;
-                    let mut use_dist = dist;
-                    let mut start = pos;
-                    if pos + 1 + MIN_MATCH <= n {
-                        insert(head, prev, pos);
-                        // A lazy match only displaces the current one when it
-                        // is strictly longer than `len + 1`; passing that as
-                        // the floor lets the walk reject non-improving
-                        // candidates on a single byte probe.
-                        if let Some((len2, dist2)) =
-                            Self::find_match(input, pos + 1, head, prev, n - pos - 1, len + 1)
-                        {
-                            debug_assert!(len2 > len + 1);
-                            use_len = len2;
-                            use_dist = dist2;
-                            start = pos + 1;
-                        }
-                    } else {
-                        insert(head, prev, pos);
-                    }
-
-                    Self::emit_literals(out, &input[anchor..start]);
-                    Self::emit_match(out, use_len, use_dist);
-
-                    // Index the positions covered by the match.
-                    let end = start + use_len;
-                    let mut p = start.max(pos + 1);
-                    while p < end && p < hash_limit {
-                        insert(head, prev, p);
-                        p += 1;
-                    }
-                    pos = end;
-                    anchor = end;
+            let candidate = insert(head, prev, pos);
+            let Some((len, dist)) =
+                Self::find_match(input, pos, candidate, prev, n - pos, MIN_MATCH - 1)
+            else {
+                pos += 1;
+                continue;
+            };
+            // Lazy evaluation: peek one position ahead; if it yields a
+            // strictly longer match, emit the current byte as a literal
+            // instead.
+            let (mut use_len, mut use_dist, mut start) = (len, dist, pos);
+            if pos + 1 + MIN_MATCH <= n {
+                let candidate = insert(head, prev, pos + 1);
+                // A lazy match only displaces the current one when it is
+                // strictly longer than `len + 1`; passing that as the floor
+                // lets the walk reject non-improving candidates on a single
+                // byte probe.
+                if let Some((len2, dist2)) =
+                    Self::find_match(input, pos + 1, candidate, prev, n - pos - 1, len + 1)
+                {
+                    debug_assert!(len2 > len + 1);
+                    (use_len, use_dist, start) = (len2, dist2, pos + 1);
                 }
             }
+
+            Self::emit_literals(out, &input[anchor..start]);
+            Self::emit_match(out, use_len, use_dist);
+
+            // Index the rest of the positions the match covers: `pos` and
+            // `pos + 1` are in (or past `hash_limit`) already.
+            let end = start + use_len;
+            for p in pos + 2..end.min(hash_limit) {
+                insert(head, prev, p);
+            }
+            pos = end;
+            anchor = end;
         }
         Self::emit_literals(out, &input[anchor..]);
     }

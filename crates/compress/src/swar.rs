@@ -10,6 +10,9 @@
 //! the compressed streams stay byte-identical to the scalar reference
 //! codecs (pinned by `tests/kernel_equivalence.rs`).
 //!
+//! The LZ4 and LZO matchers also share one [`PositionTable`], the per-thread
+//! hash table of input positions that a new compress pass empties in O(1).
+//!
 //! Everything here is safe code: the slice-indexing bounds checks on the
 //! word loads compile down to a single comparison per iteration, and
 //! `u64::from_le_bytes` on a 8-byte slice is recognised by LLVM as an
@@ -48,87 +51,86 @@ pub(crate) fn common_prefix(data: &[u8], a: usize, b: usize, max: usize) -> usiz
     len
 }
 
-/// A generation-stamped hash-table of input positions, reused across
-/// compress calls through a `thread_local` so the hot path never allocates
-/// or clears the table. A slot is live only when its stamp matches the
-/// current generation; `begin_pass` bumps the generation, which invalidates
-/// every slot in O(1). The entries are re-zeroed only when the `u32`
-/// generation counter wraps (once every four billion compress calls).
+/// A hash table of input positions, reused across compress calls through a
+/// `thread_local` so the hot path never allocates or clears the table.
 ///
-/// Each slot packs `(generation << 32) | position` into one `u64`, so the
-/// match loops — which read and write a slot on every inserted position —
-/// touch a single cache line's worth of data per operation instead of a
-/// stamp array and a position array on separate lines. Positions are
-/// therefore capped at `u32::MAX - 1` bytes, far beyond any compression
-/// unit in the workspace (chunks top out at 128 KiB).
+/// Each slot holds an absolute position: the position in the current input
+/// plus a per-pass `base`. Every pass starts its base where the previous
+/// pass's positions ended, so a slot is live exactly when its value is at
+/// least the base, and `begin_pass` invalidates every slot in O(1). The
+/// slots are re-zeroed only when the next pass's positions would overflow
+/// a `u32`, once every four GiB of compressed input.
 ///
-/// Reading a slot whose stamp is stale returns `usize::MAX` — the same
-/// "empty" sentinel the scalar codecs used for freshly-allocated tables —
-/// so lookups observe exactly the state a per-call `vec![usize::MAX; N]`
-/// would hold.
+/// The base makes a stamp per slot unnecessary, so a slot is four bytes.
+/// Reading a stale slot returns `usize::MAX`, the "empty" sentinel the
+/// scalar codecs used for freshly allocated tables, so lookups observe
+/// exactly the state a per-call `vec![usize::MAX; N]` would hold.
 #[derive(Debug)]
-pub(crate) struct StampedTable {
-    entries: Vec<u64>,
-    generation: u32,
+pub(crate) struct PositionTable {
+    slots: Vec<u32>,
+    /// The absolute value of position 0 in the current pass.
+    base: u32,
+    /// One past the largest absolute value the current pass can store.
+    end: u32,
 }
 
-impl StampedTable {
+impl PositionTable {
     /// Create a table with `slots` entries, all empty.
     pub(crate) fn new(slots: usize) -> Self {
-        StampedTable {
-            entries: vec![0; slots],
-            generation: 0,
+        PositionTable {
+            slots: vec![0; slots],
+            base: 1,
+            end: 1,
         }
     }
 
-    /// Invalidate every slot, starting a fresh compress pass.
-    pub(crate) fn begin_pass(&mut self) {
-        self.generation = match self.generation.checked_add(1) {
-            Some(g) => g,
+    /// Empty every slot, starting a pass over an input of `len` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` does not fit the `u32` positions (4 GiB), far beyond
+    /// any compression unit in the workspace (chunks top out at 128 KiB).
+    pub(crate) fn begin_pass(&mut self, len: usize) {
+        assert!(
+            len < u32::MAX as usize,
+            "input overflows the u32 position table"
+        );
+        let len = len as u32;
+        (self.base, self.end) = match self.end.checked_add(len) {
+            Some(end) => (self.end, end),
             None => {
-                // Generation wrapped: physically reset the entries so stale
-                // slots from generation `u32::MAX` cannot alias.
-                self.entries.fill(0);
-                1
+                // Zeroed slots read empty under any base of at least 1.
+                self.slots.fill(0);
+                (1, 1 + len)
             }
         };
     }
 
-    /// The position stored in `slot` during the current pass, or
-    /// `usize::MAX` when the slot is empty.
+    /// The absolute value of `pos` in the current pass.
     #[inline]
-    pub(crate) fn get(&self, slot: usize) -> usize {
-        let entry = self.entries[slot];
-        if (entry >> 32) as u32 == self.generation {
-            (entry & u32::MAX as u64) as usize
-        } else {
-            usize::MAX
-        }
+    fn value(&self, pos: usize) -> u32 {
+        debug_assert!(
+            pos < (self.end - self.base) as usize,
+            "position beyond the pass"
+        );
+        self.base + pos as u32
     }
 
-    /// Store `pos` in `slot` for the current pass.
+    /// Store `pos` in `slot`.
     #[inline]
     pub(crate) fn set(&mut self, slot: usize, pos: usize) {
-        debug_assert!(
-            pos < u32::MAX as usize,
-            "position overflows the packed slot"
-        );
-        self.entries[slot] = (u64::from(self.generation) << 32) | pos as u64;
+        self.slots[slot] = self.value(pos);
     }
 
-    /// Store `pos` in `slot` and return the position it displaced (or
-    /// `usize::MAX` if the slot was empty) — `get` + `set` fused into one
-    /// slot access for the insert path, which runs once per input byte.
+    /// Store `pos` in `slot` and return the position it displaced, or
+    /// `usize::MAX` if the slot was empty: one slot access for the insert
+    /// path, which runs once per input position.
     #[inline]
     pub(crate) fn replace(&mut self, slot: usize, pos: usize) -> usize {
-        debug_assert!(
-            pos < u32::MAX as usize,
-            "position overflows the packed slot"
-        );
-        let entry = self.entries[slot];
-        self.entries[slot] = (u64::from(self.generation) << 32) | pos as u64;
-        if (entry >> 32) as u32 == self.generation {
-            (entry & u32::MAX as u64) as usize
+        let value = self.value(pos);
+        let old = std::mem::replace(&mut self.slots[slot], value);
+        if old >= self.base {
+            (old - self.base) as usize
         } else {
             usize::MAX
         }
@@ -167,25 +169,30 @@ mod tests {
     }
 
     #[test]
-    fn stamped_table_is_empty_after_begin_pass() {
-        let mut table = StampedTable::new(8);
-        table.begin_pass();
-        assert_eq!(table.get(3), usize::MAX);
-        table.set(3, 17);
-        assert_eq!(table.get(3), 17);
-        table.begin_pass();
-        assert_eq!(table.get(3), usize::MAX, "new pass must not see old slots");
+    fn position_table_is_empty_after_begin_pass() {
+        let mut table = PositionTable::new(8);
+        table.begin_pass(32);
+        assert_eq!(table.replace(3, 17), usize::MAX);
+        assert_eq!(table.replace(3, 5), 17);
+        table.begin_pass(32);
+        assert_eq!(
+            table.replace(3, 9),
+            usize::MAX,
+            "new pass must not see old slots"
+        );
     }
 
     #[test]
-    fn stamped_table_survives_generation_wrap() {
-        let mut table = StampedTable::new(2);
-        table.generation = u32::MAX - 1;
-        table.begin_pass(); // -> u32::MAX
-        table.set(0, 5);
-        table.begin_pass(); // wraps -> 1, stamps cleared
-        assert_eq!(table.get(0), usize::MAX);
-        table.set(1, 9);
-        assert_eq!(table.get(1), 9);
+    fn position_table_clears_when_the_base_would_overflow() {
+        let mut table = PositionTable::new(2);
+        table.end = u32::MAX - 40;
+        table.begin_pass(30); // fits: positions end 10 below u32::MAX
+        table.set(0, 29);
+        assert_eq!(table.replace(0, 29), 29);
+        table.begin_pass(30); // would overflow: slots cleared, base back to 1
+        assert_eq!(table.base, 1);
+        assert_eq!(table.replace(0, 0), usize::MAX);
+        assert_eq!(table.replace(1, 7), usize::MAX);
+        assert_eq!(table.replace(0, 3), 0);
     }
 }

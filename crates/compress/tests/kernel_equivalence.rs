@@ -13,7 +13,12 @@
 //!   lane of the 8-byte compare windows;
 //! * all-zero pages — maximal-length matches and the BDI zeros encoding;
 //! * page-tail misalignment — lengths straddling `PAGE_SIZE` and the 8-byte
-//!   word size, so the word loop's scalar tail handles 0–7 leftover bytes.
+//!   word size, so the word loop's scalar tail handles 0–7 leftover bytes;
+//! * large inputs — 16 KiB (Ariadne's cold chunk, which fills the LZO head
+//!   table), one byte past the 64 KiB back-reference limit, and 128 KiB
+//!   (the largest chunk), so positions outrun `MAX_DISTANCE`;
+//! * far repeats — a noise page repeated exactly at the back-reference
+//!   limit and one byte beyond it, so the distance cap decides the stream.
 
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, PAGE_SIZE};
@@ -69,6 +74,9 @@ fn corpora() -> Vec<(String, Vec<u8>)> {
         PAGE_SIZE + 1,
         PAGE_SIZE + 9,
         3 * PAGE_SIZE + 5,
+        16 * 1024,
+        64 * 1024 + 1,
+        128 * 1024,
     ] {
         all.push((format!("noise-{len}"), splitmix64_bytes(len as u64, len)));
         all.push((format!("flip-{len}"), flip_loop_page(len, 97, 300)));
@@ -78,6 +86,13 @@ fn corpora() -> Vec<(String, Vec<u8>)> {
     let mut mixed = vec![7u8; PAGE_SIZE / 2];
     mixed.extend(splitmix64_bytes(42, PAGE_SIZE / 2 + 3));
     all.push(("mixed-head-tail".to_string(), mixed));
+    // A noise page repeated at the 65,535-byte back-reference limit, which
+    // may be matched, and one byte past it, which must not.
+    for distance in [65_535usize, 65_536] {
+        let mut far = splitmix64_bytes(distance as u64, distance);
+        far.extend_from_within(..PAGE_SIZE);
+        all.push((format!("far-repeat-{distance}"), far));
+    }
     all
 }
 

@@ -7,15 +7,24 @@
 //! schemes used to re-pay page synthesis, a fresh buffer per page and a full
 //! codec run on every relaunch storm, kswapd wake and zpool-overflow
 //! writeback. [`CompressionOracle`] exploits the immutability: results are
-//! memoized under `(pages, algorithm, chunk size)`, so repeated compressions
+//! memoized under the codec calls that produce them, so repeated compressions
 //! of unchanged data cost one hash lookup instead of a codec run.
 //!
-//! Five properties make the cache safe and fast:
+//! Six properties make the cache safe and fast:
 //!
 //! * **Bit-identity** — a hit returns exactly what a cold codec run would
 //!   (the cold run itself goes through the zero-allocation
 //!   [`compressed_len_only`](ariadne_compress::ChunkedCodec::compressed_len_only)
 //!   path); property tests pin this across every algorithm × chunk size.
+//! * **One entry per codec input** — a key is `(pages, algorithm, bytes per
+//!   codec call, content variant)`. The bytes per call are the requested
+//!   chunk size, except that a chunk at least as large as the group is one
+//!   call over the whole group whatever its size, so every such chunk keys
+//!   as the smallest power of two covering the group. The key is exact:
+//!   `compressed_len_only` makes the same calls over the same bytes for
+//!   every chunk size that shares it. One page at 16K or 64K thus hits the
+//!   entry ZRAM's 4K run of that page made, while two pages in 4K chunks
+//!   (two calls) stay apart from the same two pages in 8K chunks (one).
 //! * **Zero allocation in steady state** — the probe key, the page-synthesis
 //!   buffer and the per-chunk codec scratch are all reused; only the first
 //!   sighting of a group allocates (to clone the key into the map).
@@ -43,8 +52,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Cache key: the exact page group plus the codec configuration. Two groups
-/// with the same pages in a different order are different keys (the
+/// Cache key: the exact page group plus the codec calls made over it. Two
+/// groups with the same pages in a different order are different keys (the
 /// concatenated bytes differ), which is exactly what correctness requires.
 ///
 /// `variant` is the content-variant tag (see
@@ -54,7 +63,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct OracleKey {
     algorithm: Algorithm,
-    chunk_size: ChunkSize,
+    /// Bytes per codec call (see [`CompressionOracle::probe`]).
+    call_bytes: usize,
     variant: u64,
     pages: Vec<PageId>,
 }
@@ -179,7 +189,7 @@ impl Shard {
             recency: Chain::new(),
             probe: OracleKey {
                 algorithm: Algorithm::Lzo,
-                chunk_size: ChunkSize::k4(),
+                call_bytes: 0,
                 variant: 0,
                 pages: Vec::new(),
             },
@@ -265,7 +275,7 @@ pub struct CompressionOracle {
 }
 
 impl CompressionOracle {
-    /// Default cap on memoized entries, above the ~92k the full experiment
+    /// Default cap on memoized entries, above the ~60k the full experiment
     /// catalog memoizes. Each entry is a few hundred bytes of metadata, so
     /// the cap bounds the oracle to tens of MiB of host memory.
     pub const DEFAULT_MAX_ENTRIES: usize = 1 << 18;
@@ -345,8 +355,11 @@ impl CompressionOracle {
         self.enabled && *self.seed.get_or_init(|| seed) == seed
     }
 
-    /// Lock the shard responsible for `(pages, algorithm, chunk_size,
-    /// variant)` and load that key as the shard's probe.
+    /// Lock the shard responsible for the key of `(pages, algorithm,
+    /// chunk_size, variant)` and load that key as the shard's probe. The key
+    /// holds the bytes per codec call (see the module documentation): chunk
+    /// sizes are powers of two, so that is the smaller of the chunk and the
+    /// smallest power of two covering the group.
     fn probe(
         &self,
         pages: &[PageId],
@@ -354,16 +367,19 @@ impl CompressionOracle {
         chunk_size: ChunkSize,
         variant: u64,
     ) -> MutexGuard<'_, Shard> {
+        let call_bytes = chunk_size
+            .bytes()
+            .min((pages.len() * PAGE_SIZE).next_power_of_two());
         let mut hasher = FxHasher::default();
         algorithm.hash(&mut hasher);
-        chunk_size.hash(&mut hasher);
+        call_bytes.hash(&mut hasher);
         variant.hash(&mut hasher);
         pages.hash(&mut hasher);
         let index = hasher.finish() as usize & (SHARDS - 1);
         let mut shard = self.shards[index].lock().expect("oracle lock poisoned");
         let key = &mut shard.probe;
         key.algorithm = algorithm;
-        key.chunk_size = chunk_size;
+        key.call_bytes = call_bytes;
         key.variant = variant;
         key.pages.clear();
         key.pages.extend_from_slice(pages);
@@ -371,7 +387,9 @@ impl CompressionOracle {
     }
 
     /// Probe the cache for `(pages, algorithm, chunk_size, variant)` of
-    /// pages synthesized from `seed`. A hit updates the LRU order and the
+    /// pages synthesized from `seed`; any chunk size that makes the same
+    /// codec calls over the group finds the same entry (see the module
+    /// documentation). A hit updates the LRU order and the
     /// hit/bytes-saved counters; a miss (or a disabled oracle, or a seed
     /// other than the one the oracle is bound to) returns `None` without
     /// touching anything, so callers can run the codec **outside** the
@@ -572,6 +590,23 @@ mod tests {
         let d = consult(&oracle, &[page(2)], Algorithm::Lzo, ChunkSize::k4());
         assert!(!a.hit && !b.hit && !c.hit && !d.hit);
         assert_eq!(oracle.len(), 4);
+
+        // One page in 16K chunks is the one codec call it is in 4K chunks.
+        let e = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k16());
+        assert!(e.hit && e.compressed_len == a.compressed_len);
+        assert_eq!(oracle.len(), 4);
+
+        // Two pages in 4K chunks are two calls, in 8K chunks one.
+        let pair = [page(1), page(2)];
+        let f = consult(&oracle, &pair, Algorithm::Lzo, ChunkSize::k4());
+        let g = consult(
+            &oracle,
+            &pair,
+            Algorithm::Lzo,
+            ChunkSize::new(8192).unwrap(),
+        );
+        assert!(!f.hit && !g.hit);
+        assert_eq!(oracle.len(), 6);
     }
 
     #[test]

@@ -440,11 +440,12 @@ impl SchemeContext {
     }
 
     /// Compress the concatenated contents of `pages` through the shared
-    /// [`CompressionOracle`]: a repeat of an earlier `(pages, algorithm,
-    /// chunk_size)` consultation is served from the cache without
-    /// re-synthesizing or re-compressing a single byte. The sizes returned
-    /// are bit-identical to a cold codec run either way. Each call records
-    /// its ratio into [`SchemeContext::compression_ratios`].
+    /// [`CompressionOracle`]: a consultation that makes the same codec calls
+    /// as an earlier one (same pages and algorithm, and the same chunk size
+    /// or any two that cover the whole group) is served from the cache
+    /// without re-synthesizing or re-compressing a single byte. The sizes
+    /// returned are bit-identical to a cold codec run either way. Each call
+    /// records its ratio into [`SchemeContext::compression_ratios`].
     ///
     /// # Panics
     ///

@@ -61,16 +61,20 @@ proptest! {
     // The core bit-identity contract: for any group, algorithm and chunk
     // size, (a) a cold oracle run, (b) a cache hit, (c) a disabled-oracle
     // run and (d) a direct `ChunkedCodec::compress` of the synthesized
-    // bytes all report the same sizes.
+    // bytes all report the same sizes. A second chunk size hits the entry
+    // of the first exactly when both make the same codec calls: they are
+    // equal, or each covers the whole group in one call.
     #[test]
     fn oracle_hits_are_bit_identical_to_cold_codec_runs(
         picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..6),
         alg_pick in 0u8..3,
         chunk_pick in 0u8..11,
+        chunk_pick2 in 0u8..11,
     ) {
         let (ctx, pages) = harness();
         let group = group(&pages, &picks);
         let algorithm = algorithm(alg_pick);
+        let chunk_size2 = chunk_size(chunk_pick2);
         let chunk_size = chunk_size(chunk_pick);
 
         let cold = ctx.compress_pages(&group, algorithm, chunk_size);
@@ -83,12 +87,25 @@ proptest! {
             .compress_pages(&group, algorithm, chunk_size);
         prop_assert!(!off.hit);
 
+        let second = ctx.compress_pages(&group, algorithm, chunk_size2);
+        let bytes = group.len() * PAGE_SIZE;
+        let one_call = |chunk: ChunkSize| chunk.bytes() >= bytes;
+        prop_assert_eq!(
+            second.hit,
+            chunk_size == chunk_size2 || (one_call(chunk_size) && one_call(chunk_size2))
+        );
+
+        let data = group_bytes(&ctx, &group);
         let image = ChunkedCodec::new(algorithm, chunk_size)
-            .compress(&group_bytes(&ctx, &group))
+            .compress(&data)
+            .expect("compression cannot fail");
+        let image2 = ChunkedCodec::new(algorithm, chunk_size2)
+            .compress(&data)
             .expect("compression cannot fail");
 
-        for outcome in [&cold, &hit, &off] {
-            prop_assert_eq!(outcome.original_len, group.len() * PAGE_SIZE);
+        let outcomes = [(&cold, &image), (&hit, &image), (&off, &image), (&second, &image2)];
+        for (outcome, image) in outcomes {
+            prop_assert_eq!(outcome.original_len, bytes);
             prop_assert_eq!(outcome.original_len, image.original_len());
             prop_assert_eq!(outcome.compressed_len, image.compressed_len());
             prop_assert_eq!(outcome.chunk_count, image.chunk_count());
