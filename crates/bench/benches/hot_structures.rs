@@ -3,16 +3,16 @@
 //! The repository benchmark (`perfbench/`, declared by `BENCHMARK.json`)
 //! times whole workloads; this bench isolates the data structures those
 //! workloads hammer — zpool store/fault/release, flash store/fault/release,
-//! oracle lookup/admit, and the word-wide compression kernels (timed against
-//! the retired scalar loops they replaced) — so a regression in one of them
-//! is attributable directly instead of showing up as a diffuse slowdown
-//! across every workload. CI runs it as a smoke step and uploads the output
-//! as an artifact.
+//! oracle lookup/admit, the baselines' LRU victim pick, and the word-wide
+//! compression kernels (timed against the retired scalar loops they
+//! replaced) — so a regression in one of them is attributable directly
+//! instead of showing up as a diffuse slowdown across every workload. CI
+//! runs it as a smoke step and uploads the output as an artifact.
 
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize};
 use ariadne_mem::{AppId, FlashDevice, Hotness, PageId, Pfn, WriteRequest, Zpool, PAGE_SIZE};
-use ariadne_zram::CompressionOracle;
+use ariadne_zram::{CompressionOracle, PageLru};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const APPS: u32 = 8;
@@ -132,6 +132,29 @@ fn oracle_lookup_admit(c: &mut Criterion) {
     });
 }
 
+/// Pick one victim per call from 8,192 pages whose 4,096 oldest belong to
+/// the foreground app: the LRU tail a relaunched app leaves, which ZRAM's
+/// and SWAP's single-page direct reclaim passes over. The victim goes back
+/// to the most recently used end, so every call sees the same list.
+fn lru_pick_foreground_tail(c: &mut Criterion) {
+    const PAGES: u64 = 4096;
+    let foreground = AppId::new(1);
+    let mut lru = PageLru::default();
+    for app in [1, 2] {
+        for pfn in 0..PAGES {
+            lru.touch(page(app, pfn));
+        }
+    }
+    let mut victims = Vec::with_capacity(1);
+    c.bench_function("lru_pick_foreground_tail", |b| {
+        b.iter(|| {
+            victims.clear();
+            lru.pick_victims(Some(foreground), 1, &mut victims);
+            lru.touch(victims[0]);
+        })
+    });
+}
+
 /// A 16-page corpus mixing what mobile anonymous memory looks like: mostly
 /// repetitive pages with scattered single-byte perturbations, a couple of
 /// incompressible (noise) pages and one all-zero page.
@@ -240,9 +263,16 @@ fn obs_primitives(c: &mut Criterion) {
 }
 
 criterion_group! {
-    name = benches;
+    name = structures;
     config = Criterion::default().sample_size(10);
     targets = zpool_store_fault_release, flash_store_fault_release, oracle_lookup_admit,
-        compression_kernels, obs_primitives
+        lru_pick_foreground_tail, obs_primitives
 }
-criterion_main!(benches);
+// The kernel rows compare builds a few percent apart, so they take more
+// samples.
+criterion_group! {
+    name = kernels;
+    config = Criterion::default().sample_size(100);
+    targets = compression_kernels
+}
+criterion_main!(structures, kernels);

@@ -18,7 +18,7 @@
 //! codecs as an auxiliary result.
 
 use crate::algorithm::Algorithm;
-use crate::chunk::ChunkSize;
+use crate::chunk::{ChunkSize, MAX_CHUNK_SIZE, MIN_CHUNK_SIZE};
 use serde::{Deserialize, Serialize};
 
 /// A simulated duration in nanoseconds.
@@ -113,6 +113,10 @@ pub struct LatencyParams {
 /// Chunk size at which the cost power law changes slope (one page).
 const KNEE_BYTES: f64 = 4096.0;
 
+/// Number of legal chunk sizes: the powers of two from [`MIN_CHUNK_SIZE`]
+/// to [`MAX_CHUNK_SIZE`].
+const CHUNK_SIZES: usize = (MAX_CHUNK_SIZE / MIN_CHUNK_SIZE).trailing_zeros() as usize + 1;
+
 impl LatencyParams {
     /// Parameters reproducing the Figure 6 shape for the given algorithm.
     ///
@@ -174,11 +178,60 @@ impl LatencyParams {
 /// // Compressing the same megabyte in 128 KiB chunks is dramatically slower.
 /// assert!(large.as_nanos() > 40 * small.as_nanos());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
-    lz4: LatencyParams,
-    lzo: LatencyParams,
-    bdi: LatencyParams,
+    lz4: Rates,
+    lzo: Rates,
+    bdi: Rates,
+}
+
+/// One algorithm's per-byte costs at every legal chunk size, evaluated
+/// from its [`LatencyParams`] once, so a charge runs no `powf`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rates {
+    comp_ns_per_byte: [f64; CHUNK_SIZES],
+    decomp_ns_per_byte: [f64; CHUNK_SIZES],
+    per_op_overhead_ns: f64,
+}
+
+impl Rates {
+    fn new(p: &LatencyParams) -> Self {
+        let table = |ns_per_byte_at_128: f64, alpha_small: f64, alpha_large: f64| {
+            std::array::from_fn(|i| {
+                let size = (MIN_CHUNK_SIZE << i) as f64;
+                let scale = if size <= KNEE_BYTES {
+                    (size / 128.0).powf(alpha_small)
+                } else {
+                    (KNEE_BYTES / 128.0).powf(alpha_small) * (size / KNEE_BYTES).powf(alpha_large)
+                };
+                ns_per_byte_at_128 * scale
+            })
+        };
+        Rates {
+            comp_ns_per_byte: table(
+                p.comp_ns_per_byte_at_128,
+                p.comp_alpha_small,
+                p.comp_alpha_large,
+            ),
+            decomp_ns_per_byte: table(
+                p.decomp_ns_per_byte_at_128,
+                p.decomp_alpha_small,
+                p.decomp_alpha_large,
+            ),
+            per_op_overhead_ns: p.per_op_overhead_ns,
+        }
+    }
+
+    fn cost(&self, ns_per_byte: &[f64; CHUNK_SIZES], chunk: ChunkSize, bytes: usize) -> CostNanos {
+        if bytes == 0 {
+            return CostNanos::zero();
+        }
+        let slot = (chunk.bytes().trailing_zeros() - MIN_CHUNK_SIZE.trailing_zeros()) as usize;
+        let per_byte = ns_per_byte[slot];
+        let ops = (bytes as f64 / chunk.bytes() as f64).ceil();
+        let total = per_byte * bytes as f64 + ops * self.per_op_overhead_ns;
+        CostNanos(total.max(0.0) as u128)
+    }
 }
 
 impl LatencyModel {
@@ -186,41 +239,18 @@ impl LatencyModel {
     #[must_use]
     pub fn pixel7() -> Self {
         LatencyModel {
-            lz4: LatencyParams::for_algorithm(Algorithm::Lz4),
-            lzo: LatencyParams::for_algorithm(Algorithm::Lzo),
-            bdi: LatencyParams::for_algorithm(Algorithm::Bdi),
+            lz4: Rates::new(&LatencyParams::for_algorithm(Algorithm::Lz4)),
+            lzo: Rates::new(&LatencyParams::for_algorithm(Algorithm::Lzo)),
+            bdi: Rates::new(&LatencyParams::for_algorithm(Algorithm::Bdi)),
         }
     }
 
-    fn params(&self, algorithm: Algorithm) -> &LatencyParams {
+    fn rates(&self, algorithm: Algorithm) -> &Rates {
         match algorithm {
             Algorithm::Lz4 => &self.lz4,
             Algorithm::Lzo => &self.lzo,
             Algorithm::Bdi => &self.bdi,
         }
-    }
-
-    fn cost(
-        ns_per_byte_at_128: f64,
-        alpha_small: f64,
-        alpha_large: f64,
-        per_op_overhead_ns: f64,
-        chunk: ChunkSize,
-        bytes: usize,
-    ) -> CostNanos {
-        if bytes == 0 {
-            return CostNanos::zero();
-        }
-        let size = chunk.bytes() as f64;
-        let scale = if size <= KNEE_BYTES {
-            (size / 128.0).powf(alpha_small)
-        } else {
-            (KNEE_BYTES / 128.0).powf(alpha_small) * (size / KNEE_BYTES).powf(alpha_large)
-        };
-        let per_byte = ns_per_byte_at_128 * scale;
-        let ops = (bytes as f64 / chunk.bytes() as f64).ceil();
-        let total = per_byte * bytes as f64 + ops * per_op_overhead_ns;
-        CostNanos(total.max(0.0) as u128)
     }
 
     /// Simulated time to compress `bytes` of data in chunks of `chunk`.
@@ -231,15 +261,8 @@ impl LatencyModel {
         chunk: ChunkSize,
         bytes: usize,
     ) -> CostNanos {
-        let p = self.params(algorithm);
-        Self::cost(
-            p.comp_ns_per_byte_at_128,
-            p.comp_alpha_small,
-            p.comp_alpha_large,
-            p.per_op_overhead_ns,
-            chunk,
-            bytes,
-        )
+        let rates = self.rates(algorithm);
+        rates.cost(&rates.comp_ns_per_byte, chunk, bytes)
     }
 
     /// Simulated time to decompress `bytes` of original data that was
@@ -251,15 +274,8 @@ impl LatencyModel {
         chunk: ChunkSize,
         bytes: usize,
     ) -> CostNanos {
-        let p = self.params(algorithm);
-        Self::cost(
-            p.decomp_ns_per_byte_at_128,
-            p.decomp_alpha_small,
-            p.decomp_alpha_large,
-            p.per_op_overhead_ns,
-            chunk,
-            bytes,
-        )
+        let rates = self.rates(algorithm);
+        rates.cost(&rates.decomp_ns_per_byte, chunk, bytes)
     }
 }
 
@@ -302,6 +318,48 @@ mod tests {
             })
             .collect();
         assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{costs:?}");
+    }
+
+    #[test]
+    fn the_rate_table_is_the_power_law_at_every_chunk_size() {
+        let model = LatencyModel::pixel7();
+        for alg in Algorithm::ALL {
+            let p = LatencyParams::for_algorithm(alg);
+            for shift in 0..CHUNK_SIZES {
+                let chunk = ChunkSize::new(MIN_CHUNK_SIZE << shift).unwrap();
+                let size = chunk.bytes() as f64;
+                let scale = |alpha_small: f64, alpha_large: f64| {
+                    if size <= KNEE_BYTES {
+                        (size / 128.0).powf(alpha_small)
+                    } else {
+                        (KNEE_BYTES / 128.0).powf(alpha_small)
+                            * (size / KNEE_BYTES).powf(alpha_large)
+                    }
+                };
+                for bytes in [1, 4096, 12_288, 1 << 20] {
+                    let ops = (bytes as f64 / size).ceil();
+                    let expect = |at_128: f64, scale: f64| {
+                        CostNanos(
+                            (at_128 * scale * bytes as f64 + ops * p.per_op_overhead_ns) as u128,
+                        )
+                    };
+                    assert_eq!(
+                        model.compression_cost(alg, chunk, bytes),
+                        expect(
+                            p.comp_ns_per_byte_at_128,
+                            scale(p.comp_alpha_small, p.comp_alpha_large)
+                        )
+                    );
+                    assert_eq!(
+                        model.decompression_cost(alg, chunk, bytes),
+                        expect(
+                            p.decomp_ns_per_byte_at_128,
+                            scale(p.decomp_alpha_small, p.decomp_alpha_large)
+                        )
+                    );
+                }
+            }
+        }
     }
 
     #[test]

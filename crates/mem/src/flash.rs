@@ -42,7 +42,7 @@
 
 use crate::error::MemError;
 use crate::page::{PageId, PAGE_SIZE};
-use crate::slab::{Chain, FxHashMap, Slab, SlabKey};
+use crate::slab::{Chain, FxHashMap, FxHashSet, Slab, SlabKey};
 use ariadne_compress::CostNanos;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -498,25 +498,21 @@ impl FlashDevice {
         let live = self.entries.get(key).expect("indexed slot is live");
         let app = live.pages[0].app();
         let command = live.command;
-        let mut chain = *self.app_chains.get(&app).expect("app chain exists");
+        let chain = self.app_chains.get_mut(&app).expect("app chain exists");
         chain.unlink(&mut self.entries, APP_CHANNEL, key.index());
         if chain.is_empty() {
             self.app_chains.remove(&app);
-        } else {
-            self.app_chains.insert(app, chain);
         }
         // An in-flight entry also leaves its command's chain, so retirement
         // never sees (or pays for) a cancelled slot.
         if let Some(command) = command {
-            let mut chain = *self
+            let chain = self
                 .command_chains
-                .get(&command)
+                .get_mut(&command)
                 .expect("command chain exists");
             chain.unlink(&mut self.entries, CMD_CHANNEL, key.index());
             if chain.is_empty() {
                 self.command_chains.remove(&command);
-            } else {
-                self.command_chains.insert(command, chain);
             }
         }
         let entry = self.entries.remove(key).expect("indexed slot is live");
@@ -625,23 +621,24 @@ impl FlashDevice {
         // and the pages accepted so far so duplicates *within* the
         // submission are rejected like duplicates against stored data.
         let mut accepted: Vec<WriteRequest> = Vec::with_capacity(requests.len());
-        let mut accepted_pages: std::collections::HashSet<PageId> =
-            std::collections::HashSet::new();
+        let mut accepted_pages: FxHashSet<PageId> = FxHashSet::default();
         let mut projected = self.used;
         for request in requests {
-            let mut request_pages = std::collections::HashSet::new();
-            let invalid = request.pages.is_empty()
-                || request.pages.iter().any(|p| {
-                    self.page_index.contains_key(p)
-                        || accepted_pages.contains(p)
-                        || !request_pages.insert(*p)
-                });
+            let taken = |p: &PageId| self.page_index.contains_key(p) || accepted_pages.contains(p);
+            let invalid = match request.pages.as_slice() {
+                [] => true,
+                [page] => taken(page),
+                pages => {
+                    let mut seen = FxHashSet::default();
+                    pages.iter().any(|p| taken(p) || !seen.insert(*p))
+                }
+            };
             let footprint = Self::footprint(request.stored_bytes);
             if invalid || projected + footprint > self.capacity {
                 result.dropped.push(request);
             } else {
                 projected += footprint;
-                accepted_pages.extend(request_pages);
+                accepted_pages.extend(request.pages.iter().copied());
                 accepted.push(request);
             }
         }

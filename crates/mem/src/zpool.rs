@@ -344,12 +344,10 @@ impl Zpool {
             return Err(MemError::StaleHandle);
         }
         let app = self.entries.get(key).expect("checked live").pages[0].app();
-        let mut chain = *self.app_chains.get(&app).expect("app chain exists");
+        let chain = self.app_chains.get_mut(&app).expect("app chain exists");
         chain.unlink(&mut self.entries, APP_CHANNEL, key.index());
         if chain.is_empty() {
             self.app_chains.remove(&app);
-        } else {
-            self.app_chains.insert(app, chain);
         }
         let entry = self.entries.remove(key).expect("checked live");
         self.discard_indexed(handle, &entry);

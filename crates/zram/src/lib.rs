@@ -25,6 +25,7 @@
 
 pub mod dram_only;
 pub mod oracle;
+pub mod page_lru;
 pub mod scheme;
 pub mod swap;
 pub mod tiers;
@@ -32,6 +33,7 @@ pub mod zram;
 
 pub use dram_only::DramOnlyScheme;
 pub use oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
+pub use page_lru::PageLru;
 pub use scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
     SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,

@@ -7,6 +7,7 @@
 //! (the CPU mostly waits for I/O) but makes relaunches slow (every miss pays
 //! a flash read) and wears out the flash.
 
+use crate::page_lru::PageLru;
 use crate::scheme::{
     AccessKind, AccessOutcome, MemoryConfig, ReleasedFootprint, SchemeContext, SwapScheme,
 };
@@ -14,9 +15,8 @@ use crate::swap_scheme_identity;
 use crate::tiers::Tiers;
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, LruList, PageId, PageLocation, SimClock, WriteRequest, PAGE_SIZE,
+    AppId, CpuActivity, FxHashSet, PageId, PageLocation, SimClock, WriteRequest, PAGE_SIZE,
 };
-use std::collections::HashSet;
 
 /// The uncompressed flash-swap baseline.
 ///
@@ -29,7 +29,7 @@ use std::collections::HashSet;
 #[derive(Debug)]
 pub struct FlashSwapScheme {
     tiers: Tiers,
-    lru: LruList<PageId>,
+    lru: PageLru,
 }
 
 impl FlashSwapScheme {
@@ -38,7 +38,7 @@ impl FlashSwapScheme {
     pub fn new(config: MemoryConfig) -> Self {
         FlashSwapScheme {
             tiers: Tiers::new(&config),
-            lru: LruList::new(),
+            lru: PageLru::default(),
         }
     }
 
@@ -54,8 +54,8 @@ impl FlashSwapScheme {
         ctx: &SchemeContext,
     ) -> (usize, CostNanos) {
         let mut victims = Vec::with_capacity(target_pages);
-        self.tiers
-            .pick_lru_victims(&mut self.lru, target_pages, &mut victims);
+        self.lru
+            .pick_victims(self.tiers.foreground, target_pages, &mut victims);
         if victims.is_empty() {
             return (0, CostNanos::zero());
         }
@@ -75,7 +75,7 @@ impl FlashSwapScheme {
         let result = self.tiers.write_to_flash(requests, clock, ctx);
 
         // Rejected pages (swap area full) stay resident.
-        let rejected: HashSet<PageId> = result
+        let rejected: FxHashSet<PageId> = result
             .dropped
             .iter()
             .flat_map(|r| r.pages.iter().copied())

@@ -29,7 +29,7 @@
 use crate::scheme::{MemoryConfig, ReleasedFootprint, SchemeContext, SchemeStats, WritebackPolicy};
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, FaultIn, FlashDevice, FlushResult, Hotness, LruList, MainMemory, PageId,
+    AppId, CpuActivity, FaultIn, FlashDevice, FlushResult, Hotness, MainMemory, PageId,
     PageLocation, SimClock, SwapSlot, WriteRequest, Zpool, ZpoolEntry,
 };
 
@@ -49,9 +49,6 @@ pub struct Tiers {
     /// The scheme's codec, drop and stall counters.
     pub stats: SchemeStats,
     config: MemoryConfig,
-    /// Foreground pages popped and put back during an LRU victim scan,
-    /// reused so the per-page direct-reclaim path never allocates.
-    lru_skipped: Vec<PageId>,
 }
 
 impl Tiers {
@@ -66,7 +63,6 @@ impl Tiers {
             foreground: None,
             stats: SchemeStats::default(),
             config: *config,
-            lru_skipped: Vec::new(),
         }
     }
 
@@ -98,30 +94,6 @@ impl Tiers {
             zpool: self.zpool.stats(),
             flash: self.flash.stats(),
             ..self.stats
-        }
-    }
-
-    /// Pop up to `count` victims off the LRU end of `lru` into `victims`.
-    /// Pages of the foreground app are passed over while any other page
-    /// remains, and go back to the LRU end afterwards.
-    pub fn pick_lru_victims(
-        &mut self,
-        lru: &mut LruList<PageId>,
-        count: usize,
-        victims: &mut Vec<PageId>,
-    ) {
-        let mut picked = 0;
-        while picked < count {
-            let Some(page) = lru.pop_lru() else { break };
-            if Some(page.app()) == self.foreground && !lru.is_empty() {
-                self.lru_skipped.push(page);
-            } else {
-                victims.push(page);
-                picked += 1;
-            }
-        }
-        for page in self.lru_skipped.drain(..) {
-            lru.insert_lru(page);
         }
     }
 

@@ -10,6 +10,7 @@
 //! full the scheme either drops the oldest compressed data (plain ZRAM, the
 //! vendor default) or writes it back to flash (ZSWAP).
 
+use crate::page_lru::PageLru;
 use crate::scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
     SchemeContext, SwapScheme, WritebackPolicy,
@@ -18,7 +19,7 @@ use crate::swap_scheme_identity;
 use crate::tiers::Tiers;
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, FlashIoMode, Hotness, LruList, PageId, PageLocation, SimClock, PAGE_SIZE,
+    AppId, CpuActivity, FlashIoMode, Hotness, PageId, PageLocation, SimClock, PAGE_SIZE,
 };
 
 /// The baseline compressed-swap scheme (single-page compression, LRU victim
@@ -33,7 +34,7 @@ use ariadne_mem::{
 #[derive(Debug)]
 pub struct ZramScheme {
     tiers: Tiers,
-    lru: LruList<PageId>,
+    lru: PageLru,
     /// Order in which pages were compressed (the Figure 4 analysis sorts
     /// compressed data by compression time).
     compression_log: Vec<PageId>,
@@ -51,7 +52,7 @@ impl ZramScheme {
     pub fn new(config: MemoryConfig) -> Self {
         ZramScheme {
             tiers: Tiers::new(&config),
-            lru: LruList::new(),
+            lru: PageLru::default(),
             compression_log: Vec::new(),
             swapin_sectors: Vec::new(),
             victim: Vec::new(),
@@ -109,7 +110,7 @@ impl ZramScheme {
         let mut victim = std::mem::take(&mut self.victim);
         while self.tiers.dram.free_bytes() < PAGE_SIZE {
             victim.clear();
-            self.tiers.pick_lru_victims(&mut self.lru, 1, &mut victim);
+            self.lru.pick_victims(self.tiers.foreground, 1, &mut victim);
             let Some(&page) = victim.first() else {
                 break;
             };
@@ -186,8 +187,8 @@ impl SwapScheme for ZramScheme {
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
         let mut victims = Vec::with_capacity(target_pages);
-        self.tiers
-            .pick_lru_victims(&mut self.lru, target_pages, &mut victims);
+        self.lru
+            .pick_victims(self.tiers.foreground, target_pages, &mut victims);
         let scan = ctx.timing.reclaim_scan(victims.len().max(1));
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
         for &page in &victims {

@@ -3,10 +3,12 @@
 //! Provides the harness surface the workspace's benches use —
 //! `criterion_group!` / `criterion_main!`, benchmark groups, per-input
 //! benches, throughput annotation — and really measures wall-clock time,
-//! printing one line per benchmark. It performs none of criterion's
-//! statistical analysis; the numbers are indicative only, which matches how
-//! the workspace treats host-side wall-clock (simulated latency comes from
-//! the calibrated cost model, not from these benches).
+//! printing one line per benchmark: the median and the minimum time per
+//! iteration over separately timed samples, so one burst of host load moves
+//! one sample rather than the reported figure. It performs none of
+//! criterion's other statistical analysis; the numbers are indicative only,
+//! which matches how the workspace treats host-side wall-clock (simulated
+//! latency comes from the calibrated cost model, not from these benches).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -114,10 +116,17 @@ impl BenchmarkGroup<'_> {
     {
         let mut bencher = Bencher {
             samples: self.criterion.sample_size,
-            mean: Duration::ZERO,
+            per_iter: Vec::new(),
         };
         f(&mut bencher, input);
-        self.report(&id, bencher.mean);
+        let mut per_iter = bencher.per_iter;
+        per_iter.sort_unstable();
+        let median = per_iter
+            .get(per_iter.len() / 2)
+            .copied()
+            .unwrap_or_default();
+        let min = per_iter.first().copied().unwrap_or_default();
+        self.report(&id, median, min);
         self
     }
 
@@ -133,23 +142,24 @@ impl BenchmarkGroup<'_> {
     /// Ends the group (accepted for API compatibility).
     pub fn finish(self) {}
 
-    fn report(&self, id: &BenchmarkId, mean: Duration) {
+    fn report(&self, id: &BenchmarkId, median: Duration, min: Duration) {
         let rate = match self.throughput {
-            Some(Throughput::Bytes(bytes)) if mean > Duration::ZERO => {
-                let gib_s = bytes as f64 / mean.as_secs_f64() / (1u64 << 30) as f64;
+            Some(Throughput::Bytes(bytes)) if median > Duration::ZERO => {
+                let gib_s = bytes as f64 / median.as_secs_f64() / (1u64 << 30) as f64;
                 format!("  ({gib_s:.3} GiB/s)")
             }
-            Some(Throughput::Elements(n)) if mean > Duration::ZERO => {
-                let elem_s = n as f64 / mean.as_secs_f64();
+            Some(Throughput::Elements(n)) if median > Duration::ZERO => {
+                let elem_s = n as f64 / median.as_secs_f64();
                 format!("  ({elem_s:.0} elem/s)")
             }
             _ => String::new(),
         };
         println!(
-            "{}/{}: {:>12.3} µs/iter{}",
+            "{}/{}: {:>12.3} µs/iter median, {:>12.3} µs/iter min{}",
             self.name,
             id.label,
-            mean.as_secs_f64() * 1e6,
+            median.as_secs_f64() * 1e6,
+            min.as_secs_f64() * 1e6,
             rate
         );
     }
@@ -176,25 +186,46 @@ impl From<BenchmarkId> for BenchIdOrName {
     }
 }
 
+/// Shortest span one sample is timed over: a routine faster than this runs
+/// several times per sample, so the clock's own cost stays out of the
+/// figure.
+const SAMPLE_FLOOR: Duration = Duration::from_micros(100);
+
 /// Passed to the benchmark closure; [`Bencher::iter`] times the routine.
 pub struct Bencher {
     samples: usize,
-    mean: Duration,
+    per_iter: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `routine`, running one warm-up plus `sample_size` measured
-    /// iterations, and records the mean per-iteration time.
+    /// Times `routine`: a warm-up doubles a batch of runs until one batch
+    /// spans 100 µs, then each of `sample_size` samples runs a batch of that
+    /// size and is timed on its own. Records each sample's time per
+    /// iteration.
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        black_box(routine()); // warm-up
-        let start = Instant::now();
-        for _ in 0..self.samples {
-            black_box(routine());
+        let mut iters = 1u32;
+        loop {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            if start.elapsed() >= SAMPLE_FLOOR {
+                break;
+            }
+            iters = iters.saturating_mul(2);
         }
-        self.mean = start.elapsed() / self.samples as u32;
+        self.per_iter = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..iters {
+                    black_box(routine());
+                }
+                start.elapsed() / iters
+            })
+            .collect();
     }
 }
 
@@ -245,12 +276,30 @@ mod tests {
         let mut runs = 0u32;
         group.bench_with_input(BenchmarkId::new("count", 1), &7u64, |b, &x| {
             b.iter(|| {
+                // One run spans the sample floor, so every batch is one run.
+                std::thread::sleep(SAMPLE_FLOOR);
                 runs += 1;
                 x * 2
             })
         });
         group.finish();
         assert_eq!(runs, 4, "one warm-up plus sample_size iterations");
+    }
+
+    #[test]
+    fn a_fast_routine_runs_in_batches_and_times_each_sample() {
+        let mut bencher = Bencher {
+            samples: 5,
+            per_iter: Vec::new(),
+        };
+        let mut runs = 0u64;
+        bencher.iter(|| runs += 1);
+        assert_eq!(bencher.per_iter.len(), 5);
+        // The warm-up ran batches of 1, 2, 4, ..., `batch` (2 * batch - 1
+        // runs), then each of the five samples ran one batch.
+        let batch = (runs + 1) / 7;
+        assert!(batch.is_power_of_two(), "{runs} runs");
+        assert_eq!(runs, 7 * batch - 1);
     }
 
     criterion_group! {
