@@ -70,19 +70,6 @@ impl AppLists {
 pub struct HotnessOrg {
     apps: FxHashMap<AppId, AppLists>,
     app_lru: LruList<AppId>,
-    /// Pages per hotness level across all apps, maintained incrementally so
-    /// [`HotnessOrg::total_pages`] and [`HotnessOrg::pages_at`] are O(1)
-    /// (they are polled every engine tick for the pressure stats).
-    level_counts: [usize; 3],
-}
-
-/// Index into [`HotnessOrg::level_counts`] for a hotness level.
-fn level_index(hotness: Hotness) -> usize {
-    match hotness {
-        Hotness::Hot => 0,
-        Hotness::Warm => 1,
-        Hotness::Cold => 2,
-    }
 }
 
 impl HotnessOrg {
@@ -96,13 +83,8 @@ impl HotnessOrg {
     /// removing it from any other list first.
     pub fn insert(&mut self, page: PageId, hotness: Hotness) {
         let lists = self.apps.entry(page.app()).or_default();
-        let previous = lists.hotness_of(page);
-        if previous != Some(hotness) {
-            if let Some(level) = previous {
-                lists.list_mut(level).remove(&page);
-                self.level_counts[level_index(level)] -= 1;
-            }
-            self.level_counts[level_index(hotness)] += 1;
+        if let Some(level) = lists.hotness_of(page).filter(|&level| level != hotness) {
+            lists.list_mut(level).remove(&page);
         }
         lists.list_mut(hotness).touch(page);
         self.app_lru.touch(page.app());
@@ -114,7 +96,6 @@ impl HotnessOrg {
         let lists = self.apps.get_mut(&page.app())?;
         let hotness = lists.hotness_of(page)?;
         lists.list_mut(hotness).remove(&page);
-        self.level_counts[level_index(hotness)] -= 1;
         Some(hotness)
     }
 
@@ -155,8 +136,6 @@ impl HotnessOrg {
             lists.warm.touch(page);
             demoted += 1;
         }
-        self.level_counts[level_index(Hotness::Hot)] -= demoted;
-        self.level_counts[level_index(Hotness::Warm)] += demoted;
         demoted
     }
 
@@ -164,12 +143,10 @@ impl HotnessOrg {
     /// lists and take it off the application-level LRU list. Returns how
     /// many pages were being tracked.
     pub fn release_app(&mut self, app: AppId) -> usize {
-        let removed = self.apps.remove(&app).map_or(0, |l| {
-            self.level_counts[level_index(Hotness::Hot)] -= l.hot.len();
-            self.level_counts[level_index(Hotness::Warm)] -= l.warm.len();
-            self.level_counts[level_index(Hotness::Cold)] -= l.cold.len();
-            l.hot.len() + l.warm.len() + l.cold.len()
-        });
+        let removed = self
+            .apps
+            .remove(&app)
+            .map_or(0, |l| l.hot.len() + l.warm.len() + l.cold.len());
         self.app_lru.remove(&app);
         removed
     }
@@ -234,10 +211,7 @@ impl HotnessOrg {
                     let list = lists.list_mut(level);
                     while victims.len() < count {
                         match list.pop_lru() {
-                            Some(page) => {
-                                victims.push((page, level));
-                                self.level_counts[level_index(level)] -= 1;
-                            }
+                            Some(page) => victims.push((page, level)),
                             None => break,
                         }
                     }
@@ -253,13 +227,18 @@ impl HotnessOrg {
     /// Total pages tracked across all lists and applications.
     #[must_use]
     pub fn total_pages(&self) -> usize {
-        self.level_counts.iter().sum()
+        Hotness::ALL.iter().map(|&level| self.pages_at(level)).sum()
     }
 
     /// Pages currently on the given list level, summed over applications.
     #[must_use]
     pub fn pages_at(&self, hotness: Hotness) -> usize {
-        self.level_counts[level_index(hotness)]
+        let level = |lists: &AppLists| match hotness {
+            Hotness::Hot => lists.hot.len(),
+            Hotness::Warm => lists.warm.len(),
+            Hotness::Cold => lists.cold.len(),
+        };
+        self.apps.values().map(level).sum()
     }
 }
 

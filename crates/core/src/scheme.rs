@@ -18,8 +18,7 @@ use crate::config::{AriadneConfig, HotListMode};
 use crate::hotness::HotnessOrg;
 use crate::identification::{IdentificationMetrics, IdentificationTracker};
 use crate::predecomp::PreDecompBuffer;
-use ariadne_compress::{ChunkSize, CostNanos};
-use ariadne_mem::FxHashMap;
+use ariadne_compress::CostNanos;
 use ariadne_mem::{
     AppId, CpuActivity, Hotness, PageId, PageLocation, SimClock, ZpoolEntry, PAGE_SIZE,
 };
@@ -27,15 +26,6 @@ use ariadne_zram::{
     swap_scheme_identity, AccessKind, AccessOutcome, ReleasedFootprint, SchemeContext, SchemeStats,
     SwapScheme, Tiers,
 };
-
-/// Metadata remembered for pages sitting in the pre-decompression buffer so
-/// they can be re-compressed (at the same size) if they are evicted unused.
-#[derive(Debug, Clone, Copy)]
-struct BufferedPageMeta {
-    compressed_bytes: usize,
-    chunk_size: ChunkSize,
-    hotness: Hotness,
-}
 
 /// The hotness-aware, size-adaptive compressed swap scheme.
 ///
@@ -53,7 +43,6 @@ pub struct AriadneScheme {
     org: HotnessOrg,
     adaptive: AdaptiveComp,
     buffer: PreDecompBuffer,
-    buffer_meta: FxHashMap<PageId, BufferedPageMeta>,
     tracker: IdentificationTracker,
 }
 
@@ -73,7 +62,6 @@ impl AriadneScheme {
             org: HotnessOrg::new(),
             adaptive: AdaptiveComp::new(config.sizes),
             buffer: PreDecompBuffer::new(config.predecomp_buffer_pages),
-            buffer_meta: FxHashMap::default(),
             tracker: IdentificationTracker::new(),
             config,
         }
@@ -209,47 +197,40 @@ impl AriadneScheme {
     /// ledger, never user-visible.
     fn buffer_entry(&mut self, entry: ZpoolEntry, clock: &mut SimClock, ctx: &SchemeContext) {
         let _ = self.tiers.decompress(&entry, clock, ctx);
-        let page = entry.pages[0];
-        self.buffer_meta.insert(
-            page,
-            BufferedPageMeta {
-                compressed_bytes: entry.compressed_bytes,
-                chunk_size: entry.chunk_size,
-                hotness: entry.hotness,
-            },
-        );
-        if let Some(evicted) = self.buffer.insert(page) {
+        if let Some(evicted) = self.buffer.insert(entry) {
             self.recompress_buffered(evicted, clock, ctx);
         }
     }
 
     /// A page evicted unused from the pre-decompression buffer is compressed
     /// back into the zpool (same size as before; the CPU pays again).
-    fn recompress_buffered(&mut self, page: PageId, clock: &mut SimClock, ctx: &SchemeContext) {
-        let Some(meta) = self.buffer_meta.remove(&page) else {
-            return;
-        };
+    fn recompress_buffered(
+        &mut self,
+        entry: ZpoolEntry,
+        clock: &mut SimClock,
+        ctx: &SchemeContext,
+    ) {
         let cost = ctx.compression_cost(
             self.tiers.config().algorithm,
-            meta.chunk_size,
+            entry.chunk_size,
             PAGE_SIZE,
             clock.now().as_nanos(),
         );
         self.tiers
             .stats
-            .record_compression(1, PAGE_SIZE, meta.compressed_bytes, cost, clock);
+            .record_compression(1, PAGE_SIZE, entry.compressed_bytes, cost, clock);
         // Background work: any writeback the overflow triggers is queued
         // (or, under the sync model, paid by the background recompression
         // itself), never user-visible here.
         let _ = self
             .tiers
-            .make_zpool_room(meta.compressed_bytes, clock, ctx);
+            .make_zpool_room(entry.compressed_bytes, clock, ctx);
         self.tiers.store(
-            vec![page],
+            entry.pages,
             PAGE_SIZE,
-            meta.compressed_bytes,
-            meta.chunk_size,
-            meta.hotness,
+            entry.compressed_bytes,
+            entry.chunk_size,
+            entry.hotness,
         );
     }
 
@@ -306,7 +287,6 @@ impl SwapScheme for AriadneScheme {
 
         // Pre-decompression buffer hit: the data is already uncompressed.
         if self.buffer.take(page) {
-            self.buffer_meta.remove(&page);
             let mut latency = self.make_room_for(1, clock, ctx);
             let _ = self.tiers.dram.insert(page);
             self.note_access(page, kind);
@@ -331,7 +311,7 @@ impl SwapScheme for AriadneScheme {
                 self.org.insert(*sibling, entry.hotness);
             }
             PageLocation::Zpool
-        } else if let Some((_, fault)) = self.tiers.take_from_flash(page, clock) {
+        } else if let Some(fault) = self.tiers.take_from_flash(page, clock) {
             let room = self.make_room_for(fault.pages.len(), clock, ctx);
             latency += room;
             // The direct reclaim above ran while the in-flight command (or
@@ -439,16 +419,13 @@ impl SwapScheme for AriadneScheme {
         // is discarded — an interrupted relaunch is not a fair sample.
         let tracked = self.org.release_app(app);
         let buffered = self.buffer.release_app(app);
-        for page in &buffered {
-            self.buffer_meta.remove(page);
-        }
         self.tracker.discard(app);
         let cost = ctx
             .timing
             .lru_ops(tracked.max(evicted.len()) + footprint.zpool_pages + footprint.flash_pages);
         clock.charge_cpu(CpuActivity::ListMaintenance, cost);
         ReleasedFootprint {
-            buffered_pages: buffered.len(),
+            buffered_pages: buffered,
             ..footprint
         }
     }
@@ -474,6 +451,7 @@ impl SwapScheme for AriadneScheme {
 mod tests {
     use super::*;
     use crate::config::SizeConfig;
+    use ariadne_compress::ChunkSize;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
     use ariadne_zram::{MemoryConfig, WritebackPolicy};

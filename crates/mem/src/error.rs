@@ -1,6 +1,5 @@
 //! Error type for memory-substrate operations.
 
-use crate::page::PageId;
 use std::error::Error;
 use std::fmt;
 
@@ -14,13 +13,6 @@ pub enum MemError {
         requested: usize,
         /// Bytes currently free.
         available: usize,
-    },
-    /// The flash swap area has no free slots.
-    SwapSpaceFull,
-    /// A page was looked up that the component does not hold.
-    PageNotFound {
-        /// The page that was requested.
-        page: PageId,
     },
     /// A zpool handle was used after the entry was removed.
     StaleHandle,
@@ -43,8 +35,6 @@ impl fmt::Display for MemError {
                 f,
                 "zpool full: requested {requested} bytes, {available} available"
             ),
-            MemError::SwapSpaceFull => write!(f, "flash swap space is full"),
-            MemError::PageNotFound { page } => write!(f, "page {page} not found"),
             MemError::StaleHandle => write!(f, "stale zpool handle"),
             MemError::InvalidParameter { parameter, detail } => {
                 write!(f, "invalid parameter `{parameter}`: {detail}")
@@ -58,7 +48,6 @@ impl Error for MemError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{AppId, Pfn};
 
     #[test]
     fn display_is_informative() {
@@ -67,10 +56,11 @@ mod tests {
             available: 128,
         };
         assert!(err.to_string().contains("4096"));
-        let err = MemError::PageNotFound {
-            page: PageId::new(AppId::new(3), Pfn::new(77)),
+        let err = MemError::InvalidParameter {
+            parameter: "low",
+            detail: "77 exceeds the high watermark".to_string(),
         };
-        assert!(err.to_string().contains("77"));
+        assert!(err.to_string().contains("low") && err.to_string().contains("77"));
     }
 
     #[test]

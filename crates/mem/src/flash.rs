@@ -318,14 +318,21 @@ struct FlashEntry {
 /// The flash swap device.
 ///
 /// ```
-/// use ariadne_mem::{AppId, FlashDevice, PageId, Pfn};
+/// use ariadne_mem::{AppId, FlashDevice, PageId, Pfn, WriteRequest};
 ///
 /// let mut flash = FlashDevice::new(8 * 1024 * 1024);
 /// let page = PageId::new(AppId::new(1), Pfn::new(0));
-/// let slot = flash.write(vec![page], 4096, 4096, false).unwrap();
+/// let request = WriteRequest {
+///     pages: vec![page],
+///     original_bytes: 4096,
+///     stored_bytes: 4096,
+///     compressed: false,
+/// };
+/// let slot = flash.submit_writes(vec![request], 0).slots[0];
 /// assert!(flash.contains(page));
-/// let entry = flash.read(slot).unwrap();
-/// assert_eq!(entry.0, vec![page]);
+/// let fault = flash.fault_in(slot, 0).unwrap();
+/// assert_eq!(fault.pages, vec![page]);
+/// assert!(fault.from_in_flight, "the write had not completed yet");
 /// assert_eq!(flash.stats().bytes_written, 4096);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -564,45 +571,6 @@ impl FlashDevice {
         retired
     }
 
-    /// Write an object covering `pages` to the swap area, inline and
-    /// outside the command queue. Only tests use it; schemes write through
-    /// [`FlashDevice::submit_writes`], whose [`FlashIoMode::Sync`] mode also
-    /// writes inline.
-    ///
-    /// `stored_bytes` is what actually hits the flash (compressed size for
-    /// ZSWAP-style writeback, `pages.len() * 4096` for the SWAP baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::SwapSpaceFull`] when the area cannot hold the
-    /// object and [`MemError::InvalidParameter`] for an empty page list or a
-    /// page that is already swapped out.
-    pub fn write(
-        &mut self,
-        pages: Vec<PageId>,
-        original_bytes: usize,
-        stored_bytes: usize,
-        compressed: bool,
-    ) -> Result<SwapSlot, MemError> {
-        self.validate(&pages, stored_bytes)?;
-        if self.used + Self::footprint(stored_bytes) > self.capacity {
-            return Err(MemError::SwapSpaceFull);
-        }
-        self.stats.commands += 1;
-        let slot = self.store_entry(
-            WriteRequest {
-                pages,
-                original_bytes,
-                stored_bytes,
-                compressed,
-            },
-            None,
-            None,
-        );
-        self.debug_check_invariants();
-        Ok(slot)
-    }
-
     /// Submit a set of write requests at simulated time `now_nanos`.
     ///
     /// Invalid requests (empty page list, a page already swapped out) and
@@ -757,22 +725,6 @@ impl FlashDevice {
         stall
     }
 
-    /// Read the object in `slot` (without removing it), returning its pages,
-    /// stored size, original size and whether it is compressed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::StaleHandle`] if the slot is free.
-    pub fn read(&mut self, slot: SwapSlot) -> Result<(Vec<PageId>, usize, usize, bool), MemError> {
-        let entry = self.entry(slot).ok_or(MemError::StaleHandle)?;
-        let pages = entry.pages.clone();
-        let (stored, original, compressed) =
-            (entry.stored_bytes, entry.original_bytes, entry.compressed);
-        self.stats.reads += 1;
-        self.stats.bytes_read += stored;
-        Ok((pages, stored, original, compressed))
-    }
-
     /// Remove the object in `slot` for a page fault at simulated time
     /// `now_nanos`.
     ///
@@ -864,18 +816,6 @@ impl FlashDevice {
         (doomed.len(), pages)
     }
 
-    /// Remove the object in `slot`, freeing the space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::StaleHandle`] if the slot is free.
-    pub fn discard(&mut self, slot: SwapSlot) -> Result<(), MemError> {
-        let entry = self.take_entry(slot).ok_or(MemError::StaleHandle)?;
-        self.used -= Self::footprint(entry.stored_bytes);
-        self.debug_check_invariants();
-        Ok(())
-    }
-
     /// Verify the slot-accounting invariants: every indexed page points at a
     /// live slot covering it, every stored page is indexed, the used-bytes
     /// counter matches the footprints of the live entries, and every
@@ -962,24 +902,8 @@ impl FlashDevice {
         Ok(())
     }
 
-    fn validate(&self, pages: &[PageId], _stored_bytes: usize) -> Result<(), MemError> {
-        if pages.is_empty() {
-            return Err(MemError::InvalidParameter {
-                parameter: "pages",
-                detail: "a swap object must cover at least one page".to_string(),
-            });
-        }
-        if let Some(dup) = pages.iter().find(|p| self.page_index.contains_key(p)) {
-            return Err(MemError::InvalidParameter {
-                parameter: "pages",
-                detail: format!("page {dup} is already in the swap area"),
-            });
-        }
-        Ok(())
-    }
-
     /// Allocate a slot and record the entry. The caller has already
-    /// validated the request and reserved capacity. Wear statistics are
+    /// checked the request and its capacity. Wear statistics are
     /// charged at submission: the bytes hit the cells whether or not the
     /// command has retired yet.
     fn store_entry(
@@ -1106,43 +1030,65 @@ mod tests {
         }
     }
 
+    /// Submit one object at instant 0. Returns its slot, or `None` when the
+    /// device rejected it.
+    fn store(
+        flash: &mut FlashDevice,
+        pages: Vec<PageId>,
+        original_bytes: usize,
+        stored_bytes: usize,
+        compressed: bool,
+    ) -> Option<SwapSlot> {
+        let request = WriteRequest {
+            pages,
+            original_bytes,
+            stored_bytes,
+            compressed,
+        };
+        flash.submit_writes(vec![request], 0).slots.first().copied()
+    }
+
     #[test]
     fn write_read_discard_cycle() {
-        let mut flash = FlashDevice::new(1 << 20);
-        let slot = flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
-        let (pages, stored, original, compressed) = flash.read(slot).unwrap();
-        assert_eq!(pages, vec![page(1, 1)]);
-        assert_eq!((stored, original, compressed), (4096, 4096, false));
-        flash.discard(slot).unwrap();
+        let mut flash = FlashDevice::with_io(1 << 20, FlashIoConfig::sync());
+        let slot = store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        // A fault reads the object back and frees its slot.
+        let fault = flash.fault_in(slot, 0).unwrap();
+        assert_eq!(fault.pages, vec![page(1, 1)]);
+        assert_eq!(
+            (fault.stored_bytes, fault.original_bytes, fault.compressed),
+            (4096, 4096, false)
+        );
         assert!(flash.is_empty());
-        assert!(flash.read(slot).is_err());
-        assert!(flash.discard(slot).is_err());
+        assert!(flash.fault_in(slot, 0).is_err());
+        // A kill discards an object without reading it.
+        store(&mut flash, vec![page(1, 2)], 4096, 4096, false).unwrap();
+        assert_eq!(flash.release_app(AppId::new(1), 0), (1, 1));
+        assert!(flash.is_empty());
+        assert_eq!(flash.stats().reads, 1);
+        flash.leak_check().unwrap();
     }
 
     #[test]
     fn wear_statistics_accumulate() {
-        let mut flash = FlashDevice::new(1 << 20);
-        let s1 = flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
-        let s2 = flash
-            .write(vec![page(1, 2), page(1, 3)], 8192, 3000, true)
-            .unwrap();
-        flash.read(s1).unwrap();
-        flash.read(s2).unwrap();
-        flash.read(s2).unwrap();
+        let mut flash = FlashDevice::with_io(1 << 20, FlashIoConfig::sync());
+        let s1 = store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        let s2 = store(&mut flash, vec![page(1, 2), page(1, 3)], 8192, 3000, true).unwrap();
+        flash.fault_in(s1, 0).unwrap();
+        flash.fault_in(s2, 0).unwrap();
         let stats = flash.stats();
         assert_eq!(stats.writes, 2);
         assert_eq!(stats.commands, 2);
         assert_eq!(stats.bytes_written, 4096 + 3000);
-        assert_eq!(stats.reads, 3);
-        assert_eq!(stats.bytes_read, 4096 + 2 * 3000);
+        assert_eq!(stats.reads, 2);
+        assert_eq!(stats.bytes_read, 4096 + 3000);
     }
 
     #[test]
     fn compressed_objects_use_less_space_than_raw() {
         let mut flash = FlashDevice::new(1 << 20);
-        flash
-            .write(vec![page(1, 1), page(1, 2), page(1, 3)], 12288, 4000, true)
-            .unwrap();
+        let pages = vec![page(1, 1), page(1, 2), page(1, 3)];
+        store(&mut flash, pages, 12288, 4000, true).unwrap();
         // Three compressed pages fit in one flash page.
         assert_eq!(flash.used_bytes(), PAGE_SIZE);
     }
@@ -1150,30 +1096,31 @@ mod tests {
     #[test]
     fn capacity_is_enforced() {
         let mut flash = FlashDevice::new(2 * PAGE_SIZE);
-        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
-        flash.write(vec![page(1, 2)], 4096, 4096, false).unwrap();
-        assert!(matches!(
-            flash.write(vec![page(1, 3)], 4096, 4096, false),
-            Err(MemError::SwapSpaceFull)
-        ));
+        store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(1, 2)], 4096, 4096, false).unwrap();
+        assert_eq!(store(&mut flash, vec![page(1, 3)], 4096, 4096, false), None);
+        assert_eq!(flash.used_bytes(), 2 * PAGE_SIZE);
+        flash.leak_check().unwrap();
     }
 
     #[test]
     fn duplicate_and_empty_writes_are_rejected() {
         let mut flash = FlashDevice::new(1 << 20);
-        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
-        assert!(flash.write(vec![page(1, 1)], 4096, 4096, false).is_err());
-        assert!(flash.write(vec![], 0, 0, false).is_err());
+        store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        assert_eq!(store(&mut flash, vec![page(1, 1)], 4096, 4096, false), None);
+        assert_eq!(store(&mut flash, vec![], 0, 0, false), None);
+        assert_eq!(flash.len(), 1);
+        flash.leak_check().unwrap();
     }
 
     #[test]
     fn page_index_tracks_slots() {
         let mut flash = FlashDevice::new(1 << 20);
-        let slot = flash
-            .write(vec![page(3, 7), page(3, 8)], 8192, 8192, false)
-            .unwrap();
+        let pages = vec![page(3, 7), page(3, 8)];
+        let slot = store(&mut flash, pages, 8192, 8192, false).unwrap();
         assert_eq!(flash.slot_for(page(3, 8)), Some(slot));
-        flash.discard(slot).unwrap();
+        flash.fault_in(slot, 0).unwrap();
+        assert_eq!(flash.slot_for(page(3, 7)), None);
         assert_eq!(flash.slot_for(page(3, 8)), None);
     }
 
@@ -1324,7 +1271,7 @@ mod tests {
     #[test]
     fn duplicate_pages_in_a_submission_are_dropped() {
         let mut flash = FlashDevice::with_io(1 << 20, FlashIoConfig::ufs31());
-        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
         let result = flash.submit_writes(vec![request(1, 1), request(1, 2)], 0);
         assert_eq!(result.dropped.len(), 1);
         assert_eq!(result.dropped[0].pages, vec![page(1, 1)]);
@@ -1334,7 +1281,7 @@ mod tests {
     #[test]
     fn pages_written_counts_stored_pages_and_skips_dropped_requests() {
         let mut flash = FlashDevice::with_io(1 << 20, FlashIoConfig::ufs31());
-        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
         let result = flash.submit_writes(
             vec![
                 WriteRequest {
@@ -1405,12 +1352,12 @@ mod tests {
     #[test]
     fn release_app_frees_capacity_for_new_writes() {
         let mut flash = FlashDevice::new(2 * PAGE_SIZE);
-        flash.write(vec![page(1, 1)], 4096, 4096, false).unwrap();
-        flash.write(vec![page(1, 2)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(1, 2)], 4096, 4096, false).unwrap();
         assert_eq!(flash.free_bytes(), 0);
         flash.release_app(AppId::new(1), 0);
         assert_eq!(flash.free_bytes(), 2 * PAGE_SIZE);
-        flash.write(vec![page(2, 1)], 4096, 4096, false).unwrap();
+        store(&mut flash, vec![page(2, 1)], 4096, 4096, false).unwrap();
         flash.leak_check().unwrap();
     }
 
@@ -1419,7 +1366,7 @@ mod tests {
         let mut flash = FlashDevice::new(2 * ERASE_BLOCK_BYTES);
         assert!(flash.erase_counts().is_empty());
         // A sub-page compressed object still programs one physical page.
-        flash.write(vec![page(1, 0)], 4096, 1000, true).unwrap();
+        store(&mut flash, vec![page(1, 0)], 4096, 1000, true).unwrap();
         let stats = flash.stats();
         assert_eq!(stats.bytes_written, 1000);
         assert_eq!(stats.physical_bytes_written, PAGE_SIZE);
@@ -1429,12 +1376,11 @@ mod tests {
         // Fill the rest of block 0: no further erase until block 1 opens.
         let pages_per_block = ERASE_BLOCK_BYTES / PAGE_SIZE;
         for pfn in 1..pages_per_block as u64 {
-            flash.write(vec![page(1, pfn)], 4096, 4096, false).unwrap();
+            store(&mut flash, vec![page(1, pfn)], 4096, 4096, false).unwrap();
         }
         assert_eq!(flash.stats().erases, 1);
-        flash
-            .write(vec![page(1, pages_per_block as u64)], 4096, 4096, false)
-            .unwrap();
+        let next_block = vec![page(1, pages_per_block as u64)];
+        store(&mut flash, next_block, 4096, 4096, false).unwrap();
         assert_eq!(flash.stats().erases, 2, "crossing into block 1 erases it");
         assert_eq!(flash.erase_counts(), &[1, 1]);
         flash.leak_check().unwrap();
@@ -1480,21 +1426,16 @@ mod tests {
         // first write of the device's life is uninflated.
         assert_eq!(fresh.sync_latency, CostNanos(140_000));
 
-        // Cycle the block a few times via write/fault churn.
+        // Cycle the block a few times via write/fault churn, each write
+        // waited out so the device is idle when the next one comes.
         let mut now = 1_000_000u128;
         let pages_per_block = (ERASE_BLOCK_BYTES / PAGE_SIZE) as u64;
         for round in 0..3u64 {
             for pfn in 1..pages_per_block {
-                let slot = flash
-                    .write(
-                        vec![page(1, round * pages_per_block + pfn)],
-                        4096,
-                        4096,
-                        false,
-                    )
-                    .unwrap();
-                now += 1;
-                flash.fault_in(slot, now).unwrap();
+                let churn = request(1, round * pages_per_block + pfn);
+                let result = flash.submit_writes(vec![churn], now);
+                now += result.sync_latency.as_nanos();
+                flash.fault_in(result.slots[0], now).unwrap();
             }
         }
         let erases = flash.stats().erases;

@@ -133,11 +133,8 @@ proptest! {
 #[test]
 fn waf_reflects_sub_page_padding_exactly() {
     let mut flash = FlashDevice::new(1 << 22);
-    for pfn in 0..32u64 {
-        flash
-            .write(vec![page(pfn)], PAGE_SIZE, PAGE_SIZE / 4, true)
-            .unwrap();
-    }
+    let requests = (0..32u64).map(|pfn| request(pfn, PAGE_SIZE / 4)).collect();
+    assert!(flash.submit_writes(requests, 0).dropped.is_empty());
     let stats = flash.stats();
     assert_eq!(stats.bytes_written, 32 * PAGE_SIZE / 4);
     assert_eq!(stats.physical_bytes_written, 32 * PAGE_SIZE);

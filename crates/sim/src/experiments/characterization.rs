@@ -10,11 +10,11 @@ use ariadne_mem::{Hotness, PageId, PAGE_SIZE};
 use ariadne_trace::{
     measure_consecutive_probability, AppName, PageDataGenerator, TimedScenario, WorkloadBuilder,
 };
-use ariadne_zram::ZramScheme;
+use ariadne_zram::LruScheme;
 use std::collections::HashMap;
 
 /// The ZRAM scheme `system` runs (Figure 4 and Table 3 read its page logs).
-fn zram(system: &MobileSystem) -> &ZramScheme {
+fn zram(system: &MobileSystem) -> &LruScheme {
     system
         .scheme()
         .as_any()

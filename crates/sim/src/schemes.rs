@@ -1,9 +1,7 @@
 //! A factory for every swap scheme evaluated in the paper.
 
 use ariadne_core::{AriadneConfig, AriadneScheme, HotListMode, SizeConfig};
-use ariadne_zram::{
-    DramOnlyScheme, FlashSwapScheme, MemoryConfig, SwapScheme, WritebackPolicy, ZramScheme,
-};
+use ariadne_zram::{DramOnlyScheme, LruScheme, MemoryConfig, SwapScheme, WritebackPolicy};
 use std::fmt;
 
 /// Which scheme to instantiate for an experiment.
@@ -67,9 +65,9 @@ impl SchemeSpec {
                 config.watermarks = ariadne_mem::Watermarks::android_default(config.dram_bytes);
                 Box::new(DramOnlyScheme::new(config))
             }
-            SchemeSpec::Swap => Box::new(FlashSwapScheme::new(memory)),
-            SchemeSpec::Zram => Box::new(ZramScheme::new(memory)),
-            SchemeSpec::Zswap => Box::new(ZramScheme::new(
+            SchemeSpec::Swap => Box::new(LruScheme::swap(memory)),
+            SchemeSpec::Zram => Box::new(LruScheme::zram(memory)),
+            SchemeSpec::Zswap => Box::new(LruScheme::zram(
                 memory.with_writeback(WritebackPolicy::WritebackToFlash),
             )),
             SchemeSpec::Ariadne { sizes, mode } => {

@@ -13,7 +13,7 @@ use ariadne_mem::{FlashIoConfig, PageLocation, Watermarks, PAGE_SIZE};
 use ariadne_sim::{EngineEvent, MobileSystem, SchemeSpec, SimulationConfig};
 use ariadne_trace::{AppName, TimedScenario};
 use ariadne_zram::{
-    AccessKind, MemoryConfig, SchemeContext, SwapScheme, WritebackPolicy, ZramScheme,
+    AccessKind, LruScheme, MemoryConfig, SchemeContext, SwapScheme, WritebackPolicy,
 };
 
 /// The writeback-storm configuration the `writeback` experiment uses: a
@@ -118,7 +118,7 @@ fn faults_on_in_flight_writeback_stall_only_until_completion() {
         .build(AppName::Twitter)];
     let ctx = SchemeContext::new(1, &workloads);
     let mut clock = ariadne_mem::SimClock::new();
-    let mut scheme = ZramScheme::new(config);
+    let mut scheme = LruScheme::zram(config);
     let pages: Vec<_> = workloads[0].pages.iter().map(|p| p.page).collect();
     for &page in pages.iter().take(40) {
         scheme.register_page(page, &mut clock, &ctx);

@@ -3,22 +3,22 @@
 //! This crate defines the [`SwapScheme`] abstraction that every memory-swap
 //! policy in the workspace implements, the [`Tiers`] every scheme holds —
 //! DRAM, the zpool and the flash swap device, with each tier move and each
-//! fault price written once — plus the three baselines the paper compares
+//! fault price written once — plus the baselines the paper compares
 //! against:
 //!
 //! * [`DramOnlyScheme`] — the optimistic lower bound: DRAM is assumed large
 //!   enough that nothing is ever swapped (the `DRAM` bars of Figures 2, 3
 //!   and 10);
-//! * [`FlashSwapScheme`] — the classic flash-backed swap (`SWAP` bars): LRU
-//!   victims are written uncompressed to the flash swap area;
-//! * [`ZramScheme`] — the state-of-the-art compressed swap used by modern
-//!   Android: LRU victims are compressed one 4 KiB page at a time into the
-//!   zpool and decompressed on demand, with optional ZSWAP-style writeback
-//!   of compressed data to flash when the zpool fills up.
+//! * [`LruScheme`] — the kernel's LRU swap path, whose only policy is
+//!   where a victim goes. [`LruScheme::zram`] compresses LRU victims one
+//!   4 KiB page at a time into the zpool and decompresses them on demand:
+//!   the compressed swap modern Android ships (`ZRAM`), or `ZSWAP` when
+//!   zpool overflow is written back to flash. [`LruScheme::swap`] writes
+//!   them uncompressed to the flash swap area (`SWAP`).
 //!
 //! Ariadne itself lives in the `ariadne-core` crate and implements the same
 //! [`SwapScheme`] trait on the same [`Tiers`], so every experiment drives
-//! the four policies through identical machinery.
+//! every policy through identical machinery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +27,6 @@ pub mod dram_only;
 pub mod oracle;
 pub mod page_lru;
 pub mod scheme;
-pub mod swap;
 pub mod tiers;
 pub mod zram;
 
@@ -38,6 +37,5 @@ pub use scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
     SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
-pub use swap::FlashSwapScheme;
 pub use tiers::Tiers;
-pub use zram::ZramScheme;
+pub use zram::LruScheme;

@@ -1,4 +1,5 @@
-//! The LRU page list the ZRAM/ZSWAP and SWAP baselines reclaim from.
+//! The LRU page list the [`LruScheme`](crate::LruScheme) baselines (SWAP,
+//! ZRAM and ZSWAP) reclaim from.
 //!
 //! Reclaim takes its victims from the LRU end but passes over the pages of
 //! the foreground app while any other page remains (§2.2: kswapd scans the

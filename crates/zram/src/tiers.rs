@@ -1,9 +1,9 @@
 //! The memory tiers every swap scheme shares: DRAM, the compressed pool
 //! (zpool) and the flash swap device.
 //!
-//! The four schemes differ only in *policy* — which pages they evict (LRU
-//! or Ariadne's hotness lists), at which chunk size, where direct reclaim
-//! runs and what they decompress ahead of use. The tier operations
+//! The schemes differ only in *policy* — which pages they evict (LRU or
+//! Ariadne's hotness lists), where the victims go, at which chunk size,
+//! where direct reclaim runs and what they decompress ahead of use. The tier operations
 //! underneath are ZRAM's and identical for all of them, so [`Tiers`] holds
 //! the tiers plus the scheme's foreground app and [`SchemeStats`] ledger,
 //! and writes each tier move and each fault price once:
@@ -30,7 +30,7 @@ use crate::scheme::{MemoryConfig, ReleasedFootprint, SchemeContext, SchemeStats,
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
     AppId, CpuActivity, FaultIn, FlashDevice, FlushResult, Hotness, MainMemory, PageId,
-    PageLocation, SimClock, SwapSlot, WriteRequest, Zpool, ZpoolEntry,
+    PageLocation, SimClock, WriteRequest, Zpool, ZpoolEntry,
 };
 
 /// DRAM, the zpool and the flash swap device of one scheme, with the
@@ -202,16 +202,12 @@ impl Tiers {
         cost
     }
 
-    /// The flash object holding `page` and its slot, faulted out of the
-    /// device at the current instant (its write may still be in flight).
-    pub fn take_from_flash(
-        &mut self,
-        page: PageId,
-        clock: &SimClock,
-    ) -> Option<(SwapSlot, FaultIn)> {
+    /// The flash object holding `page`, faulted out of the device at the
+    /// current instant (its write may still be in flight).
+    pub fn take_from_flash(&mut self, page: PageId, clock: &SimClock) -> Option<FaultIn> {
         let slot = self.flash.slot_for(page)?;
         let fault = self.flash.fault_in(slot, clock.now().as_nanos());
-        Some((slot, fault.expect("slot was just looked up")))
+        Some(fault.expect("slot was just looked up"))
     }
 
     /// The price of a fault on flash-resident data:

@@ -1,14 +1,26 @@
-//! The state-of-the-art `ZRAM` baseline.
+//! The LRU baselines: `ZRAM`, `ZSWAP` and `SWAP`.
 //!
-//! This is the scheme modern Android ships (§2.2 of the paper): when memory
-//! pressure builds, kswapd takes the least-recently-used anonymous pages,
-//! compresses them one 4 KiB page at a time with the kernel's default
-//! compressor and stores the result in the zpool. A page fault on compressed
-//! data decompresses it on demand — possibly after first compressing *other*
-//! pages to make room, which is exactly the on-demand-compression cost the
-//! paper identifies as a major source of relaunch latency. When the zpool is
-//! full the scheme either drops the oldest compressed data (plain ZRAM, the
-//! vendor default) or writes it back to flash (ZSWAP).
+//! The paper's baselines are one kernel path (§2.2): when memory pressure
+//! builds, kswapd takes the least-recently-used anonymous pages and swaps
+//! them out, and a page fault brings a page back on demand. They differ only
+//! in where a victim goes:
+//!
+//! * `ZRAM`, which modern Android ships, compresses each victim one 4 KiB
+//!   page at a time with the kernel's default compressor into the zpool. A
+//!   fault decompresses it on demand — possibly after first compressing
+//!   *other* pages to make room, which is exactly the on-demand-compression
+//!   cost the paper identifies as a major source of relaunch latency. When
+//!   the zpool is full it drops the oldest compressed data (the vendor
+//!   default);
+//! * `ZSWAP` is ZRAM that writes the oldest compressed data back to flash
+//!   instead of dropping it;
+//! * `SWAP`, from before compressed swap existed, writes victims
+//!   uncompressed to the flash swap area. It keeps kswapd CPU usage low (the
+//!   CPU mostly waits for I/O) but makes relaunches slow (every miss pays a
+//!   flash read) and wears out the flash.
+//!
+//! [`LruScheme`] is that one path; only its private eviction step looks at
+//! the device.
 
 use crate::page_lru::PageLru;
 use crate::scheme::{
@@ -19,43 +31,82 @@ use crate::swap_scheme_identity;
 use crate::tiers::Tiers;
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
-    AppId, CpuActivity, FlashIoMode, Hotness, PageId, PageLocation, SimClock, PAGE_SIZE,
+    AppId, CpuActivity, FlashIoMode, FxHashSet, Hotness, PageId, PageLocation, SimClock,
+    WriteRequest, PAGE_SIZE,
 };
 
-/// The baseline compressed-swap scheme (single-page compression, LRU victim
-/// selection, on-demand decompression).
+/// Where an LRU victim goes.
+#[derive(Debug, Clone, Copy)]
+enum SwapDevice {
+    /// Compressed into the zpool, one page per entry (ZRAM, ZSWAP).
+    Zpool,
+    /// Uncompressed onto the flash swap area (SWAP).
+    Flash,
+}
+
+/// The LRU swap baselines: LRU victim selection and on-demand swap-in, with
+/// victims compressed into the zpool ([`LruScheme::zram`]) or written to
+/// flash ([`LruScheme::swap`]).
 ///
 /// ```
-/// use ariadne_zram::{MemoryConfig, SwapScheme, ZramScheme};
+/// use ariadne_zram::{LruScheme, MemoryConfig, SwapScheme, WritebackPolicy};
 ///
-/// let scheme = ZramScheme::new(MemoryConfig::pixel7_scaled(256));
-/// assert_eq!(scheme.name(), "ZRAM");
+/// let config = MemoryConfig::pixel7_scaled(256);
+/// assert_eq!(LruScheme::zram(config).name(), "ZRAM");
+/// let zswap = config.with_writeback(WritebackPolicy::WritebackToFlash);
+/// assert_eq!(LruScheme::zram(zswap).name(), "ZSWAP");
 /// ```
 #[derive(Debug)]
-pub struct ZramScheme {
+pub struct LruScheme {
     tiers: Tiers,
     lru: PageLru,
+    device: SwapDevice,
+    name: &'static str,
     /// Order in which pages were compressed (the Figure 4 analysis sorts
     /// compressed data by compression time).
     compression_log: Vec<PageId>,
-    /// zpool sectors and flash slots touched by swap-ins, in access order
-    /// (the Table 3 locality analysis runs over this sequence).
+    /// zpool sectors touched by swap-ins, in access order (the Table 3
+    /// locality analysis runs over this sequence).
     swapin_sectors: Vec<u64>,
-    /// Reusable buffer for the single victim of each direct-reclaim step,
-    /// so the per-page `make_room` loop never allocates.
-    victim: Vec<PageId>,
+    /// Reusable victim buffer, so the per-page direct-reclaim loop never
+    /// allocates.
+    victims: Vec<PageId>,
 }
 
-impl ZramScheme {
-    /// Create the scheme from a memory configuration.
+impl LruScheme {
+    /// The compressed-swap baseline: `ZRAM`, or `ZSWAP` when `config`
+    /// writes zpool overflow back to flash.
     #[must_use]
-    pub fn new(config: MemoryConfig) -> Self {
-        ZramScheme {
+    pub fn zram(config: MemoryConfig) -> Self {
+        let name = match config.writeback {
+            WritebackPolicy::DropOldest => "ZRAM",
+            WritebackPolicy::WritebackToFlash => "ZSWAP",
+        };
+        LruScheme::new(config, SwapDevice::Zpool, name)
+    }
+
+    /// The uncompressed flash-swap baseline, `SWAP`.
+    ///
+    /// ```
+    /// use ariadne_zram::{LruScheme, MemoryConfig, SwapScheme};
+    ///
+    /// let scheme = LruScheme::swap(MemoryConfig::pixel7_scaled(256));
+    /// assert_eq!(scheme.name(), "SWAP");
+    /// ```
+    #[must_use]
+    pub fn swap(config: MemoryConfig) -> Self {
+        LruScheme::new(config, SwapDevice::Flash, "SWAP")
+    }
+
+    fn new(config: MemoryConfig, device: SwapDevice, name: &'static str) -> Self {
+        LruScheme {
             tiers: Tiers::new(&config),
             lru: PageLru::default(),
+            device,
+            name,
             compression_log: Vec::new(),
             swapin_sectors: Vec::new(),
-            victim: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
@@ -65,25 +116,10 @@ impl ZramScheme {
         &self.compression_log
     }
 
-    /// The zpool sector or flash slot of every swap-in so far, in access
-    /// order.
+    /// The zpool sector of every swap-in so far, in access order.
     #[must_use]
     pub fn swapin_sectors(&self) -> &[u64] {
         &self.swapin_sectors
-    }
-
-    /// Compress one victim page into the zpool (single-page entries, all
-    /// labelled cold). Returns the compression latency plus any
-    /// user-visible writeback cost the overflow incurred.
-    fn compress_page(
-        &mut self,
-        page: PageId,
-        clock: &mut SimClock,
-        ctx: &SchemeContext,
-    ) -> CostNanos {
-        self.compression_log.push(page);
-        self.tiers
-            .compress(&[page], ChunkSize::k4(), Hotness::Cold, clock, ctx)
     }
 
     /// Whether the ZSWAP background flush is active: only under the ZSWAP
@@ -103,34 +139,106 @@ impl ZramScheme {
         capacity - capacity / 8
     }
 
-    /// Ensure one more page fits in DRAM, compressing victims synchronously
-    /// if needed. Returns the user-visible latency.
+    /// Swap out up to `count` LRU victims — the one step where the zpool
+    /// and the flash baselines differ. `synchronous` is direct reclaim: the
+    /// faulting thread waits, so its latency is returned and the clock
+    /// advanced past it. Returns (pages evicted, that latency).
+    ///
+    /// The reclaim scan is charged by the device's own rule: kswapd's zpool
+    /// pass charges at least one page even when it finds nothing, zpool
+    /// direct reclaim charges none, and the flash path charges the victims
+    /// it found.
+    fn evict(
+        &mut self,
+        count: usize,
+        synchronous: bool,
+        clock: &mut SimClock,
+        ctx: &SchemeContext,
+    ) -> (usize, CostNanos) {
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        self.lru
+            .pick_victims(self.tiers.foreground, count, &mut victims);
+        let mut latency = CostNanos::zero();
+        let evicted = match self.device {
+            SwapDevice::Zpool => {
+                if !synchronous {
+                    let scan = ctx.timing.reclaim_scan(victims.len().max(1));
+                    clock.charge_cpu(CpuActivity::ReclaimScan, scan);
+                }
+                for &page in &victims {
+                    self.compression_log.push(page);
+                    let cost =
+                        self.tiers
+                            .compress(&[page], ChunkSize::k4(), Hotness::Cold, clock, ctx);
+                    if synchronous {
+                        latency += cost;
+                        clock.advance(cost);
+                    }
+                }
+                victims.len()
+            }
+            SwapDevice::Flash if victims.is_empty() => 0,
+            SwapDevice::Flash => {
+                let scan = ctx.timing.reclaim_scan(victims.len());
+                clock.charge_cpu(CpuActivity::ReclaimScan, scan);
+                let requests = victims
+                    .iter()
+                    .map(|&page| WriteRequest {
+                        pages: vec![page],
+                        original_bytes: PAGE_SIZE,
+                        stored_bytes: PAGE_SIZE,
+                        compressed: false,
+                    })
+                    .collect();
+                let result = self.tiers.write_to_flash(requests, clock, ctx);
+                // Rejected pages (swap area full) stay resident, back at the
+                // LRU end.
+                let rejected: FxHashSet<PageId> = result
+                    .dropped
+                    .iter()
+                    .flat_map(|r| r.pages.iter().copied())
+                    .collect();
+                for &page in &victims {
+                    if rejected.contains(&page) {
+                        self.lru.insert_lru(page);
+                    } else {
+                        self.tiers.dram.remove(page);
+                    }
+                }
+                if synchronous {
+                    // The faulting thread waits for the inline writes (sync
+                    // mode) or for a queue slot (queued mode).
+                    latency = result.sync_latency + result.queue_stall;
+                    clock.advance(latency);
+                }
+                victims.len() - rejected.len()
+            }
+        };
+        self.victims = victims;
+        (evicted, latency)
+    }
+
+    /// Ensure one more page fits in DRAM by direct reclaim. Returns the
+    /// user-visible latency.
     fn make_room(&mut self, clock: &mut SimClock, ctx: &SchemeContext) -> CostNanos {
         let mut latency = CostNanos::zero();
-        let mut victim = std::mem::take(&mut self.victim);
         while self.tiers.dram.free_bytes() < PAGE_SIZE {
-            victim.clear();
-            self.lru.pick_victims(self.tiers.foreground, 1, &mut victim);
-            let Some(&page) = victim.first() else {
-                break;
-            };
-            let cost = self.compress_page(page, clock, ctx);
+            let (evicted, cost) = self.evict(1, true, clock, ctx);
             latency += cost;
-            clock.advance(cost);
+            if evicted == 0 {
+                break;
+            }
         }
-        self.victim = victim;
         latency
     }
 }
 
-impl SwapScheme for ZramScheme {
+impl SwapScheme for LruScheme {
     swap_scheme_identity!();
 
     fn name(&self) -> String {
-        match self.tiers.config().writeback {
-            WritebackPolicy::DropOldest => "ZRAM".to_string(),
-            WritebackPolicy::WritebackToFlash => "ZSWAP".to_string(),
-        }
+        self.name.to_string()
     }
 
     fn register_page(&mut self, page: PageId, clock: &mut SimClock, ctx: &SchemeContext) {
@@ -167,15 +275,17 @@ impl SwapScheme for ZramScheme {
             latency += self.tiers.decompress(&entry, clock, ctx);
             self.swapin_sectors.push(entry.sector.value());
             PageLocation::Zpool
-        } else if let Some((slot, fault)) = self.tiers.take_from_flash(page, clock) {
+        } else if let Some(fault) = self.tiers.take_from_flash(page, clock) {
+            // A ZSWAP object is one compressed 4 KiB page; a SWAP object is
+            // uncompressed, so no chunk size applies to it.
             let (io_latency, stall) =
                 self.tiers
                     .fault_flash(&fault, CostNanos::zero(), ChunkSize::k4(), clock, ctx);
             latency += io_latency;
             io_stall = stall;
-            self.swapin_sectors.push(slot.value());
             PageLocation::Flash
         } else {
+            // Dropped on zpool overflow, or never swapped out.
             latency += self.tiers.fault_lost(ctx);
             PageLocation::Absent
         };
@@ -186,15 +296,7 @@ impl SwapScheme for ZramScheme {
     }
 
     fn reclaim(&mut self, target_pages: usize, clock: &mut SimClock, ctx: &SchemeContext) -> usize {
-        let mut victims = Vec::with_capacity(target_pages);
-        self.lru
-            .pick_victims(self.tiers.foreground, target_pages, &mut victims);
-        let scan = ctx.timing.reclaim_scan(victims.len().max(1));
-        clock.charge_cpu(CpuActivity::ReclaimScan, scan);
-        for &page in &victims {
-            self.compress_page(page, clock, ctx);
-        }
-        victims.len()
+        self.evict(target_pages, false, clock, ctx).0
     }
 
     fn on_pressure(&mut self, pressure: MemoryPressure, clock: &mut SimClock, ctx: &SchemeContext) {
@@ -214,7 +316,7 @@ impl SwapScheme for ZramScheme {
     fn deferred_pages(&self) -> usize {
         // Under the ZSWAP policy, compressed data above the flush threshold
         // is deferred writeback work the engine can drain off the critical
-        // path. Plain ZRAM (DropOldest) has no deferred work.
+        // path. Plain ZRAM (DropOldest) and SWAP (an empty zpool) have none.
         if !self.flushes_in_background() {
             return 0;
         }
@@ -260,7 +362,7 @@ impl SwapScheme for ZramScheme {
 mod tests {
     use super::*;
     use ariadne_compress::Algorithm;
-    use ariadne_mem::Watermarks;
+    use ariadne_mem::{FlashStats, Watermarks};
     use ariadne_trace::{AppName, WorkloadBuilder};
 
     fn tiny_config(dram_pages: usize, zpool_pages: usize) -> MemoryConfig {
@@ -274,19 +376,32 @@ mod tests {
         }
     }
 
-    fn setup(
+    type Setup = (LruScheme, SchemeContext, SimClock, Vec<PageId>);
+
+    fn setup_with(
+        build: fn(MemoryConfig) -> LruScheme,
         dram_pages: usize,
         zpool_pages: usize,
-    ) -> (ZramScheme, SchemeContext, SimClock, Vec<PageId>) {
+    ) -> Setup {
         let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
         let ctx = SchemeContext::new(1, &workloads);
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
         (
-            ZramScheme::new(tiny_config(dram_pages, zpool_pages)),
+            build(tiny_config(dram_pages, zpool_pages)),
             ctx,
             SimClock::new(),
             pages,
         )
+    }
+
+    /// Plain ZRAM over `dram_pages` of DRAM and a `zpool_pages` zpool.
+    fn setup(dram_pages: usize, zpool_pages: usize) -> Setup {
+        setup_with(LruScheme::zram, dram_pages, zpool_pages)
+    }
+
+    /// SWAP over `dram_pages` of DRAM.
+    fn swap_setup(dram_pages: usize) -> Setup {
+        setup_with(LruScheme::swap, dram_pages, 64)
     }
 
     #[test]
@@ -357,7 +472,7 @@ mod tests {
         scheme.reclaim(20, &mut clock, &ctx);
         assert_eq!(scheme.stats().oracle_misses, 20);
         assert_eq!(scheme.stats().oracle_hits, 0);
-        let zpool_bytes_of = |scheme: &ZramScheme, page: PageId| {
+        let zpool_bytes_of = |scheme: &LruScheme, page: PageId| {
             let handle = scheme
                 .tiers
                 .zpool
@@ -411,7 +526,7 @@ mod tests {
         let mut clock = SimClock::new();
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
         let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
-        let mut scheme = ZramScheme::new(config);
+        let mut scheme = LruScheme::zram(config);
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -434,7 +549,7 @@ mod tests {
     fn zswap_writes_back_the_oldest_compressed_pages_first() {
         let (_, ctx, mut clock, pages) = setup(4096, 4);
         let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
-        let mut scheme = ZramScheme::new(config);
+        let mut scheme = LruScheme::zram(config);
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -481,7 +596,7 @@ mod tests {
         let mut clock = SimClock::new();
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
         let config = tiny_config(4096, 8).with_writeback(WritebackPolicy::WritebackToFlash);
-        let mut scheme = ZramScheme::new(config);
+        let mut scheme = LruScheme::zram(config);
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -505,7 +620,7 @@ mod tests {
         let config = tiny_config(4096, 8).with_writeback(WritebackPolicy::WritebackToFlash);
 
         let filled_scheme = |clock: &mut SimClock| {
-            let mut scheme = ZramScheme::new(config);
+            let mut scheme = LruScheme::zram(config);
             for &page in pages.iter().take(40) {
                 scheme.register_page(page, clock, &ctx);
             }
@@ -556,7 +671,7 @@ mod tests {
         let ctx = SchemeContext::new(1, &workloads);
         let mut clock = SimClock::new();
         let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
-        let mut scheme = ZramScheme::new(config);
+        let mut scheme = LruScheme::zram(config);
         let twitter: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).take(48).collect();
         let youtube: Vec<PageId> = workloads[1].pages.iter().map(|p| p.page).take(8).collect();
         for &page in twitter.iter().chain(&youtube) {
@@ -592,7 +707,7 @@ mod tests {
         let mut clock = SimClock::new();
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
         let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
-        let mut scheme = ZramScheme::new(config);
+        let mut scheme = LruScheme::zram(config);
         for &page in pages.iter().take(48) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -633,5 +748,163 @@ mod tests {
             cpu.total_for(CpuActivity::Decompression),
             stats.decompression_time
         );
+    }
+
+    #[test]
+    fn resident_accesses_cost_a_dram_access() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(4096);
+        scheme.register_page(pages[0], &mut clock, &ctx);
+        let outcome = scheme.access(pages[0], AccessKind::Execution, &mut clock, &ctx);
+        assert_eq!(outcome.found_in, PageLocation::Dram);
+        assert_eq!(outcome.latency, ctx.timing.dram_access(1));
+    }
+
+    #[test]
+    fn background_reclaim_moves_lru_pages_to_flash() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(4096);
+        for &page in pages.iter().take(50) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        assert_eq!(scheme.reclaim(10, &mut clock, &ctx), 10);
+        assert_eq!(scheme.stats().flash.writes, 10);
+        // The 10 least recently registered pages were evicted.
+        assert_eq!(scheme.location_of(pages[0]), PageLocation::Flash);
+        assert_eq!(scheme.location_of(pages[20]), PageLocation::Dram);
+    }
+
+    #[test]
+    fn faulting_a_swapped_page_pays_flash_read_latency() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(4096);
+        for &page in pages.iter().take(20) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        scheme.reclaim(5, &mut clock, &ctx);
+        let outcome = scheme.access(pages[0], AccessKind::Relaunch, &mut clock, &ctx);
+        assert_eq!(outcome.found_in, PageLocation::Flash);
+        assert!(outcome.latency >= ctx.timing.flash_read(PAGE_SIZE));
+        assert_eq!(scheme.location_of(pages[0]), PageLocation::Dram);
+    }
+
+    #[test]
+    fn direct_reclaim_happens_when_dram_is_full() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(8);
+        for &page in pages.iter().take(16) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        // Only 8 pages fit; the rest forced direct reclaim to flash.
+        assert_eq!(scheme.tiers().dram.resident_pages(), 8);
+        assert!(scheme.stats().flash.writes >= 8);
+    }
+
+    #[test]
+    fn foreground_apps_pages_are_protected_from_eviction() {
+        let workloads = vec![
+            WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter),
+            WorkloadBuilder::new(1).scale(1024).build(AppName::Youtube),
+        ];
+        let ctx = SchemeContext::new(1, &workloads);
+        let mut clock = SimClock::new();
+        let mut scheme = LruScheme::swap(tiny_config(4096, 64));
+        let twitter = workloads[0].pages[0].page;
+        let youtube: Vec<PageId> = workloads[1].pages.iter().map(|p| p.page).take(20).collect();
+        scheme.register_page(twitter, &mut clock, &ctx);
+        for &p in &youtube {
+            scheme.register_page(p, &mut clock, &ctx);
+        }
+        scheme.on_foreground(twitter.app());
+        scheme.reclaim(5, &mut clock, &ctx);
+        // Twitter's page was the global LRU victim but is foreground-protected.
+        assert_eq!(scheme.location_of(twitter), PageLocation::Dram);
+    }
+
+    #[test]
+    fn absent_pages_fault_without_flash_io() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(64);
+        let outcome = scheme.access(pages[0], AccessKind::Execution, &mut clock, &ctx);
+        assert_eq!(outcome.found_in, PageLocation::Absent);
+        assert_eq!(scheme.stats().flash.reads, 0);
+        assert_eq!(scheme.stats().dropped_pages, 1);
+    }
+
+    /// Registers 16 pages into 8 pages of DRAM (direct reclaim), reclaims
+    /// 4 more in the background, then faults every page back in.
+    fn churn(scheme: &mut LruScheme, ctx: &SchemeContext, clock: &mut SimClock, pages: &[PageId]) {
+        for &page in pages.iter().take(16) {
+            scheme.register_page(page, clock, ctx);
+        }
+        scheme.reclaim(4, clock, ctx);
+        for &page in pages.iter().take(16) {
+            scheme.access(page, AccessKind::Relaunch, clock, ctx);
+        }
+    }
+
+    #[test]
+    fn swap_never_compresses_or_stores_a_zpool_entry() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(8);
+        churn(&mut scheme, &ctx, &mut clock, &pages);
+        let stats = scheme.stats();
+        assert!(stats.flash.writes > 0);
+        assert_eq!((stats.compression_ops, stats.decompression_ops), (0, 0));
+        assert_eq!(stats.zpool.stores, 0);
+        assert!(scheme.tiers().zpool.is_empty());
+        assert!(scheme.compression_log().is_empty());
+        assert!(scheme.swapin_sectors().is_empty());
+        assert_eq!(
+            clock.cpu().total_for(CpuActivity::Compression),
+            CostNanos::zero()
+        );
+    }
+
+    #[test]
+    fn plain_zram_never_writes_flash() {
+        // A four-page zpool overflows, and plain ZRAM drops the overflow.
+        let (mut scheme, ctx, mut clock, pages) = setup(8, 4);
+        churn(&mut scheme, &ctx, &mut clock, &pages);
+        let stats = scheme.stats();
+        assert!(stats.compression_ops > 0 && stats.dropped_pages > 0);
+        assert_eq!(stats.flash, FlashStats::default());
+        assert!(scheme.tiers().flash.is_empty());
+        assert_eq!(
+            clock.cpu().total_for(CpuActivity::SwapIo),
+            CostNanos::zero()
+        );
+    }
+
+    fn scan_cpu(clock: &SimClock) -> CostNanos {
+        clock.cpu().total_for(CpuActivity::ReclaimScan)
+    }
+
+    #[test]
+    fn zram_kswapd_scans_at_least_one_page_and_direct_reclaim_scans_none() {
+        let (mut scheme, ctx, mut clock, pages) = setup(8, 1024);
+        for &page in pages.iter().take(16) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        assert_eq!(scheme.stats().compression_ops, 8, "direct reclaim ran");
+        assert_eq!(scan_cpu(&clock), CostNanos::zero());
+
+        assert_eq!(scheme.reclaim(3, &mut clock, &ctx), 3);
+        assert_eq!(scan_cpu(&clock), ctx.timing.reclaim_scan(3));
+        // A pass that finds no victim still pays for one page of scan.
+        let (mut empty, ctx, mut clock, _) = setup(8, 1024);
+        assert_eq!(empty.reclaim(3, &mut clock, &ctx), 0);
+        assert_eq!(scan_cpu(&clock), ctx.timing.reclaim_scan(1));
+    }
+
+    #[test]
+    fn swap_scans_only_the_victims_it_finds() {
+        let (mut scheme, ctx, mut clock, pages) = swap_setup(8);
+        for &page in pages.iter().take(16) {
+            scheme.register_page(page, &mut clock, &ctx);
+        }
+        // Eight single-page direct reclaims, one page of scan each.
+        assert_eq!(scheme.stats().flash.writes, 8);
+        assert_eq!(scan_cpu(&clock), ctx.timing.reclaim_scan(8));
+
+        assert_eq!(scheme.reclaim(3, &mut clock, &ctx), 3);
+        assert_eq!(scan_cpu(&clock), ctx.timing.reclaim_scan(8 + 3));
+        let (mut empty, ctx, mut clock, _) = swap_setup(8);
+        assert_eq!(empty.reclaim(3, &mut clock, &ctx), 0);
+        assert_eq!(scan_cpu(&clock), CostNanos::zero());
     }
 }
