@@ -107,22 +107,16 @@ fn oracle_lookup_admit(c: &mut Criterion) {
     c.bench_function("oracle_lookup_admit", |b| {
         b.iter(|| {
             let oracle = CompressionOracle::new();
-            let algorithm = ariadne_compress::Algorithm::Lzo;
             for pfn in 0..1024u64 {
                 let pages = [page(1, pfn)];
-                assert!(oracle
-                    .lookup(SEED, &pages, algorithm, ChunkSize::k4(), 0)
-                    .is_none());
-                oracle.admit(SEED, &pages, algorithm, ChunkSize::k4(), 0, lens);
+                assert!(oracle.lookup(SEED, &pages, ChunkSize::k4(), 0).is_none());
+                oracle.admit(SEED, &pages, ChunkSize::k4(), 0, lens);
             }
             let mut hits = 0usize;
             for round in 0..4 {
                 for pfn in 0..1024u64 {
                     let pages = [page(1, (pfn * 7 + round) % 1024)];
-                    if oracle
-                        .lookup(SEED, &pages, algorithm, ChunkSize::k4(), 0)
-                        .is_some()
-                    {
+                    if oracle.lookup(SEED, &pages, ChunkSize::k4(), 0).is_some() {
                         hits += 1;
                     }
                 }

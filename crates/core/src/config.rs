@@ -123,21 +123,16 @@ impl fmt::Display for HotListMode {
     }
 }
 
-/// Complete configuration of an [`crate::AriadneScheme`].
+/// Complete configuration of an [`crate::AriadneScheme`]. Proactive
+/// decompression is always on, into a buffer of
+/// [`PREDECOMP_BUFFER_PAGES`](crate::PREDECOMP_BUFFER_PAGES) pages.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AriadneConfig {
     /// Chunk sizes per hotness level.
     pub sizes: SizeConfig,
     /// Whether the hot list participates in compression.
     pub mode: HotListMode,
-    /// Capacity of the pre-decompression buffer, in pages. The paper
-    /// pre-decompresses one page at a time; a small buffer lets a few
-    /// prefetched pages wait for their access.
-    pub predecomp_buffer_pages: usize,
-    /// Whether proactive decompression is enabled at all (disabled in the
-    /// ablation study).
-    pub predecomp_enabled: bool,
-    /// Underlying memory sizing and algorithm.
+    /// Underlying memory sizing.
     pub memory: MemoryConfig,
 }
 
@@ -148,8 +143,6 @@ impl AriadneConfig {
         AriadneConfig {
             sizes,
             mode,
-            predecomp_buffer_pages: 8,
-            predecomp_enabled: true,
             memory,
         }
     }
@@ -164,20 +157,6 @@ impl AriadneConfig {
     #[must_use]
     pub fn al_1k_2k_16k(memory: MemoryConfig) -> Self {
         AriadneConfig::new(SizeConfig::k1_k2_k16(), HotListMode::AllLists, memory)
-    }
-
-    /// Disable proactive decompression (ablation).
-    #[must_use]
-    pub fn without_predecomp(mut self) -> Self {
-        self.predecomp_enabled = false;
-        self
-    }
-
-    /// Override the pre-decompression buffer capacity.
-    #[must_use]
-    pub fn with_predecomp_buffer(mut self, pages: usize) -> Self {
-        self.predecomp_buffer_pages = pages.max(1);
-        self
     }
 
     /// The scheme name used in figures, e.g. `Ariadne-EHL-1K-2K-16K`.
@@ -220,15 +199,6 @@ mod tests {
         assert!(all.contains(&SizeConfig::k1_k4_k64()));
         assert!(all.contains(&SizeConfig::b256_k1_k4()));
         assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn builder_methods_adjust_predecomp() {
-        let config = AriadneConfig::ehl_1k_2k_16k(MemoryConfig::pixel7_scaled(256))
-            .without_predecomp()
-            .with_predecomp_buffer(4);
-        assert!(!config.predecomp_enabled);
-        assert_eq!(config.predecomp_buffer_pages, 4);
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub use adaptive::AdaptiveComp;
 pub use config::{AriadneConfig, HotListMode, SizeConfig};
 pub use hotness::HotnessOrg;
 pub use identification::{IdentificationMetrics, IdentificationTracker};
-pub use predecomp::PreDecompBuffer;
+pub use predecomp::{PreDecompBuffer, PREDECOMP_BUFFER_PAGES};
 pub use scheme::AriadneScheme;

@@ -12,6 +12,11 @@
 use ariadne_mem::{AppId, PageId, ZpoolEntry};
 use std::collections::VecDeque;
 
+/// Capacity of Ariadne's pre-decompression buffer, in pages. The paper
+/// pre-decompresses one page at a time; a small buffer lets a few
+/// prefetched pages wait for their access.
+pub const PREDECOMP_BUFFER_PAGES: usize = 8;
+
 /// The FIFO buffer of speculatively decompressed pages.
 ///
 /// Each page keeps the single-page zpool entry it was decompressed from, so

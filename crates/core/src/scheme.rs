@@ -17,7 +17,7 @@ use crate::adaptive::AdaptiveComp;
 use crate::config::{AriadneConfig, HotListMode};
 use crate::hotness::HotnessOrg;
 use crate::identification::{IdentificationMetrics, IdentificationTracker};
-use crate::predecomp::PreDecompBuffer;
+use crate::predecomp::{PreDecompBuffer, PREDECOMP_BUFFER_PAGES};
 use ariadne_compress::CostNanos;
 use ariadne_mem::{
     AppId, CpuActivity, Hotness, PageId, PageLocation, SimClock, ZpoolEntry, PAGE_SIZE,
@@ -53,7 +53,7 @@ impl AriadneScheme {
         let mut tiers = Tiers::new(&config.memory);
         // The pre-decompression buffer lives in DRAM; reserve its capacity so
         // the memory accounting stays honest.
-        let reserve = config.predecomp_buffer_pages * PAGE_SIZE;
+        let reserve = PREDECOMP_BUFFER_PAGES * PAGE_SIZE;
         let _ = tiers
             .dram
             .set_reserved(reserve.min(config.memory.dram_bytes / 2));
@@ -61,7 +61,7 @@ impl AriadneScheme {
             tiers,
             org: HotnessOrg::new(),
             adaptive: AdaptiveComp::new(config.sizes),
-            buffer: PreDecompBuffer::new(config.predecomp_buffer_pages),
+            buffer: PreDecompBuffer::new(PREDECOMP_BUFFER_PAGES),
             tracker: IdentificationTracker::new(),
             config,
         }
@@ -173,17 +173,15 @@ impl AriadneScheme {
         // Proactive decompression: also decompress the entry at the next
         // sector (one page look-ahead, Insight 3) into the buffer. Its cost
         // is CPU work but not user-visible latency — that is the point.
-        if self.config.predecomp_enabled {
-            let next = self
-                .tiers
-                .zpool
-                .next_by_sector(entry.sector)
-                .filter(|(_, e)| e.pages.len() == 1)
-                .map(|(h, _)| h);
-            if let Some(handle) = next {
-                let next = self.tiers.zpool.remove(handle).expect("next entry is live");
-                self.buffer_entry(next, clock, ctx);
-            }
+        let next = self
+            .tiers
+            .zpool
+            .next_by_sector(entry.sector)
+            .filter(|(_, e)| e.pages.len() == 1)
+            .map(|(h, _)| h);
+        if let Some(handle) = next {
+            let next = self.tiers.zpool.remove(handle).expect("next entry is live");
+            self.buffer_entry(next, clock, ctx);
         }
 
         for page in &entry.pages {
@@ -210,12 +208,7 @@ impl AriadneScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) {
-        let cost = ctx.compression_cost(
-            self.tiers.config().algorithm,
-            entry.chunk_size,
-            PAGE_SIZE,
-            clock.now().as_nanos(),
-        );
+        let cost = ctx.compression_cost(entry.chunk_size, PAGE_SIZE, clock.now().as_nanos());
         self.tiers
             .stats
             .record_compression(1, PAGE_SIZE, entry.compressed_bytes, cost, clock);
@@ -370,9 +363,6 @@ impl SwapScheme for AriadneScheme {
         // buffer with compressed *hot* data, so the next relaunch finds it
         // already uncompressed (the asynchronous generalization of the
         // one-sector look-ahead of §4.3).
-        if !self.config.predecomp_enabled {
-            return 0;
-        }
         let room = self.buffer.capacity().saturating_sub(self.buffer.len());
         if room == 0 {
             return 0;
@@ -388,9 +378,6 @@ impl SwapScheme for AriadneScheme {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> usize {
-        if !self.config.predecomp_enabled {
-            return 0;
-        }
         let room = self.buffer.capacity().saturating_sub(self.buffer.len());
         // Hot-labelled single-page entries, oldest (lowest sector) first.
         let candidates = self.tiers.zpool.hot_single_oldest(budget.min(room));
@@ -454,7 +441,7 @@ mod tests {
     use ariadne_compress::ChunkSize;
     use ariadne_mem::Watermarks;
     use ariadne_trace::{AppName, WorkloadBuilder};
-    use ariadne_zram::{MemoryConfig, WritebackPolicy};
+    use ariadne_zram::{MemoryConfig, WritebackPolicy, ALGORITHM};
 
     fn tiny_memory(dram_pages: usize, zpool_pages: usize) -> MemoryConfig {
         let dram = dram_pages * PAGE_SIZE;
@@ -544,7 +531,7 @@ mod tests {
 
     #[test]
     fn faulting_cold_data_decompresses_the_whole_group() {
-        let config = AriadneConfig::ehl_1k_2k_16k(tiny_memory(4096, 1024)).without_predecomp();
+        let config = AriadneConfig::ehl_1k_2k_16k(tiny_memory(4096, 1024));
         let (mut scheme, ctx, mut clock, pages) = setup(config);
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
@@ -564,8 +551,7 @@ mod tests {
     #[test]
     fn predecomp_hits_avoid_decompression_latency() {
         let sizes = SizeConfig::new(ChunkSize::k1(), ChunkSize::k2(), ChunkSize::k4());
-        let config = AriadneConfig::new(sizes, HotListMode::AllLists, tiny_memory(4096, 1024))
-            .with_predecomp_buffer(4);
+        let config = AriadneConfig::new(sizes, HotListMode::AllLists, tiny_memory(4096, 1024));
         let (mut scheme, ctx, mut clock, pages) = setup(config);
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
@@ -590,17 +576,15 @@ mod tests {
         let outcome = scheme.access(second, AccessKind::Relaunch, &mut clock, &ctx);
         assert_eq!(outcome.found_in, PageLocation::PreDecompBuffer);
         assert_eq!(scheme.stats().predecomp_hits, 1);
-        let decomp = ctx.latency.decompression_cost(
-            ariadne_compress::Algorithm::Lzo,
-            ChunkSize::k2(),
-            PAGE_SIZE,
-        );
+        let decomp = ctx
+            .latency
+            .decompression_cost(ALGORITHM, ChunkSize::k2(), PAGE_SIZE);
         assert!(outcome.latency < decomp + ctx.timing.page_fault());
     }
 
     #[test]
     fn direct_reclaim_cost_appears_on_the_fault_path() {
-        let config = AriadneConfig::al_1k_2k_16k(tiny_memory(16, 1024)).without_predecomp();
+        let config = AriadneConfig::al_1k_2k_16k(tiny_memory(16, 1024));
         let (mut scheme, ctx, mut clock, pages) = setup(config);
         // Fill DRAM beyond capacity so every further touch forces reclaim.
         for &page in pages.iter().take(30) {
@@ -680,8 +664,7 @@ mod tests {
     #[test]
     fn drain_refills_the_predecomp_buffer_with_hot_data() {
         let sizes = SizeConfig::new(ChunkSize::k1(), ChunkSize::k2(), ChunkSize::k16());
-        let config = AriadneConfig::new(sizes, HotListMode::AllLists, tiny_memory(4096, 1024))
-            .with_predecomp_buffer(4);
+        let config = AriadneConfig::new(sizes, HotListMode::AllLists, tiny_memory(4096, 1024));
         let (mut scheme, ctx, mut clock, pages) = setup(config);
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
@@ -708,24 +691,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_disabled_without_predecomp() {
-        let config = AriadneConfig::al_1k_2k_16k(tiny_memory(4096, 1024)).without_predecomp();
-        let (mut scheme, ctx, mut clock, pages) = setup(config);
-        for &page in pages.iter().take(20) {
-            scheme.register_page(page, &mut clock, &ctx);
-            scheme.access(page, AccessKind::Launch, &mut clock, &ctx);
-        }
-        scheme.reclaim(20, &mut clock, &ctx);
-        assert_eq!(scheme.deferred_pages(), 0);
-        assert_eq!(scheme.drain_deferred(8, &mut clock, &ctx), 0);
-    }
-
-    #[test]
     fn release_app_purges_every_tier_including_hotness_and_buffer() {
         let sizes = SizeConfig::new(ChunkSize::k1(), ChunkSize::k2(), ChunkSize::k16());
         let memory = tiny_memory(4096, 8).with_writeback(WritebackPolicy::WritebackToFlash);
-        let config =
-            AriadneConfig::new(sizes, HotListMode::AllLists, memory).with_predecomp_buffer(4);
+        let config = AriadneConfig::new(sizes, HotListMode::AllLists, memory);
         let (mut scheme, ctx, mut clock, pages) = setup(config);
         let app = pages[0].app();
         for &page in pages.iter().take(40) {

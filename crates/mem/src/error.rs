@@ -14,7 +14,8 @@ pub enum MemError {
         /// Bytes currently free.
         available: usize,
     },
-    /// A zpool handle was used after the entry was removed.
+    /// A zpool handle or flash swap slot was used after its object was
+    /// removed (its storage may since hold another object).
     StaleHandle,
     /// A parameter was outside its legal range.
     InvalidParameter {
@@ -35,7 +36,7 @@ impl fmt::Display for MemError {
                 f,
                 "zpool full: requested {requested} bytes, {available} available"
             ),
-            MemError::StaleHandle => write!(f, "stale zpool handle"),
+            MemError::StaleHandle => write!(f, "stale zpool handle or swap slot"),
             MemError::InvalidParameter { parameter, detail } => {
                 write!(f, "invalid parameter `{parameter}`: {detail}")
             }

@@ -56,15 +56,25 @@ const APP_CHANNEL: usize = 0;
 /// fault-cancelled slots left the chain when they were cancelled.
 const CMD_CHANNEL: usize = 1;
 
-/// Identifier of a slot in the flash swap area.
+/// Identifier of a slot in the flash swap area: the packed slab key of the
+/// object, so a slot kept across a free/reuse cycle reports
+/// [`MemError::StaleHandle`] instead of naming the storage's next object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SwapSlot(u64);
 
 impl SwapSlot {
-    /// The raw slot number.
+    /// The raw slot value.
     #[must_use]
     pub fn value(self) -> u64 {
         self.0
+    }
+
+    fn key(self) -> SlabKey {
+        SlabKey::unpack(self.0)
+    }
+
+    fn from_key(key: SlabKey) -> Self {
+        SwapSlot(key.pack())
     }
 }
 
@@ -298,10 +308,6 @@ pub struct FaultIn {
 /// A stored object in the flash swap area.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct FlashEntry {
-    /// The slot the object was allocated (slots are sequential and
-    /// observable — swap-in traces record them — so they are allocated
-    /// independently of the slab slot the entry happens to occupy).
-    slot: SwapSlot,
     pages: Vec<PageId>,
     stored_bytes: usize,
     original_bytes: usize,
@@ -339,9 +345,7 @@ struct FlashEntry {
 pub struct FlashDevice {
     capacity: usize,
     used: usize,
-    next_slot: u64,
     entries: Slab<FlashEntry>,
-    slot_index: FxHashMap<SwapSlot, SlabKey>,
     page_index: FxHashMap<PageId, SwapSlot>,
     /// Per-application entry chain through the slab slots, so `release_app`
     /// (kill storms) walks the victim's own objects instead of filtering the
@@ -492,17 +496,16 @@ impl FlashDevice {
     }
 
     fn entry(&self, slot: SwapSlot) -> Option<&FlashEntry> {
-        self.slot_index
-            .get(&slot)
-            .and_then(|k| self.entries.get(*k))
+        self.entries.get(slot.key())
     }
 
-    /// Detach the object in `slot` from every index (slot map, page index,
-    /// per-app chain) and return it. The space accounting is left to the
-    /// caller so each removal path charges what it means to.
+    /// Detach the object in `slot` from every index (page index, per-app
+    /// chain, command chain) and return it, or `None` if the slot is free.
+    /// The space accounting is left to the caller so each removal path
+    /// charges what it means to.
     fn take_entry(&mut self, slot: SwapSlot) -> Option<FlashEntry> {
-        let key = self.slot_index.remove(&slot)?;
-        let live = self.entries.get(key).expect("indexed slot is live");
+        let key = slot.key();
+        let live = self.entries.get(key)?;
         let app = live.pages[0].app();
         let command = live.command;
         let chain = self.app_chains.get_mut(&app).expect("app chain exists");
@@ -522,7 +525,7 @@ impl FlashDevice {
                 self.command_chains.remove(&command);
             }
         }
-        let entry = self.entries.remove(key).expect("indexed slot is live");
+        let entry = self.entries.remove(key).expect("slot is live");
         for page in &entry.pages {
             self.page_index.remove(page);
         }
@@ -798,7 +801,7 @@ impl FlashDevice {
         };
         let doomed: Vec<SwapSlot> = chain
             .indices(&self.entries, APP_CHANNEL)
-            .map(|i| self.entries.value_at(i).slot)
+            .map(|i| SwapSlot::from_key(self.entries.key_at(i)))
             .collect();
         let mut pages = 0usize;
         for slot in &doomed {
@@ -817,7 +820,7 @@ impl FlashDevice {
     }
 
     /// Verify the slot-accounting invariants: every indexed page points at a
-    /// live slot covering it, every stored page is indexed, the used-bytes
+    /// live object covering it, every stored page is indexed, the used-bytes
     /// counter matches the footprints of the live entries, and every
     /// outstanding command refers only to live in-flight slots.
     ///
@@ -829,14 +832,11 @@ impl FlashDevice {
         let mut indexed_pages = 0usize;
         let mut used = 0usize;
         for (key, entry) in self.entries.iter() {
-            let slot = &entry.slot;
-            if self.slot_index.get(slot) != Some(&key) {
-                return Err(format!("{slot} missing from the slot index"));
-            }
+            let slot = SwapSlot::from_key(key);
             used += Self::footprint(entry.stored_bytes);
             for page in &entry.pages {
                 match self.page_index.get(page) {
-                    Some(s) if s == slot => indexed_pages += 1,
+                    Some(s) if *s == slot => indexed_pages += 1,
                     Some(other) => {
                         return Err(format!("page {page} of {slot} indexed to {other}"));
                     }
@@ -868,16 +868,16 @@ impl FlashDevice {
             if let Some(chain) = self.command_chains.get(request) {
                 for index in chain.indices(&self.entries, CMD_CHANNEL) {
                     let entry = self.entries.value_at(index);
+                    let slot = SwapSlot::from_key(self.entries.key_at(index));
                     if entry.command != Some(*request) {
                         return Err(format!(
-                            "{} chained under {request} but tagged {:?}",
-                            entry.slot, entry.command
+                            "{slot} chained under {request} but tagged {:?}",
+                            entry.command
                         ));
                     }
                     if entry.completes_at != Some(*completes_at) {
                         return Err(format!(
-                            "{} of outstanding {request} is already at rest",
-                            entry.slot
+                            "{slot} of outstanding {request} is already at rest"
                         ));
                     }
                     chained_entries += 1;
@@ -912,8 +912,6 @@ impl FlashDevice {
         completes_at: Option<u128>,
         command: Option<IoRequestId>,
     ) -> SwapSlot {
-        let slot = SwapSlot(self.next_slot);
-        self.next_slot += 1;
         self.used += Self::footprint(request.stored_bytes);
         self.stats.writes += 1;
         self.stats.pages_written += request.pages.len();
@@ -924,11 +922,7 @@ impl FlashDevice {
             request.pages.iter().all(|p| p.app() == app),
             "flash entry mixes applications"
         );
-        for page in &request.pages {
-            self.page_index.insert(*page, slot);
-        }
         let key = self.entries.insert(FlashEntry {
-            slot,
             pages: request.pages,
             stored_bytes: request.stored_bytes,
             original_bytes: request.original_bytes,
@@ -936,7 +930,10 @@ impl FlashDevice {
             completes_at,
             command,
         });
-        self.slot_index.insert(slot, key);
+        let slot = SwapSlot::from_key(key);
+        for page in &self.entries.get(key).expect("just inserted").pages {
+            self.page_index.insert(*page, slot);
+        }
         self.app_chains.entry(app).or_default().push_back(
             &mut self.entries,
             APP_CHANNEL,
@@ -1122,6 +1119,27 @@ mod tests {
         flash.fault_in(slot, 0).unwrap();
         assert_eq!(flash.slot_for(page(3, 7)), None);
         assert_eq!(flash.slot_for(page(3, 8)), None);
+    }
+
+    #[test]
+    fn freed_slots_stay_stale_after_their_storage_is_reused() {
+        let mut flash = FlashDevice::new(1 << 20);
+        // Freed by a fault, then its storage goes to the next object.
+        let faulted = store(&mut flash, vec![page(1, 1)], 4096, 4096, false).unwrap();
+        flash.fault_in(faulted, 0).unwrap();
+        let tenant = store(&mut flash, vec![page(1, 2)], 4096, 4096, false).unwrap();
+        assert_eq!(tenant.key().index(), faulted.key().index());
+        assert_eq!(flash.fault_in(faulted, 0), Err(MemError::StaleHandle));
+        assert_eq!(flash.pending_completion(faulted), None);
+        assert!(flash.contains(page(1, 2)), "the tenant survives");
+
+        // Freed by a kill, then reused by another app's object.
+        flash.release_app(AppId::new(1), 0);
+        let next = store(&mut flash, vec![page(2, 1)], 4096, 4096, false).unwrap();
+        assert_eq!(next.key().index(), tenant.key().index());
+        assert_eq!(flash.fault_in(tenant, 0), Err(MemError::StaleHandle));
+        assert!(flash.contains(page(2, 1)), "the tenant survives");
+        flash.leak_check().unwrap();
     }
 
     #[test]

@@ -7,24 +7,11 @@
 //! background churn, relaunches landing during memory-pressure spikes)
 //! through the event engine for all five schemes, one cell per scheme.
 
+use super::lifecycle::evaluated_schemes;
 use super::ExperimentOptions;
 use crate::report::{fmt_unit, Table};
-use crate::schemes::SchemeSpec;
-use ariadne_core::SizeConfig;
 use ariadne_mem::CpuActivity;
 use ariadne_trace::TimedScenario;
-
-/// The five schemes the concurrent experiment compares.
-#[must_use]
-pub fn evaluated_schemes() -> Vec<SchemeSpec> {
-    vec![
-        SchemeSpec::Dram,
-        SchemeSpec::Swap,
-        SchemeSpec::Zram,
-        SchemeSpec::Zswap,
-        SchemeSpec::ariadne_ehl(SizeConfig::k1_k2_k16()),
-    ]
-}
 
 /// Multi-app concurrent relaunch storm: relaunch latency and background
 /// work for all five schemes under overlapping app timelines.

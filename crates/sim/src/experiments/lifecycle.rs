@@ -20,7 +20,8 @@ use ariadne_core::SizeConfig;
 use ariadne_mem::{PageLocation, PAGE_SIZE};
 use ariadne_trace::TimedScenario;
 
-/// The five schemes the lifecycle experiment compares.
+/// The five schemes the lifecycle, multi-app and lifetime experiments
+/// compare.
 #[must_use]
 pub fn evaluated_schemes() -> Vec<SchemeSpec> {
     vec![

@@ -35,7 +35,7 @@ pub mod system;
 
 pub use energy::EnergyModel;
 pub use engine::{EngineEvent, EventQueue};
-pub use lifecycle::{AppState, Lmkd, LmkdConfig, ProcessTable, PsiTracker};
+pub use lifecycle::{AppState, Lmkd, ProcessTable, PsiTracker};
 pub use report::Table;
 pub use schemes::SchemeSpec;
 pub use system::{KillRecord, MobileSystem, RelaunchKind, RelaunchMeasurement, SimulationConfig};

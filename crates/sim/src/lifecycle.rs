@@ -22,8 +22,9 @@
 //!   killed; cached background apps score 900–999, least recently
 //!   foregrounded highest.
 //! * [`Lmkd`] — the killer itself: it samples the PSI signal at `LmkdWake`
-//!   events, and when the smoothed pressure crosses its threshold (and the
-//!   back-off interval has passed) it asks for the highest-scoring victim.
+//!   events, and when the smoothed pressure crosses
+//!   [`LMKD_KILL_THRESHOLD_PPM`] (and [`LMKD_MIN_KILL_INTERVAL_NANOS`] have
+//!   passed since the last kill) it asks for the highest-scoring victim.
 //!
 //! The driver in [`crate::MobileSystem`] wires these to the event queue
 //! (`LmkdWake`, event class 4) and executes kill decisions through
@@ -220,48 +221,41 @@ impl ProcessTable {
     }
 }
 
-/// Thresholds and pacing of the low-memory killer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LmkdConfig {
-    /// Smoothing time constant of the PSI tracker, in simulated nanoseconds.
-    pub tau_nanos: u64,
-    /// Smoothed stall fraction (parts per million of wall time) above which
-    /// a kill is issued.
-    pub kill_threshold_ppm: u64,
-    /// Minimum simulated time between two kills (lmkd's back-off: kill one
-    /// process, then wait and re-evaluate before killing the next).
-    pub min_kill_interval_nanos: u64,
-}
+/// Smoothing time constant of lmkd's PSI tracker, in simulated nanoseconds.
+pub const LMKD_TAU_NANOS: u64 = 100_000_000;
 
-impl Default for LmkdConfig {
-    fn default() -> Self {
-        // Calibrated against the kill-storm scenario: a scheme that keeps
-        // relaunch stalls below ~6 % of wall time (smoothed over 100 ms)
-        // rides out the storm; schemes that stall more get their cached
-        // apps killed, at most one kill per 150 ms.
-        LmkdConfig {
-            tau_nanos: 100_000_000,
-            kill_threshold_ppm: 60_000,
-            min_kill_interval_nanos: 150_000_000,
-        }
-    }
-}
+/// Smoothed stall fraction (parts per million of wall time) above which
+/// lmkd issues a kill.
+pub const LMKD_KILL_THRESHOLD_PPM: u64 = 60_000;
+
+/// Minimum simulated time between two kills (lmkd's back-off: kill one
+/// process, then wait and re-evaluate before killing the next).
+pub const LMKD_MIN_KILL_INTERVAL_NANOS: u64 = 150_000_000;
 
 /// The low-memory killer: PSI sampling plus the kill decision.
+///
+/// Its `LMKD_*` thresholds are calibrated against the kill-storm scenario: a
+/// scheme that keeps relaunch stalls below ~6 % of wall time (smoothed over
+/// 100 ms) rides out the storm; schemes that stall more get their cached
+/// apps killed, at most one kill per 150 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lmkd {
-    config: LmkdConfig,
     psi: PsiTracker,
     last_kill_at: Option<u128>,
 }
 
+impl Default for Lmkd {
+    fn default() -> Self {
+        Lmkd::new()
+    }
+}
+
 impl Lmkd {
-    /// Create a killer with the given configuration.
+    /// Create a killer with no pressure sampled and no kill yet.
     #[must_use]
-    pub fn new(config: LmkdConfig) -> Self {
+    pub fn new() -> Self {
         Lmkd {
-            config,
-            psi: PsiTracker::new(config.tau_nanos),
+            psi: PsiTracker::new(LMKD_TAU_NANOS),
             last_kill_at: None,
         }
     }
@@ -279,13 +273,11 @@ impl Lmkd {
     /// the kill back through [`Lmkd::note_kill`].
     pub fn should_kill(&mut self, now_nanos: u128, stall_total: CostNanos) -> bool {
         let avg = self.psi.sample(now_nanos, stall_total);
-        if avg < self.config.kill_threshold_ppm {
+        if avg < LMKD_KILL_THRESHOLD_PPM {
             return false;
         }
         match self.last_kill_at {
-            Some(at) => {
-                now_nanos.saturating_sub(at) >= u128::from(self.config.min_kill_interval_nanos)
-            }
+            Some(at) => now_nanos.saturating_sub(at) >= u128::from(LMKD_MIN_KILL_INTERVAL_NANOS),
             None => true,
         }
     }
@@ -375,27 +367,23 @@ mod tests {
 
     #[test]
     fn lmkd_kills_above_threshold_with_back_off() {
-        let config = LmkdConfig {
-            tau_nanos: 100_000_000,
-            kill_threshold_ppm: 400_000,
-            min_kill_interval_nanos: 50_000_000,
-        };
-        let mut lmkd = Lmkd::new(config);
-        // Fully stalled window: pressure 50 % > 40 % threshold.
+        let mut lmkd = Lmkd::new();
+        // Fully stalled window: pressure 50 % > 6 % threshold.
         assert!(lmkd.should_kill(100_000_000, CostNanos(100_000_000)));
         lmkd.note_kill(100_000_000);
-        // Still above threshold but inside the back-off interval.
+        // Still above threshold but inside the 150 ms back-off interval.
         assert!(!lmkd.should_kill(120_000_000, CostNanos(120_000_000)));
+        assert!(!lmkd.should_kill(240_000_000, CostNanos(240_000_000)));
         // After the back-off it may kill again.
-        assert!(lmkd.should_kill(160_000_000, CostNanos(160_000_000)));
+        assert!(lmkd.should_kill(250_000_000, CostNanos(250_000_000)));
     }
 
     #[test]
     fn lmkd_stays_quiet_below_threshold() {
-        let mut lmkd = Lmkd::new(LmkdConfig::default());
+        let mut lmkd = Lmkd::new();
         for i in 1..=10u128 {
             assert!(!lmkd.should_kill(i * 100_000_000, CostNanos(1_000_000)));
         }
-        assert!(lmkd.psi_ppm() < LmkdConfig::default().kill_threshold_ppm);
+        assert!(lmkd.psi_ppm() < LMKD_KILL_THRESHOLD_PPM);
     }
 }

@@ -59,12 +59,7 @@ impl SchemeSpec {
     #[must_use]
     pub fn build(&self, memory: MemoryConfig) -> Box<dyn SwapScheme> {
         match *self {
-            SchemeSpec::Dram => {
-                let mut config = memory;
-                config.dram_bytes = usize::MAX / 4;
-                config.watermarks = ariadne_mem::Watermarks::android_default(config.dram_bytes);
-                Box::new(DramOnlyScheme::new(config))
-            }
+            SchemeSpec::Dram => Box::new(DramOnlyScheme::new(memory.with_unlimited_dram())),
             SchemeSpec::Swap => Box::new(LruScheme::swap(memory)),
             SchemeSpec::Zram => Box::new(LruScheme::zram(memory)),
             SchemeSpec::Zswap => Box::new(LruScheme::zram(

@@ -13,7 +13,7 @@
 //! kswapd pass to completion before the next one.
 
 use crate::engine::{EngineEvent, EventQueue};
-use crate::lifecycle::{AppState, Lmkd, LmkdConfig, ProcessTable};
+use crate::lifecycle::{AppState, Lmkd, ProcessTable};
 use crate::schemes::SchemeSpec;
 use ariadne_compress::{CostNanos, ThermalConfig};
 use ariadne_mem::{
@@ -320,7 +320,7 @@ impl MobileSystem {
             io_completions: 0,
             pressure_spikes: 0,
             procs: ProcessTable::new(),
-            lmkd: Lmkd::new(LmkdConfig::default()),
+            lmkd: Lmkd::new(),
             lmkd_enabled: false,
             lmkd_pending: false,
             memory_stall: CostNanos::zero(),

@@ -21,7 +21,7 @@ use ariadne_mem::{AppId, CpuActivity, PageId, SimClock};
 /// ```
 /// use ariadne_zram::{DramOnlyScheme, MemoryConfig, SwapScheme};
 ///
-/// let scheme = DramOnlyScheme::new(MemoryConfig::unlimited_dram(64));
+/// let scheme = DramOnlyScheme::new(MemoryConfig::pixel7_scaled(64).with_unlimited_dram());
 /// assert_eq!(scheme.name(), "DRAM");
 /// ```
 #[derive(Debug)]
@@ -30,7 +30,8 @@ pub struct DramOnlyScheme {
 }
 
 impl DramOnlyScheme {
-    /// Create the scheme. Normally used with [`MemoryConfig::unlimited_dram`].
+    /// Create the scheme. Normally used with
+    /// [`MemoryConfig::with_unlimited_dram`].
     #[must_use]
     pub fn new(config: MemoryConfig) -> Self {
         DramOnlyScheme {
@@ -100,7 +101,7 @@ mod tests {
         let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
         let ctx = SchemeContext::new(1, &workloads);
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).collect();
-        let scheme = DramOnlyScheme::new(MemoryConfig::unlimited_dram(1024));
+        let scheme = DramOnlyScheme::new(MemoryConfig::pixel7_scaled(1024).with_unlimited_dram());
         (scheme, ctx, SimClock::new(), pages)
     }
 

@@ -35,7 +35,7 @@ pub use oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, O
 pub use page_lru::PageLru;
 pub use scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReleasedFootprint,
-    SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    SchemeContext, SchemeStats, SwapScheme, WritebackPolicy, ALGORITHM,
 };
 pub use tiers::Tiers;
 pub use zram::LruScheme;

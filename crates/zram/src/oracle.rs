@@ -2,8 +2,8 @@
 //!
 //! Every page in the workspace is synthesized deterministically: the bytes of
 //! a page are a pure function of `(seed, profile, page)`. Compressing the
-//! same page (or the same multi-page group) with the same algorithm and chunk
-//! size therefore produces a bit-identical result every time — yet the
+//! same page (or the same multi-page group) with the same chunk size
+//! therefore produces a bit-identical result every time — yet the
 //! schemes used to re-pay page synthesis, a fresh buffer per page and a full
 //! codec run on every relaunch storm, kswapd wake and zpool-overflow
 //! writeback. [`CompressionOracle`] exploits the immutability: results are
@@ -15,9 +15,10 @@
 //! * **Bit-identity** — a hit returns exactly what a cold codec run would
 //!   (the cold run itself goes through the zero-allocation
 //!   [`compressed_len_only`](ariadne_compress::ChunkedCodec::compressed_len_only)
-//!   path); property tests pin this across every algorithm × chunk size.
-//! * **One entry per codec input** — a key is `(pages, algorithm, bytes per
-//!   codec call, content variant)`. The bytes per call are the requested
+//!   path); property tests pin this across every chunk size.
+//! * **One entry per codec input** — a key is `(pages, bytes per codec call,
+//!   content variant)`; every system compresses with LZO ([`ALGORITHM`]),
+//!   so the codec is not part of it. The bytes per call are the requested
 //!   chunk size, except that a chunk at least as large as the group is one
 //!   call over the whole group whatever its size, so every such chunk keys
 //!   as the smallest power of two covering the group. The key is exact:
@@ -28,8 +29,10 @@
 //! * **Zero allocation in steady state** — the probe key, the page-synthesis
 //!   buffer and the per-chunk codec scratch are all reused; only the first
 //!   sighting of a group allocates (to clone the key into the map).
-//! * **Bounded memory** — entries are kept in strict LRU order within each
-//!   shard, under a configurable total entry cap.
+//! * **Bounded memory** — each shard is one map holding at most its share
+//!   of a configurable total entry cap. A shard about to exceed its share
+//!   starts over empty and counts what it dropped as evictions; the full
+//!   catalog stays far below the default cap, so no run reaches that path.
 //! * **No global lock** — the cache is split into independently locked
 //!   shards, and a key's shard is a pure function of the key: parallel
 //!   experiment cells sharing one oracle mostly consult different shards
@@ -45,8 +48,9 @@
 //! model, so experiment output is byte-identical with the oracle on or off —
 //! only the host wall-clock changes.
 
-use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec, CompressedLen};
-use ariadne_mem::{Chain, FxHashMap, FxHasher, PageId, Slab, PAGE_SIZE};
+use crate::scheme::ALGORITHM;
+use ariadne_compress::{ChunkSize, ChunkedCodec, CompressedLen};
+use ariadne_mem::{FxHashMap, FxHasher, PageId, PAGE_SIZE};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -62,28 +66,15 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// under different profile variants are different keys.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct OracleKey {
-    algorithm: Algorithm,
     /// Bytes per codec call (see [`CompressionOracle::probe`]).
     call_bytes: usize,
     variant: u64,
     pages: Vec<PageId>,
 }
 
-/// Link channel of the recency chain (head = most recently used).
-const RECENCY_CHANNEL: usize = 0;
-
 /// Number of independently locked shards (a power of two, so the shard of a
 /// key is a mask of its hash).
 const SHARDS: usize = 8;
-
-/// One memoized compression result, stored in a shard's slab. The key is
-/// kept in the slot so LRU eviction can drop the index entry without a
-/// reverse map.
-#[derive(Debug, Clone)]
-struct OracleEntry {
-    key: OracleKey,
-    lens: CompressedLen,
-}
 
 /// What one oracle consultation produced. The sizes are bit-identical
 /// whether the result came from the cache or from a cold codec run.
@@ -119,19 +110,19 @@ pub struct OracleStats {
     pub misses: usize,
     /// Original bytes whose synthesis + compression a hit avoided.
     pub bytes_saved: usize,
-    /// Entries evicted by the LRU entry cap.
+    /// Entries dropped by a shard that reached its share of the entry cap.
     pub evictions: usize,
 }
 
 /// Reusable synthesis + codec state for cold compression runs: the group
-/// byte buffer, the per-chunk codec scratch and one boxed codec per
-/// `(algorithm, chunk size)` pair. `SchemeContext` keeps one per thread so
-/// cold runs never execute under an oracle lock.
+/// byte buffer, the per-chunk codec scratch and one [`ALGORITHM`] codec per
+/// chunk size. `SchemeContext` keeps one per thread so cold runs never
+/// execute under an oracle lock.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     data: Vec<u8>,
     chunk: Vec<u8>,
-    codecs: HashMap<(Algorithm, ChunkSize), ChunkedCodec>,
+    codecs: HashMap<ChunkSize, ChunkedCodec>,
 }
 
 impl CodecScratch {
@@ -140,7 +131,6 @@ impl CodecScratch {
     pub fn compress(
         &mut self,
         pages: &[PageId],
-        algorithm: Algorithm,
         chunk_size: ChunkSize,
         fill: &mut dyn FnMut(PageId, &mut [u8; PAGE_SIZE]),
     ) -> CompressedLen {
@@ -155,25 +145,18 @@ impl CodecScratch {
             fill(page, buf);
         }
         self.codecs
-            .entry((algorithm, chunk_size))
-            .or_insert_with(|| ChunkedCodec::new(algorithm, chunk_size))
+            .entry(chunk_size)
+            .or_insert_with(|| ChunkedCodec::new(ALGORITHM, chunk_size))
             .compressed_len_only(&self.data, &mut self.chunk)
             .expect("compression cannot fail")
     }
 }
 
-/// One shard of the oracle: a strict-LRU cache of memoized results.
+/// One shard of the oracle: a bounded map of memoized results.
 struct Shard {
     max_entries: usize,
-    /// Memoized results; an intrusive link channel threads the recency
-    /// order through the slots, so a hit is a hash probe plus a handful of
-    /// pointer updates — no tree rebalancing.
-    entries: Slab<OracleEntry>,
-    /// Key → slab slot.
-    index: FxHashMap<OracleKey, u32>,
-    /// Recency order (head = most recently used); the tail is the eviction
-    /// victim, so eviction is strictly least recently used first.
-    recency: Chain,
+    /// Memoized results by key.
+    entries: FxHashMap<OracleKey, CompressedLen>,
     /// The key being consulted, reused so hits and the probe itself
     /// allocate nothing (loaded by [`CompressionOracle::probe`]).
     probe: OracleKey,
@@ -184,11 +167,8 @@ impl Shard {
     fn new(max_entries: usize) -> Self {
         Shard {
             max_entries,
-            entries: Slab::new(),
-            index: FxHashMap::default(),
-            recency: Chain::new(),
+            entries: FxHashMap::default(),
             probe: OracleKey {
-                algorithm: Algorithm::Lzo,
                 call_bytes: 0,
                 variant: 0,
                 pages: Vec::new(),
@@ -198,52 +178,25 @@ impl Shard {
     }
 
     fn lookup(&mut self) -> Option<OracleOutcome> {
-        let slot = *self.index.get(&self.probe)?;
-        self.recency
-            .move_front(&mut self.entries, RECENCY_CHANNEL, slot);
-        let lens = self.entries.value_at(slot).lens;
+        let lens = *self.entries.get(&self.probe)?;
         self.stats.hits += 1;
         self.stats.bytes_saved += lens.original_len;
         Some(OracleOutcome::new(lens, true))
     }
 
+    /// Count the miss and memoize `lens` under the probe key. A shard
+    /// already at its cap starts over empty first, so its length never
+    /// exceeds the cap.
     fn admit(&mut self, lens: CompressedLen) {
         self.stats.misses += 1;
-        if self.index.contains_key(&self.probe) {
+        if self.entries.contains_key(&self.probe) {
             return;
         }
-        let key = self.probe.clone();
-        let slot = self
-            .entries
-            .insert(OracleEntry {
-                key: key.clone(),
-                lens,
-            })
-            .index();
-        self.index.insert(key, slot);
-        self.recency
-            .push_front(&mut self.entries, RECENCY_CHANNEL, slot);
-        self.enforce_cap();
-    }
-
-    /// Evict whole entries beyond the LRU cap, least recently used first:
-    /// each victim is the tail of the recency chain, so the cost is
-    /// proportional to what is actually evicted, not to the cache size.
-    fn enforce_cap(&mut self) {
-        while self.index.len() > self.max_entries {
-            let slot = self
-                .recency
-                .tail()
-                .expect("non-empty cache has a recency tail");
-            self.recency
-                .unlink(&mut self.entries, RECENCY_CHANNEL, slot);
-            let entry = self
-                .entries
-                .remove(self.entries.key_at(slot))
-                .expect("recency tail names a live slot");
-            self.index.remove(&entry.key);
-            self.stats.evictions += 1;
+        if self.entries.len() >= self.max_entries {
+            self.stats.evictions += self.entries.len();
+            self.entries.clear();
         }
+        self.entries.insert(self.probe.clone(), lens);
     }
 }
 
@@ -251,19 +204,19 @@ impl Shard {
 /// documentation).
 ///
 /// The entry cap is split evenly across the shards, so which entries are
-/// evicted depends on the shard layout — invisible in experiment output,
+/// dropped depends on the shard layout — invisible in experiment output,
 /// because a memoized result is bit-identical wherever it comes from.
 ///
 /// ```
 /// use ariadne_zram::SchemeContext;
-/// use ariadne_compress::{Algorithm, ChunkSize};
+/// use ariadne_compress::ChunkSize;
 /// use ariadne_trace::{AppName, WorkloadBuilder};
 ///
 /// let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
 /// let ctx = SchemeContext::new(1, &workloads);
 /// let page = workloads[0].pages[0].page;
-/// let cold = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
-/// let hit = ctx.compress_pages(&[page], Algorithm::Lzo, ChunkSize::k4());
+/// let cold = ctx.compress_pages(&[page], ChunkSize::k4());
+/// let hit = ctx.compress_pages(&[page], ChunkSize::k4());
 /// assert!(!cold.hit && hit.hit);
 /// assert_eq!(cold.compressed_len, hit.compressed_len);
 /// ```
@@ -301,7 +254,7 @@ impl CompressionOracle {
         }
     }
 
-    /// Override the total LRU entry cap (at least 1), split evenly across
+    /// Override the total entry cap (at least 1), split evenly across
     /// the shards (rounded up). The cache starts over empty.
     #[must_use]
     pub fn with_max_entries(self, max_entries: usize) -> Self {
@@ -320,7 +273,7 @@ impl CompressionOracle {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.lock().expect("oracle lock poisoned").index.len())
+            .map(|shard| shard.lock().expect("oracle lock poisoned").entries.len())
             .sum()
     }
 
@@ -355,15 +308,14 @@ impl CompressionOracle {
         self.enabled && *self.seed.get_or_init(|| seed) == seed
     }
 
-    /// Lock the shard responsible for the key of `(pages, algorithm,
-    /// chunk_size, variant)` and load that key as the shard's probe. The key
-    /// holds the bytes per codec call (see the module documentation): chunk
-    /// sizes are powers of two, so that is the smaller of the chunk and the
-    /// smallest power of two covering the group.
+    /// Lock the shard responsible for the key of `(pages, chunk_size,
+    /// variant)` and load that key as the shard's probe. The key holds the
+    /// bytes per codec call (see the module documentation): chunk sizes are
+    /// powers of two, so that is the smaller of the chunk and the smallest
+    /// power of two covering the group.
     fn probe(
         &self,
         pages: &[PageId],
-        algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
     ) -> MutexGuard<'_, Shard> {
@@ -371,14 +323,12 @@ impl CompressionOracle {
             .bytes()
             .min((pages.len() * PAGE_SIZE).next_power_of_two());
         let mut hasher = FxHasher::default();
-        algorithm.hash(&mut hasher);
         call_bytes.hash(&mut hasher);
         variant.hash(&mut hasher);
         pages.hash(&mut hasher);
         let index = hasher.finish() as usize & (SHARDS - 1);
         let mut shard = self.shards[index].lock().expect("oracle lock poisoned");
         let key = &mut shard.probe;
-        key.algorithm = algorithm;
         key.call_bytes = call_bytes;
         key.variant = variant;
         key.pages.clear();
@@ -386,14 +336,14 @@ impl CompressionOracle {
         shard
     }
 
-    /// Probe the cache for `(pages, algorithm, chunk_size, variant)` of
-    /// pages synthesized from `seed`; any chunk size that makes the same
-    /// codec calls over the group finds the same entry (see the module
-    /// documentation). A hit updates the LRU order and the
-    /// hit/bytes-saved counters; a miss (or a disabled oracle, or a seed
-    /// other than the one the oracle is bound to) returns `None` without
-    /// touching anything, so callers can run the codec **outside** the
-    /// oracle lock and [`CompressionOracle::admit`] the result afterwards.
+    /// Probe the cache for `(pages, chunk_size, variant)` of pages
+    /// synthesized from `seed`; any chunk size that makes the same codec
+    /// calls over the group finds the same entry (see the module
+    /// documentation). A hit updates the hit/bytes-saved counters; a miss
+    /// (or a disabled oracle, or a seed other than the one the oracle is
+    /// bound to) returns `None` without touching anything, so callers can
+    /// run the codec **outside** the oracle lock and
+    /// [`CompressionOracle::admit`] the result afterwards.
     ///
     /// `variant` distinguishes contents the `PageId` alone cannot: a page's
     /// bytes are a pure function of `(seed, page)` *plus* whether its app
@@ -410,14 +360,13 @@ impl CompressionOracle {
         &self,
         seed: u64,
         pages: &[PageId],
-        algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
     ) -> Option<OracleOutcome> {
         if !self.serves(seed) {
             return None;
         }
-        self.probe(pages, algorithm, chunk_size, variant).lookup()
+        self.probe(pages, chunk_size, variant).lookup()
     }
 
     /// Record a cold compression result computed by the caller (typically
@@ -434,14 +383,12 @@ impl CompressionOracle {
         &self,
         seed: u64,
         pages: &[PageId],
-        algorithm: Algorithm,
         chunk_size: ChunkSize,
         variant: u64,
         lens: CompressedLen,
     ) -> OracleOutcome {
         if self.serves(seed) {
-            self.probe(pages, algorithm, chunk_size, variant)
-                .admit(lens);
+            self.probe(pages, chunk_size, variant).admit(lens);
         }
         OracleOutcome::new(lens, false)
     }
@@ -556,22 +503,21 @@ mod tests {
     fn consult(
         oracle: &CompressionOracle,
         pages: &[PageId],
-        algorithm: Algorithm,
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
-        if let Some(hit) = oracle.lookup(SEED, pages, algorithm, chunk_size, 0) {
+        if let Some(hit) = oracle.lookup(SEED, pages, chunk_size, 0) {
             return hit;
         }
-        let lens = CodecScratch::default().compress(pages, algorithm, chunk_size, &mut fill);
-        oracle.admit(SEED, pages, algorithm, chunk_size, 0, lens)
+        let lens = CodecScratch::default().compress(pages, chunk_size, &mut fill);
+        oracle.admit(SEED, pages, chunk_size, 0, lens)
     }
 
     #[test]
     fn hits_return_the_cold_result_bit_for_bit() {
         let oracle = CompressionOracle::new();
         let pages = [page(1), page(2), page(3), page(4)];
-        let cold = consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k16());
-        let hit = consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k16());
+        let cold = consult(&oracle, &pages, ChunkSize::k16());
+        let hit = consult(&oracle, &pages, ChunkSize::k16());
         assert!(!cold.hit && hit.hit);
         assert_eq!(cold.original_len, hit.original_len);
         assert_eq!(cold.compressed_len, hit.compressed_len);
@@ -584,29 +530,23 @@ mod tests {
     #[test]
     fn different_keys_do_not_collide() {
         let oracle = CompressionOracle::new();
-        let a = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k4());
-        let b = consult(&oracle, &[page(1)], Algorithm::Lz4, ChunkSize::k4());
-        let c = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k1());
-        let d = consult(&oracle, &[page(2)], Algorithm::Lzo, ChunkSize::k4());
-        assert!(!a.hit && !b.hit && !c.hit && !d.hit);
-        assert_eq!(oracle.len(), 4);
+        let a = consult(&oracle, &[page(1)], ChunkSize::k4());
+        let b = consult(&oracle, &[page(1)], ChunkSize::k1());
+        let c = consult(&oracle, &[page(2)], ChunkSize::k4());
+        assert!(!a.hit && !b.hit && !c.hit);
+        assert_eq!(oracle.len(), 3);
 
         // One page in 16K chunks is the one codec call it is in 4K chunks.
-        let e = consult(&oracle, &[page(1)], Algorithm::Lzo, ChunkSize::k16());
-        assert!(e.hit && e.compressed_len == a.compressed_len);
-        assert_eq!(oracle.len(), 4);
+        let d = consult(&oracle, &[page(1)], ChunkSize::k16());
+        assert!(d.hit && d.compressed_len == a.compressed_len);
+        assert_eq!(oracle.len(), 3);
 
         // Two pages in 4K chunks are two calls, in 8K chunks one.
         let pair = [page(1), page(2)];
-        let f = consult(&oracle, &pair, Algorithm::Lzo, ChunkSize::k4());
-        let g = consult(
-            &oracle,
-            &pair,
-            Algorithm::Lzo,
-            ChunkSize::new(8192).unwrap(),
-        );
-        assert!(!f.hit && !g.hit);
-        assert_eq!(oracle.len(), 6);
+        let e = consult(&oracle, &pair, ChunkSize::k4());
+        let f = consult(&oracle, &pair, ChunkSize::new(8192).unwrap());
+        assert!(!e.hit && !f.hit);
+        assert_eq!(oracle.len(), 5);
     }
 
     #[test]
@@ -614,18 +554,18 @@ mod tests {
         let enabled = CompressionOracle::new();
         let disabled = CompressionOracle::disabled();
         let pages = [page(7), page(9)];
-        let on = consult(&enabled, &pages, Algorithm::Lz4, ChunkSize::k4());
-        let off = consult(&disabled, &pages, Algorithm::Lz4, ChunkSize::k4());
+        let on = consult(&enabled, &pages, ChunkSize::k4());
+        let off = consult(&disabled, &pages, ChunkSize::k4());
         assert_eq!(on.compressed_len, off.compressed_len);
-        let off2 = consult(&disabled, &pages, Algorithm::Lz4, ChunkSize::k4());
+        let off2 = consult(&disabled, &pages, ChunkSize::k4());
         assert!(!off2.hit, "disabled oracle never hits");
         assert!(disabled.is_empty());
         assert_eq!(disabled.stats().misses, 0, "disabled oracle counts nothing");
     }
 
     #[test]
-    fn lru_cap_evicts_the_least_recently_used_entry() {
-        // The cap is enforced per shard, so strict LRU is pinned on one.
+    fn a_full_shard_starts_over() {
+        // The cap is enforced per shard, so the bound is pinned on one.
         let mut shard = Shard::new(2);
         let hit = |shard: &mut Shard, pfn: u64| {
             shard.probe.pages = vec![page(pfn)];
@@ -633,24 +573,28 @@ mod tests {
             if !found {
                 shard.admit(LENS);
             }
+            assert!(shard.entries.len() <= 2, "a shard exceeded its share");
             found
         };
         hit(&mut shard, 1);
         hit(&mut shard, 2);
-        // Touch page 1 so page 2 becomes the LRU victim.
         assert!(hit(&mut shard, 1));
-        hit(&mut shard, 3);
-        assert_eq!(shard.index.len(), 2);
-        assert_eq!(shard.stats.evictions, 1);
-        assert!(hit(&mut shard, 1), "page 1 survived (recently used)");
-        assert!(!hit(&mut shard, 2), "page 2 was the LRU victim");
+        assert_eq!(shard.stats.evictions, 0);
+        // A third key finds the shard full: both entries go, the new one stays.
+        assert!(!hit(&mut shard, 3));
+        assert_eq!(shard.entries.len(), 1);
+        assert_eq!(shard.stats.evictions, 2);
+        assert!(hit(&mut shard, 3), "the new key hits");
+        assert!(!hit(&mut shard, 2), "a dropped key misses");
+        assert_eq!(shard.entries.len(), 2);
+        assert_eq!(shard.stats.evictions, 2);
     }
 
     #[test]
     fn total_cap_is_split_across_shards() {
         let oracle = CompressionOracle::new().with_max_entries(16);
         for pfn in 0..256 {
-            oracle.admit(SEED, &[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+            oracle.admit(SEED, &[page(pfn)], ChunkSize::k4(), 0, LENS);
         }
         let len = oracle.len();
         assert!(len > 0 && len <= 16, "{len} entries exceed the cap of 16");
@@ -661,25 +605,23 @@ mod tests {
     fn lookup_admit_round_trip_and_duplicate_admits_are_harmless() {
         let oracle = CompressionOracle::new();
         let pages = [page(5), page(6)];
-        assert!(oracle
-            .lookup(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0)
-            .is_none());
+        assert!(oracle.lookup(SEED, &pages, ChunkSize::k4(), 0).is_none());
 
         // Compute outside the oracle (the two-phase context path) and admit.
         let mut scratch = CodecScratch::default();
-        let lens = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
-        let admitted = oracle.admit(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens);
+        let lens = scratch.compress(&pages, ChunkSize::k4(), &mut fill);
+        let admitted = oracle.admit(SEED, &pages, ChunkSize::k4(), 0, lens);
         assert!(!admitted.hit);
 
         // A concurrent duplicate compute admits the same key again: counted
         // as a miss, entry kept once, later lookups hit.
-        let lens2 = scratch.compress(&pages, Algorithm::Lzo, ChunkSize::k4(), &mut fill);
+        let lens2 = scratch.compress(&pages, ChunkSize::k4(), &mut fill);
         assert_eq!(lens, lens2, "duplicate computes are bit-identical");
-        oracle.admit(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0, lens2);
+        oracle.admit(SEED, &pages, ChunkSize::k4(), 0, lens2);
         assert_eq!(oracle.len(), 1);
         assert_eq!(oracle.stats().misses, 2);
         let hit = oracle
-            .lookup(SEED, &pages, Algorithm::Lzo, ChunkSize::k4(), 0)
+            .lookup(SEED, &pages, ChunkSize::k4(), 0)
             .expect("admitted entry must hit");
         assert_eq!(hit.compressed_len, lens.compressed_len);
     }
@@ -688,8 +630,8 @@ mod tests {
     fn another_seed_never_hits_and_leaves_a_bound_oracle_untouched() {
         let oracle = CompressionOracle::new();
         let pages = [page(1), page(2)];
-        consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k4());
-        assert!(consult(&oracle, &pages, Algorithm::Lzo, ChunkSize::k4()).hit);
+        consult(&oracle, &pages, ChunkSize::k4());
+        assert!(consult(&oracle, &pages, ChunkSize::k4()).hit);
         assert_eq!(
             oracle.seed.get(),
             Some(&SEED),
@@ -701,10 +643,8 @@ mod tests {
         let other = SEED + 1;
         for _ in 0..2 {
             for pages in [&pages[..], &[page(3)]] {
-                assert!(oracle
-                    .lookup(other, pages, Algorithm::Lzo, ChunkSize::k4(), 0)
-                    .is_none());
-                let outcome = oracle.admit(other, pages, Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+                assert!(oracle.lookup(other, pages, ChunkSize::k4(), 0).is_none());
+                let outcome = oracle.admit(other, pages, ChunkSize::k4(), 0, LENS);
                 assert!(!outcome.hit);
                 assert_eq!(outcome.compressed_len, LENS.compressed_len);
             }
@@ -718,7 +658,7 @@ mod tests {
     fn debug_output_stays_compact_however_full_the_cache() {
         let oracle = CompressionOracle::new();
         for pfn in 0..4096 {
-            oracle.admit(SEED, &[page(pfn)], Algorithm::Lzo, ChunkSize::k4(), 0, LENS);
+            oracle.admit(SEED, &[page(pfn)], ChunkSize::k4(), 0, LENS);
         }
         let debug = format!("{:?}", OracleHandle::new(oracle));
         assert!(debug.len() < 256, "{} bytes: {debug}", debug.len());

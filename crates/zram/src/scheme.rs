@@ -172,7 +172,12 @@ pub enum WritebackPolicy {
     WritebackToFlash,
 }
 
-/// Sizing and algorithm configuration shared by every scheme.
+/// The codec every simulated system compresses with: LZO, the Pixel 7
+/// default. The latency model and the chunked codecs take an algorithm
+/// because the codec characterization (Figure 6) compares LZ4 and LZO.
+pub const ALGORITHM: Algorithm = Algorithm::Lzo;
+
+/// Sizing configuration shared by every scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoryConfig {
     /// DRAM capacity in bytes available to anonymous pages.
@@ -183,8 +188,6 @@ pub struct MemoryConfig {
     pub flash_swap_bytes: usize,
     /// Reclaim watermarks.
     pub watermarks: Watermarks,
-    /// Compression algorithm (LZO is the Pixel 7 default).
-    pub algorithm: Algorithm,
     /// Behaviour when the zpool is full.
     pub writeback: WritebackPolicy,
     /// The flash-device I/O model (queued/async by default; see
@@ -209,20 +212,18 @@ impl MemoryConfig {
             zpool_bytes: 3 * 1024 * 1024 * 1024 / scale,
             flash_swap_bytes: 8 * 1024 * 1024 * 1024 / scale,
             watermarks: Watermarks::android_default(dram),
-            algorithm: Algorithm::Lzo,
             writeback: WritebackPolicy::DropOldest,
             io: FlashIoConfig::ufs31(),
         }
     }
 
-    /// Same as [`MemoryConfig::pixel7_scaled`] but with an effectively
-    /// unlimited DRAM, for the optimistic `DRAM` baseline.
+    /// Make DRAM effectively unlimited, for the optimistic `DRAM`
+    /// baseline; the watermarks follow the new size.
     #[must_use]
-    pub fn unlimited_dram(scale: usize) -> Self {
-        let mut config = MemoryConfig::pixel7_scaled(scale);
-        config.dram_bytes = usize::MAX / 4;
-        config.watermarks = Watermarks::android_default(config.dram_bytes);
-        config
+    pub fn with_unlimited_dram(mut self) -> Self {
+        self.dram_bytes = usize::MAX / 4;
+        self.watermarks = Watermarks::android_default(self.dram_bytes);
+        self
     }
 
     /// Override the writeback policy.
@@ -364,14 +365,8 @@ impl SchemeContext {
     /// must charge compression through here (not [`SchemeContext::latency`]
     /// directly), so throttling treats them identically.
     #[must_use]
-    pub fn compression_cost(
-        &self,
-        algorithm: Algorithm,
-        chunk: ChunkSize,
-        bytes: usize,
-        now_nanos: u128,
-    ) -> CostNanos {
-        let base = self.latency.compression_cost(algorithm, chunk, bytes);
+    pub fn compression_cost(&self, chunk: ChunkSize, bytes: usize, now_nanos: u128) -> CostNanos {
+        let base = self.latency.compression_cost(ALGORITHM, chunk, bytes);
         let cost = self.thermal.charge(base, now_nanos);
         if cost > base {
             self.trace
@@ -391,14 +386,8 @@ impl SchemeContext {
     /// chunks of `chunk`, inflated by the current thermal throttle (the
     /// decompression counterpart of [`SchemeContext::compression_cost`]).
     #[must_use]
-    pub fn decompression_cost(
-        &self,
-        algorithm: Algorithm,
-        chunk: ChunkSize,
-        bytes: usize,
-        now_nanos: u128,
-    ) -> CostNanos {
-        let base = self.latency.decompression_cost(algorithm, chunk, bytes);
+    pub fn decompression_cost(&self, chunk: ChunkSize, bytes: usize, now_nanos: u128) -> CostNanos {
+        let base = self.latency.decompression_cost(ALGORITHM, chunk, bytes);
         let cost = self.thermal.charge(base, now_nanos);
         if cost > base {
             self.trace
@@ -441,8 +430,8 @@ impl SchemeContext {
 
     /// Compress the concatenated contents of `pages` through the shared
     /// [`CompressionOracle`]: a consultation that makes the same codec calls
-    /// as an earlier one (same pages and algorithm, and the same chunk size
-    /// or any two that cover the whole group) is served from the cache
+    /// as an earlier one (same pages, and the same chunk size or any two
+    /// that cover the whole group) is served from the cache
     /// without re-synthesizing or re-compressing a single byte. The sizes
     /// returned are bit-identical to a cold codec run either way. Each call
     /// records its ratio into [`SchemeContext::compression_ratios`].
@@ -453,13 +442,8 @@ impl SchemeContext {
     /// workloads this context was built from, or if the oracle lock was
     /// poisoned by a panicking thread.
     #[must_use]
-    pub fn compress_pages(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-    ) -> OracleOutcome {
-        let outcome = self.consult_oracle(pages, algorithm, chunk_size);
+    pub fn compress_pages(&self, pages: &[PageId], chunk_size: ChunkSize) -> OracleOutcome {
+        let outcome = self.consult_oracle(pages, chunk_size);
         if outcome.original_len > 0 {
             self.compression_ratios.borrow_mut().record(
                 (outcome.compressed_len as u64).saturating_mul(100) / outcome.original_len as u64,
@@ -468,12 +452,7 @@ impl SchemeContext {
         outcome
     }
 
-    fn consult_oracle(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-    ) -> OracleOutcome {
+    fn consult_oracle(&self, pages: &[PageId], chunk_size: ChunkSize) -> OracleOutcome {
         // Two-phase consultation so no oracle lock is ever held across a
         // codec run: probe under the key's shard lock, compute a miss on
         // this thread's own scratch with the lock released (parallel cells
@@ -482,21 +461,17 @@ impl SchemeContext {
         // results are bit-identical by construction and `admit` keeps the
         // first.
         let (seed, variant) = (self.data.seed(), self.content_variant(pages));
-        if let Some(hit) = self
-            .oracle
-            .lookup(seed, pages, algorithm, chunk_size, variant)
-        {
+        if let Some(hit) = self.oracle.lookup(seed, pages, chunk_size, variant) {
             return hit;
         }
         let lens = CODEC_SCRATCH.with(|scratch| {
             scratch
                 .borrow_mut()
-                .compress(pages, algorithm, chunk_size, &mut |page, buf| {
+                .compress(pages, chunk_size, &mut |page, buf| {
                     self.fill_page_bytes(page, buf)
                 })
         });
-        self.oracle
-            .admit(seed, pages, algorithm, chunk_size, variant, lens)
+        self.oracle.admit(seed, pages, chunk_size, variant, lens)
     }
 
     /// The content-variant tag of a page group: one bit per page, set when
@@ -816,12 +791,11 @@ mod tests {
         let scaled = MemoryConfig::pixel7_scaled(64);
         assert_eq!(full.dram_bytes / scaled.dram_bytes, 64);
         assert_eq!(full.zpool_bytes / scaled.zpool_bytes, 64);
-        assert_eq!(scaled.algorithm, Algorithm::Lzo);
     }
 
     #[test]
     fn unlimited_dram_is_effectively_infinite() {
-        let config = MemoryConfig::unlimited_dram(64);
+        let config = MemoryConfig::pixel7_scaled(64).with_unlimited_dram();
         assert!(config.dram_bytes > (1usize << 60));
     }
 
@@ -852,21 +826,19 @@ mod tests {
         let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
         let ctx = SchemeContext::new(1, &workloads);
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).take(4).collect();
-        let cold = ctx.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
-        let warm = ctx.compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
+        let cold = ctx.compress_pages(&pages, ChunkSize::k16());
+        let warm = ctx.compress_pages(&pages, ChunkSize::k16());
         assert!(!cold.hit && warm.hit);
         assert_eq!(cold.compressed_len, warm.compressed_len);
         assert_eq!(cold.original_len, 4 * PAGE_SIZE);
         // Clones share the cache; a disabled context gets a fresh one but
         // reports the same sizes.
-        let clone_hit = ctx
-            .clone()
-            .compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
+        let clone_hit = ctx.clone().compress_pages(&pages, ChunkSize::k16());
         assert!(clone_hit.hit);
         let off = ctx
             .clone()
             .with_oracle_handle(&OracleHandle::enabled(false))
-            .compress_pages(&pages, Algorithm::Lzo, ChunkSize::k16());
+            .compress_pages(&pages, ChunkSize::k16());
         assert!(!off.hit);
         assert_eq!(off.compressed_len, cold.compressed_len);
         assert_eq!(ctx.oracle_stats().hits, 2);

@@ -111,14 +111,9 @@ impl Tiers {
         // The oracle memoizes the codec run: recompressing the same pages
         // (relaunch storms do this constantly) is a hash lookup, not a
         // synthesis + codec pass. Sizes are bit-identical either way.
-        let outcome = ctx.compress_pages(pages, self.config.algorithm, chunk);
+        let outcome = ctx.compress_pages(pages, chunk);
         self.stats.record_oracle(&outcome);
-        let cost = ctx.compression_cost(
-            self.config.algorithm,
-            chunk,
-            outcome.original_len,
-            clock.now().as_nanos(),
-        );
+        let cost = ctx.compression_cost(chunk, outcome.original_len, clock.now().as_nanos());
         let writeback = self.make_zpool_room(outcome.compressed_len, clock, ctx);
         self.store(
             pages.to_vec(),
@@ -192,12 +187,7 @@ impl Tiers {
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> CostNanos {
-        let cost = ctx.decompression_cost(
-            self.config.algorithm,
-            chunk,
-            original_bytes,
-            clock.now().as_nanos(),
-        );
+        let cost = ctx.decompression_cost(chunk, original_bytes, clock.now().as_nanos());
         self.stats.record_decompression(pages, cost, clock);
         cost
     }

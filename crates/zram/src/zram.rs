@@ -361,7 +361,7 @@ impl SwapScheme for LruScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ariadne_compress::Algorithm;
+    use crate::ALGORITHM;
     use ariadne_mem::{FlashStats, Watermarks};
     use ariadne_trace::{AppName, WorkloadBuilder};
 
@@ -430,7 +430,7 @@ mod tests {
         assert_eq!(outcome.found_in, PageLocation::Zpool);
         let decomp = ctx
             .latency
-            .decompression_cost(Algorithm::Lzo, ChunkSize::k4(), PAGE_SIZE);
+            .decompression_cost(ALGORITHM, ChunkSize::k4(), PAGE_SIZE);
         assert!(outcome.latency >= decomp);
         assert_eq!(scheme.location_of(pages[0]), PageLocation::Dram);
         assert_eq!(scheme.stats().decompression_ops, 1);
@@ -454,9 +454,9 @@ mod tests {
         let compressed_page = pages[0];
         assert_eq!(scheme.location_of(compressed_page), PageLocation::Zpool);
         let outcome = scheme.access(compressed_page, AccessKind::Relaunch, &mut clock, &ctx);
-        let decomp_only =
-            ctx.latency
-                .decompression_cost(Algorithm::Lzo, ChunkSize::k4(), PAGE_SIZE);
+        let decomp_only = ctx
+            .latency
+            .decompression_cost(ALGORITHM, ChunkSize::k4(), PAGE_SIZE);
         assert!(
             outcome.latency.as_nanos() > decomp_only.as_nanos(),
             "fault should also pay on-demand compression"

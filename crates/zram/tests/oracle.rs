@@ -1,11 +1,11 @@
 //! Property tests for the memoized compression oracle: a cache hit must be
-//! bit-identical to a cold codec run, for every algorithm × chunk size ×
-//! page group, with the oracle enabled or disabled.
+//! bit-identical to a cold codec run, for every chunk size × page group,
+//! with the oracle enabled or disabled.
 
-use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
+use ariadne_compress::{ChunkSize, ChunkedCodec};
 use ariadne_mem::{PageId, PAGE_SIZE};
 use ariadne_trace::{AppName, WorkloadBuilder};
-use ariadne_zram::{OracleHandle, SchemeContext};
+use ariadne_zram::{OracleHandle, SchemeContext, ALGORITHM};
 use proptest::prelude::*;
 
 /// The workload pages oracle groups are drawn from (two apps, so groups can
@@ -21,10 +21,6 @@ fn harness() -> (SchemeContext, Vec<PageId>) {
         .flat_map(|w| w.pages.iter().map(|p| p.page))
         .collect();
     (ctx, pages)
-}
-
-fn algorithm(index: u8) -> Algorithm {
-    Algorithm::ALL[index as usize % Algorithm::ALL.len()]
 }
 
 fn chunk_size(index: u8) -> ChunkSize {
@@ -58,8 +54,7 @@ fn group_bytes(ctx: &SchemeContext, group: &[PageId]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The core bit-identity contract: for any group, algorithm and chunk
-    // size, (a) a cold oracle run, (b) a cache hit, (c) a disabled-oracle
+    // The core bit-identity contract: for any group and chunk size, (a) a cold oracle run, (b) a cache hit, (c) a disabled-oracle
     // run and (d) a direct `ChunkedCodec::compress` of the synthesized
     // bytes all report the same sizes. A second chunk size hits the entry
     // of the first exactly when both make the same codec calls: they are
@@ -67,27 +62,25 @@ proptest! {
     #[test]
     fn oracle_hits_are_bit_identical_to_cold_codec_runs(
         picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..6),
-        alg_pick in 0u8..3,
         chunk_pick in 0u8..11,
         chunk_pick2 in 0u8..11,
     ) {
         let (ctx, pages) = harness();
         let group = group(&pages, &picks);
-        let algorithm = algorithm(alg_pick);
         let chunk_size2 = chunk_size(chunk_pick2);
         let chunk_size = chunk_size(chunk_pick);
 
-        let cold = ctx.compress_pages(&group, algorithm, chunk_size);
-        let hit = ctx.compress_pages(&group, algorithm, chunk_size);
+        let cold = ctx.compress_pages(&group, chunk_size);
+        let hit = ctx.compress_pages(&group, chunk_size);
         prop_assert!(!cold.hit && hit.hit);
 
         let off = ctx
             .clone()
             .with_oracle_handle(&OracleHandle::enabled(false))
-            .compress_pages(&group, algorithm, chunk_size);
+            .compress_pages(&group, chunk_size);
         prop_assert!(!off.hit);
 
-        let second = ctx.compress_pages(&group, algorithm, chunk_size2);
+        let second = ctx.compress_pages(&group, chunk_size2);
         let bytes = group.len() * PAGE_SIZE;
         let one_call = |chunk: ChunkSize| chunk.bytes() >= bytes;
         prop_assert_eq!(
@@ -96,10 +89,10 @@ proptest! {
         );
 
         let data = group_bytes(&ctx, &group);
-        let image = ChunkedCodec::new(algorithm, chunk_size)
+        let image = ChunkedCodec::new(ALGORITHM, chunk_size)
             .compress(&data)
             .expect("compression cannot fail");
-        let image2 = ChunkedCodec::new(algorithm, chunk_size2)
+        let image2 = ChunkedCodec::new(ALGORITHM, chunk_size2)
             .compress(&data)
             .expect("compression cannot fail");
 
@@ -120,8 +113,8 @@ fn shared_oracle_counts_hits_across_context_clones() {
     let (ctx, pages) = harness();
     let group: Vec<PageId> = pages.iter().take(4).copied().collect();
     let clone = ctx.clone();
-    let first = ctx.compress_pages(&group, Algorithm::Lzo, ChunkSize::k16());
-    let second = clone.compress_pages(&group, Algorithm::Lzo, ChunkSize::k16());
+    let first = ctx.compress_pages(&group, ChunkSize::k16());
+    let second = clone.compress_pages(&group, ChunkSize::k16());
     assert!(!first.hit && second.hit);
     assert_eq!(first.compressed_len, second.compressed_len);
     let stats = ctx.oracle_stats();

@@ -10,7 +10,7 @@
 //! cargo run --release --example concurrent_storm
 //! ```
 
-use ariadne::sim::experiments::{concurrent, ExperimentOptions};
+use ariadne::sim::experiments::{lifecycle, ExperimentOptions};
 use ariadne::sim::SimulationConfig;
 use ariadne::trace::{AppName, ScenarioBuilder};
 
@@ -44,7 +44,7 @@ fn main() {
     );
     // The five cells share the options' compression oracle.
     let opts = ExperimentOptions::quick();
-    let rows = opts.run_cells(concurrent::evaluated_schemes(), |spec| {
+    let rows = opts.run_cells(lifecycle::evaluated_schemes(), |spec| {
         let mut system = opts.system(spec, config);
         system.run_timed(&scenario);
         let stats = system.stats();
