@@ -3,16 +3,18 @@
 //! The repository benchmark (`perfbench/`, declared by `BENCHMARK.json`)
 //! times whole workloads; this bench isolates the data structures those
 //! workloads hammer — zpool store/fault/release, flash store/fault/release,
-//! oracle lookup/admit, the baselines' LRU victim pick, and the word-wide
-//! compression kernels (timed against the retired scalar loops they
-//! replaced) — so a regression in one of them is attributable directly
-//! instead of showing up as a diffuse slowdown across every workload. CI
-//! runs it as a smoke step and uploads the output as an artifact.
+//! oracle lookup/admit, the baselines' LRU victim pick, a reclaim pass's
+//! codec batch, and the word-wide compression kernels (timed against the
+//! retired scalar loops they replaced) — so a regression in one of them is
+//! attributable directly instead of showing up as a diffuse slowdown across
+//! every workload. CI runs it as a smoke step and uploads the output as an
+//! artifact.
 
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize};
 use ariadne_mem::{AppId, FlashDevice, Hotness, PageId, Pfn, WriteRequest, Zpool, PAGE_SIZE};
-use ariadne_zram::{CompressionOracle, PageLru};
+use ariadne_trace::{AppName, WorkloadBuilder};
+use ariadne_zram::{CompressionOracle, OracleHandle, PageLru, SchemeContext};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const APPS: u32 = 8;
@@ -149,6 +151,41 @@ fn lru_pick_foreground_tail(c: &mut Criterion) {
     });
 }
 
+/// Compress the same 256 single-page 4 KiB groups of workload pages
+/// through a disabled oracle, so every group runs the codec: as one
+/// reclaim pass (`codec_batch_x256`, its misses on the pool) and as 256
+/// batches of one (`codec_batch_of_one_x256`, each on this thread). The
+/// two rows of one run show the batch's speed-up on this host's cores.
+fn codec_batches(c: &mut Criterion) {
+    let workloads = vec![WorkloadBuilder::new(1).scale(256).build(AppName::Youtube)];
+    let ctx = SchemeContext::new(1, &workloads).with_oracle_handle(&OracleHandle::enabled(false));
+    let pages: Vec<PageId> = workloads[0]
+        .pages
+        .iter()
+        .take(256)
+        .map(|p| p.page)
+        .collect();
+    assert_eq!(pages.len(), 256, "the workload has 256 pages");
+    fn group(page: &PageId) -> (&[PageId], ChunkSize) {
+        (std::slice::from_ref(page), ChunkSize::k4())
+    }
+    let mut outcomes = Vec::with_capacity(pages.len());
+    c.bench_function("codec_batch_x256", |b| {
+        b.iter(|| {
+            ctx.compress_batch(pages.iter().map(group), &mut outcomes);
+            outcomes.len()
+        })
+    });
+    c.bench_function("codec_batch_of_one_x256", |b| {
+        b.iter(|| {
+            for page in &pages {
+                ctx.compress_batch([group(page)], &mut outcomes);
+            }
+            outcomes.len()
+        })
+    });
+}
+
 /// A 16-page corpus mixing what mobile anonymous memory looks like: mostly
 /// repetitive pages with scattered single-byte perturbations, a couple of
 /// incompressible (noise) pages and one all-zero page.
@@ -215,7 +252,7 @@ fn compression_kernels(c: &mut Criterion) {
 }
 
 /// The observability primitives that sit on simulation hot paths: a
-/// histogram record (every `compress_pages` call and lmkd wake takes one)
+/// histogram record (every compressed group and lmkd wake takes one)
 /// and — most importantly — the disabled-trace dispatch, which is the price
 /// every *untraced* run pays at each emission site. The disabled cost must
 /// stay at a branch-on-none, or observability would tax the default runs it
@@ -260,7 +297,7 @@ criterion_group! {
     name = structures;
     config = Criterion::default().sample_size(10);
     targets = zpool_store_fault_release, flash_store_fault_release, oracle_lookup_admit,
-        lru_pick_foreground_tail, obs_primitives
+        lru_pick_foreground_tail, codec_batches, obs_primitives
 }
 // The kernel rows compare builds a few percent apart, so they take more
 // samples.

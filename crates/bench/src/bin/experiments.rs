@@ -9,7 +9,10 @@
 //! With no experiment names, all experiments run in paper order.
 //! Independent experiments run in parallel (capped at the host's available
 //! parallelism, merged in a fixed order, so output is byte-identical to
-//! `--serial`). `--quick` uses fewer applications and a larger scale factor
+//! `--serial`, which runs them one after another on the main thread; an
+//! experiment's own grid and the codec misses of a reclaim pass outside
+//! such a grid still use every core, with the same output either way).
+//! `--quick` uses fewer applications and a larger scale factor
 //! (useful for a fast smoke run); `--scale` overrides the workload/memory
 //! scale denominator (64 is the default);
 //! `--json` emits one machine-readable JSON document instead of plain-text

@@ -124,16 +124,15 @@ impl AriadneScheme {
         let list_cpu = ctx.timing.lru_ops(victims.len());
         clock.charge_cpu(CpuActivity::ListMaintenance, list_cpu);
 
-        let mut latency = CostNanos::zero();
-        for group in &self.adaptive.group_victims(&victims) {
-            let cost =
-                self.tiers
-                    .compress(&group.pages, group.chunk_size, group.hotness, clock, ctx);
-            if synchronous {
-                latency += cost;
-                clock.advance(cost);
-            }
-        }
+        let groups = self.adaptive.group_victims(&victims);
+        let latency = self.tiers.compress_batch(
+            groups
+                .iter()
+                .map(|group| (&group.pages[..], group.chunk_size, group.hotness)),
+            synchronous,
+            clock,
+            ctx,
+        );
         (victims.len(), latency)
     }
 

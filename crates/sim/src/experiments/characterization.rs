@@ -13,7 +13,20 @@ use ariadne_trace::{
 use ariadne_zram::LruScheme;
 use std::collections::HashMap;
 
-/// The ZRAM scheme `system` runs (Figure 4 and Table 3 read its page logs).
+/// A ZRAM system under `opts` that keeps the page logs Figure 4 and
+/// Table 3 read.
+fn logged_zram(opts: &ExperimentOptions) -> MobileSystem {
+    let mut system = opts.system(SchemeSpec::Zram, opts.base_config());
+    system
+        .scheme_mut()
+        .as_any_mut()
+        .downcast_mut::<LruScheme>()
+        .expect("the scheme under test is ZRAM")
+        .keep_page_logs();
+    system
+}
+
+/// The ZRAM scheme `system` runs.
 fn zram(system: &MobileSystem) -> &LruScheme {
     system
         .scheme()
@@ -55,9 +68,8 @@ pub fn fig4(opts: &ExperimentOptions) -> Table {
         "Figure 4: hotness share per compression-order decile (ZRAM)",
         &["app", "part", "hot", "warm", "cold"],
     );
-    let config = opts.base_config();
     for app in opts.reported_apps() {
-        let mut system = opts.system(SchemeSpec::Zram, config);
+        let mut system = logged_zram(opts);
         system.run_timed(&TimedScenario::relaunch_study(app));
         let log = zram(&system).compression_log();
         if log.is_empty() {
@@ -217,9 +229,8 @@ pub fn table3(opts: &ExperimentOptions) -> Table {
         "Table 3: probability of consecutive zpool accesses during relaunch",
         &["app", "2 consecutive", "4 consecutive"],
     );
-    let config = opts.base_config();
     for app in opts.reported_apps() {
-        let mut system = opts.system(SchemeSpec::Zram, config);
+        let mut system = logged_zram(opts);
         system.run_timed(&TimedScenario::relaunch_study(app));
         let trace = zram(&system).swapin_sectors();
         let p2 = measure_consecutive_probability(trace, 2);

@@ -19,6 +19,10 @@
 //! Ariadne itself lives in the `ariadne-core` crate and implements the same
 //! [`SwapScheme`] trait on the same [`Tiers`], so every experiment drives
 //! every policy through identical machinery.
+//!
+//! The crate also holds the workspace's one thread [`pool`]: the experiment
+//! runner runs its cells on it, and a reclaim pass runs its codec misses on
+//! it ([`SchemeContext::compress_batch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +30,7 @@
 pub mod dram_only;
 pub mod oracle;
 pub mod page_lru;
+pub mod pool;
 pub mod scheme;
 pub mod tiers;
 pub mod zram;

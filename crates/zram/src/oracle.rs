@@ -117,7 +117,8 @@ pub struct OracleStats {
 /// Reusable synthesis + codec state for cold compression runs: the group
 /// byte buffer, the per-chunk codec scratch and one [`ALGORITHM`] codec per
 /// chunk size. `SchemeContext` keeps one per thread so cold runs never
-/// execute under an oracle lock.
+/// execute under an oracle lock, and each pool thread compressing a
+/// reclaim pass uses its own.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     data: Vec<u8>,
@@ -214,11 +215,12 @@ impl Shard {
 ///
 /// let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
 /// let ctx = SchemeContext::new(1, &workloads);
-/// let page = workloads[0].pages[0].page;
-/// let cold = ctx.compress_pages(&[page], ChunkSize::k4());
-/// let hit = ctx.compress_pages(&[page], ChunkSize::k4());
-/// assert!(!cold.hit && hit.hit);
-/// assert_eq!(cold.compressed_len, hit.compressed_len);
+/// let page = [workloads[0].pages[0].page];
+/// let (mut cold, mut hit) = (Vec::new(), Vec::new());
+/// ctx.compress_batch([(&page[..], ChunkSize::k4())], &mut cold);
+/// ctx.compress_batch([(&page[..], ChunkSize::k4())], &mut hit);
+/// assert!(!cold[0].hit && hit[0].hit);
+/// assert_eq!(cold[0].compressed_len, hit[0].compressed_len);
 /// ```
 pub struct CompressionOracle {
     enabled: bool,
@@ -462,6 +464,16 @@ impl OracleHandle {
     #[must_use]
     pub fn stats(&self) -> OracleStats {
         self.0.stats()
+    }
+
+    /// Number of memoized entries in the shared oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard lock was poisoned by a panicking thread.
+    #[must_use]
+    pub fn entries(&self) -> usize {
+        self.0.len()
     }
 }
 

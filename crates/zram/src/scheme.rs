@@ -8,13 +8,14 @@
 //! evaluation are apples-to-apples.
 
 use crate::oracle::{CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleStats};
+use crate::pool;
 use crate::tiers::Tiers;
 use ariadne_compress::{
-    Algorithm, ChunkSize, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
+    Algorithm, ChunkSize, CompressedLen, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
 };
 use ariadne_mem::{
-    AppId, CpuActivity, FlashIoConfig, FlashStats, MemTimingModel, PageId, PageLocation, SimClock,
-    Watermarks, ZpoolStats, PAGE_SIZE,
+    AppId, CpuActivity, FlashIoConfig, FlashStats, FxHashSet, MemTimingModel, PageId, PageLocation,
+    SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::{Histogram, TraceEventKind, TraceHandle};
 use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
@@ -26,10 +27,10 @@ use std::sync::Arc;
 
 thread_local! {
     /// Per-thread synthesis + codec scratch for cold oracle runs, so misses
-    /// never execute under the shared oracle lock (see
-    /// [`SchemeContext::compress_pages`]).
-    static CODEC_SCRATCH: std::cell::RefCell<CodecScratch> =
-        std::cell::RefCell::new(CodecScratch::default());
+    /// never execute under the shared oracle lock and each pool thread
+    /// compresses into its own buffers (see
+    /// [`SchemeContext::compress_batch`]).
+    static CODEC_SCRATCH: RefCell<CodecScratch> = RefCell::new(CodecScratch::default());
 }
 
 /// Implements the [`SwapScheme`] identity boilerplate (`as_any`,
@@ -267,12 +268,56 @@ const POISONED: u8 = 1;
 /// [`SchemeContext::poison_flags`] value: app id outside the workload set.
 const NO_PROFILE: u8 = 2;
 
+/// What a page holds: the generator every page's bytes derive from and the
+/// profile of every app of the workload set. It is the part of a
+/// [`SchemeContext`] the pool threads of [`SchemeContext::compress_batch`]
+/// read, and it is `Sync`, unlike the context.
+#[derive(Debug, Clone)]
+struct PageContents {
+    data: PageDataGenerator,
+    profiles: HashMap<AppId, AppProfile>,
+}
+
+impl PageContents {
+    /// Synthesize the contents of `page` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page belongs to an application outside the workload
+    /// set.
+    fn fill(&self, page: PageId, out: &mut [u8; PAGE_SIZE]) {
+        let profile = self
+            .profiles
+            .get(&page.app())
+            .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
+        self.data.fill_page_bytes(profile, page, out);
+    }
+
+    /// Run the codec over the concatenated contents of `pages`, on this
+    /// thread's scratch.
+    fn compress(&self, pages: &[PageId], chunk_size: ChunkSize) -> CompressedLen {
+        CODEC_SCRATCH.with(|scratch| {
+            scratch
+                .borrow_mut()
+                .compress(pages, chunk_size, &mut |page, buf| self.fill(page, buf))
+        })
+    }
+}
+
+/// The placeholder outcome of a group whose oracle probe missed, until its
+/// codec run is admitted.
+const PENDING: OracleOutcome = OracleOutcome {
+    original_len: 0,
+    compressed_len: 0,
+    chunk_count: 0,
+    hit: false,
+};
+
 /// Read-only context handed to schemes: page contents, application profiles,
 /// the latency models and the shared [`CompressionOracle`].
 #[derive(Debug, Clone)]
 pub struct SchemeContext {
-    data: PageDataGenerator,
-    profiles: HashMap<AppId, AppProfile>,
+    pages: PageContents,
     /// `poison_flags[app id]` — [`POISONED`] when the app carries the
     /// adversarial incompressible profile, [`CALIBRATED`] when calibrated,
     /// [`NO_PROFILE`] when the id is outside the workload set. Dense so the
@@ -296,7 +341,7 @@ pub struct SchemeContext {
     /// branch, an enabled one only copies values out.
     trace: TraceHandle,
     /// Compressed size as a percentage of original size, one sample per
-    /// [`SchemeContext::compress_pages`] call.
+    /// group [`SchemeContext::compress_batch`] compressed.
     compression_ratios: RefCell<Histogram>,
 }
 
@@ -319,8 +364,10 @@ impl SchemeContext {
             };
         }
         SchemeContext {
-            data: PageDataGenerator::new(seed),
-            profiles: workloads.iter().map(|w| (w.app, w.profile)).collect(),
+            pages: PageContents {
+                data: PageDataGenerator::new(seed),
+                profiles: workloads.iter().map(|w| (w.app, w.profile)).collect(),
+            },
             poison_flags,
             oracle: Arc::new(CompressionOracle::new()),
             timing: MemTimingModel::pixel7(),
@@ -339,8 +386,8 @@ impl SchemeContext {
         self
     }
 
-    /// The compression ratios of every [`SchemeContext::compress_pages`]
-    /// call so far, in percent of the original size.
+    /// The compression ratio of every group [`SchemeContext::compress_batch`]
+    /// compressed so far, in percent of the original size.
     #[must_use]
     pub fn compression_ratios(&self) -> Histogram {
         self.compression_ratios.borrow().clone()
@@ -421,57 +468,93 @@ impl SchemeContext {
     /// Panics if the page belongs to an application that was not part of the
     /// workloads this context was built from.
     pub fn fill_page_bytes(&self, page: PageId, out: &mut [u8; PAGE_SIZE]) {
-        let profile = self
-            .profiles
-            .get(&page.app())
-            .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
-        self.data.fill_page_bytes(profile, page, out);
+        self.pages.fill(page, out);
     }
 
-    /// Compress the concatenated contents of `pages` through the shared
-    /// [`CompressionOracle`]: a consultation that makes the same codec calls
-    /// as an earlier one (same pages, and the same chunk size or any two
-    /// that cover the whole group) is served from the cache
-    /// without re-synthesizing or re-compressing a single byte. The sizes
-    /// returned are bit-identical to a cold codec run either way. Each call
-    /// records its ratio into [`SchemeContext::compression_ratios`].
+    /// Compress the groups of one reclaim pass — each group's concatenated
+    /// page contents, in chunks of its chunk size — through the shared
+    /// [`CompressionOracle`], and leave one outcome per group, in order, in
+    /// `outcomes`. A group that makes the same codec calls as an earlier
+    /// consultation (same pages, and the same chunk size or any two that
+    /// cover the whole group) is served from the cache without
+    /// re-synthesizing or re-compressing a single byte; the sizes are
+    /// bit-identical to a cold codec run either way. Each group's ratio is
+    /// recorded into [`SchemeContext::compression_ratios`].
+    ///
+    /// The oracle is probed for every group in order first. With at least
+    /// two misses the codec runs go to the pool ([`pool::run_batch`]),
+    /// whose threads read only the page contents and compute sizes only;
+    /// with fewer, or on a pool worker, they run on this thread. The
+    /// results are then admitted in order. Page bytes are a pure function
+    /// of `(seed, page, content variant)` and the groups of one pass share
+    /// no page, so no two groups share a key, and sizes, hit flags, oracle
+    /// counters and the ratio histogram equal consulting the groups one at
+    /// a time (as long as no shard reaches its cap mid-batch). No lock is
+    /// held across a codec run: two systems sharing the oracle may compute
+    /// the same key at once, and `admit` keeps the first of the
+    /// bit-identical results. With `outcomes` reused, a batch of one
+    /// allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if a page belongs to an application that was not part of the
     /// workloads this context was built from, or if the oracle lock was
     /// poisoned by a panicking thread.
-    #[must_use]
-    pub fn compress_pages(&self, pages: &[PageId], chunk_size: ChunkSize) -> OracleOutcome {
-        let outcome = self.consult_oracle(pages, chunk_size);
-        if outcome.original_len > 0 {
-            self.compression_ratios.borrow_mut().record(
-                (outcome.compressed_len as u64).saturating_mul(100) / outcome.original_len as u64,
-            );
+    pub fn compress_batch<'a, G>(&self, groups: G, outcomes: &mut Vec<OracleOutcome>)
+    where
+        G: IntoIterator<Item = (&'a [PageId], ChunkSize)>,
+        G::IntoIter: Clone,
+    {
+        let groups = groups.into_iter();
+        debug_assert!(
+            {
+                let mut seen = FxHashSet::default();
+                groups
+                    .clone()
+                    .flat_map(|(pages, _)| pages)
+                    .all(|&page| seen.insert(page))
+            },
+            "two groups of one batch share a page, so their oracle keys may collide"
+        );
+        let seed = self.pages.data.seed();
+        outcomes.clear();
+        outcomes.extend(groups.clone().map(|(pages, chunk_size)| {
+            self.oracle
+                .lookup(seed, pages, chunk_size, self.content_variant(pages))
+                .unwrap_or(PENDING)
+        }));
+        let contents = &self.pages;
+        let compress =
+            |(pages, chunk_size): (&[PageId], ChunkSize)| contents.compress(pages, chunk_size);
+        let misses = outcomes.iter().filter(|outcome| !outcome.hit).count();
+        let mut computed = if misses >= 2 {
+            let jobs: Vec<(&[PageId], ChunkSize)> = groups
+                .clone()
+                .zip(outcomes.iter())
+                .filter(|(_, outcome)| !outcome.hit)
+                .map(|(group, _)| group)
+                .collect();
+            pool::run_batch(jobs, compress)
+        } else {
+            Vec::new()
         }
-        outcome
-    }
-
-    fn consult_oracle(&self, pages: &[PageId], chunk_size: ChunkSize) -> OracleOutcome {
-        // Two-phase consultation so no oracle lock is ever held across a
-        // codec run: probe under the key's shard lock, compute a miss on
-        // this thread's own scratch with the lock released (parallel cells
-        // of a shared grid stay parallel on cold caches), then admit the
-        // result. Two threads may compute the same key concurrently; the
-        // results are bit-identical by construction and `admit` keeps the
-        // first.
-        let (seed, variant) = (self.data.seed(), self.content_variant(pages));
-        if let Some(hit) = self.oracle.lookup(seed, pages, chunk_size, variant) {
-            return hit;
+        .into_iter();
+        let mut ratios = self.compression_ratios.borrow_mut();
+        for ((pages, chunk_size), outcome) in groups.zip(outcomes.iter_mut()) {
+            if !outcome.hit {
+                let lens = computed
+                    .next()
+                    .unwrap_or_else(|| compress((pages, chunk_size)));
+                let variant = self.content_variant(pages);
+                *outcome = self.oracle.admit(seed, pages, chunk_size, variant, lens);
+            }
+            if outcome.original_len > 0 {
+                ratios.record(
+                    (outcome.compressed_len as u64).saturating_mul(100)
+                        / outcome.original_len as u64,
+                );
+            }
         }
-        let lens = CODEC_SCRATCH.with(|scratch| {
-            scratch
-                .borrow_mut()
-                .compress(pages, chunk_size, &mut |page, buf| {
-                    self.fill_page_bytes(page, buf)
-                })
-        });
-        self.oracle.admit(seed, pages, chunk_size, variant, lens)
     }
 
     /// The content-variant tag of a page group: one bit per page, set when
@@ -517,7 +600,7 @@ impl SchemeContext {
     /// The profile of `app`, if it is part of the workload set.
     #[must_use]
     pub fn profile(&self, app: AppId) -> Option<&AppProfile> {
-        self.profiles.get(&app)
+        self.pages.profiles.get(&app)
     }
 }
 
@@ -821,27 +904,65 @@ mod tests {
         assert!(ctx.profile(AppId::new(1)).is_none());
     }
 
+    /// Compress one group as a batch of one.
+    fn compress_one(ctx: &SchemeContext, pages: &[PageId], chunk: ChunkSize) -> OracleOutcome {
+        let mut outcomes = Vec::new();
+        ctx.compress_batch([(pages, chunk)], &mut outcomes);
+        assert_eq!(outcomes.len(), 1);
+        outcomes[0]
+    }
+
     #[test]
     fn context_oracle_serves_repeat_compressions_from_the_cache() {
         let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
         let ctx = SchemeContext::new(1, &workloads);
         let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).take(4).collect();
-        let cold = ctx.compress_pages(&pages, ChunkSize::k16());
-        let warm = ctx.compress_pages(&pages, ChunkSize::k16());
+        let cold = compress_one(&ctx, &pages, ChunkSize::k16());
+        let warm = compress_one(&ctx, &pages, ChunkSize::k16());
         assert!(!cold.hit && warm.hit);
         assert_eq!(cold.compressed_len, warm.compressed_len);
         assert_eq!(cold.original_len, 4 * PAGE_SIZE);
         // Clones share the cache; a disabled context gets a fresh one but
         // reports the same sizes.
-        let clone_hit = ctx.clone().compress_pages(&pages, ChunkSize::k16());
+        let clone_hit = compress_one(&ctx.clone(), &pages, ChunkSize::k16());
         assert!(clone_hit.hit);
         let off = ctx
             .clone()
-            .with_oracle_handle(&OracleHandle::enabled(false))
-            .compress_pages(&pages, ChunkSize::k16());
+            .with_oracle_handle(&OracleHandle::enabled(false));
+        let off = compress_one(&off, &pages, ChunkSize::k16());
         assert!(!off.hit);
         assert_eq!(off.compressed_len, cold.compressed_len);
         assert_eq!(ctx.oracle_stats().hits, 2);
+    }
+
+    #[test]
+    fn a_batch_compresses_its_groups_in_order() {
+        let workloads = vec![WorkloadBuilder::new(1).scale(1024).build(AppName::Twitter)];
+        let ctx = SchemeContext::new(1, &workloads);
+        let pages: Vec<PageId> = workloads[0].pages.iter().map(|p| p.page).take(6).collect();
+        let cached = compress_one(&ctx, &pages[2..3], ChunkSize::k4());
+        let groups = [
+            (&pages[0..2], ChunkSize::k16()),
+            (&pages[2..3], ChunkSize::k4()),
+            (&pages[3..6], ChunkSize::k1()),
+        ];
+        let mut outcomes = vec![PENDING; 9];
+        ctx.compress_batch(groups, &mut outcomes);
+        let hits: Vec<bool> = outcomes.iter().map(|o| o.hit).collect();
+        assert_eq!(hits, [false, true, false]);
+        assert_eq!(
+            outcomes[1],
+            OracleOutcome {
+                hit: true,
+                ..cached
+            }
+        );
+        for ((pages, _), outcome) in groups.iter().zip(&outcomes) {
+            assert_eq!(outcome.original_len, pages.len() * PAGE_SIZE);
+        }
+        assert_eq!(ctx.compression_ratios().count(), 4);
+        ctx.compress_batch([], &mut outcomes);
+        assert!(outcomes.is_empty());
     }
 
     #[test]

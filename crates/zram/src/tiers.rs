@@ -8,8 +8,9 @@
 //! the tiers plus the scheme's foreground app and [`SchemeStats`] ledger,
 //! and writes each tier move and each fault price once:
 //!
-//! * [`Tiers::compress`] moves pages from DRAM into the zpool, and
-//!   [`Tiers::decompress`] prices bringing a faulted entry back;
+//! * [`Tiers::compress_batch`] moves the page groups of one reclaim pass
+//!   from DRAM into the zpool, and [`Tiers::decompress`] prices bringing a
+//!   faulted entry back;
 //! * [`Tiers::make_zpool_room`] and [`Tiers::flush_zpool_above`] evict zpool
 //!   entries (oldest cold entry first, else the oldest entry) and either drop
 //!   them or write them back through [`Tiers::write_to_flash`]. Under
@@ -26,6 +27,7 @@
 //! [`SwapScheme`](crate::SwapScheme) contract, so this is the lowest crate
 //! every scheme can share.
 
+use crate::oracle::OracleOutcome;
 use crate::scheme::{MemoryConfig, ReleasedFootprint, SchemeContext, SchemeStats, WritebackPolicy};
 use ariadne_compress::{ChunkSize, CostNanos};
 use ariadne_mem::{
@@ -49,6 +51,9 @@ pub struct Tiers {
     /// The scheme's codec, drop and stall counters.
     pub stats: SchemeStats,
     config: MemoryConfig,
+    /// The oracle outcomes of the reclaim pass being stored, reused so a
+    /// pass allocates nothing for them.
+    outcomes: Vec<OracleOutcome>,
 }
 
 impl Tiers {
@@ -63,6 +68,7 @@ impl Tiers {
             foreground: None,
             stats: SchemeStats::default(),
             config: *config,
+            outcomes: Vec::new(),
         }
     }
 
@@ -97,42 +103,66 @@ impl Tiers {
         }
     }
 
-    /// Compress `pages` as one entry of `chunk`-sized chunks into the zpool
-    /// and drop them from DRAM. Returns the compression latency plus any
-    /// user-visible cost of the zpool overflow it caused.
-    pub fn compress(
+    /// Compress the page groups of one reclaim pass into the zpool, in
+    /// order, each as one entry of its chunk size stored under its hotness,
+    /// and drop their pages from DRAM.
+    ///
+    /// The codec runs for the whole pass first
+    /// ([`SchemeContext::compress_batch`]: the oracle memoizes it, so
+    /// recompressing the same pages is a hash lookup, and the sizes are
+    /// bit-identical either way). Then each group is charged and stored in
+    /// turn, exactly as if it had been compressed alone: its compression
+    /// latency, the zpool room it makes and its ledger entry. When
+    /// `synchronous` (direct reclaim, the faulting thread waits), each
+    /// group's latency plus the user-visible cost of the zpool overflow it
+    /// caused advances the clock before the next group is charged, and the
+    /// sum is returned; otherwise (kswapd) zero is returned.
+    pub fn compress_batch<'a, G>(
         &mut self,
-        pages: &[PageId],
-        chunk: ChunkSize,
-        hotness: Hotness,
+        groups: G,
+        synchronous: bool,
         clock: &mut SimClock,
         ctx: &SchemeContext,
-    ) -> CostNanos {
-        // The oracle memoizes the codec run: recompressing the same pages
-        // (relaunch storms do this constantly) is a hash lookup, not a
-        // synthesis + codec pass. Sizes are bit-identical either way.
-        let outcome = ctx.compress_pages(pages, chunk);
-        self.stats.record_oracle(&outcome);
-        let cost = ctx.compression_cost(chunk, outcome.original_len, clock.now().as_nanos());
-        let writeback = self.make_zpool_room(outcome.compressed_len, clock, ctx);
-        self.store(
-            pages.to_vec(),
-            outcome.original_len,
-            outcome.compressed_len,
-            chunk,
-            hotness,
+    ) -> CostNanos
+    where
+        G: IntoIterator<Item = (&'a [PageId], ChunkSize, Hotness)>,
+        G::IntoIter: Clone,
+    {
+        let groups = groups.into_iter();
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        ctx.compress_batch(
+            groups.clone().map(|(pages, chunk, _)| (pages, chunk)),
+            &mut outcomes,
         );
-        for &page in pages {
-            self.dram.remove(page);
+        let mut latency = CostNanos::zero();
+        for ((pages, chunk, hotness), outcome) in groups.zip(&outcomes) {
+            self.stats.record_oracle(outcome);
+            let cost = ctx.compression_cost(chunk, outcome.original_len, clock.now().as_nanos());
+            let writeback = self.make_zpool_room(outcome.compressed_len, clock, ctx);
+            self.store(
+                pages.to_vec(),
+                outcome.original_len,
+                outcome.compressed_len,
+                chunk,
+                hotness,
+            );
+            for &page in pages {
+                self.dram.remove(page);
+            }
+            self.stats.record_compression(
+                pages.len(),
+                outcome.original_len,
+                outcome.compressed_len,
+                cost,
+                clock,
+            );
+            if synchronous {
+                latency += cost + writeback;
+                clock.advance(cost + writeback);
+            }
         }
-        self.stats.record_compression(
-            pages.len(),
-            outcome.original_len,
-            outcome.compressed_len,
-            cost,
-            clock,
-        );
-        cost + writeback
+        self.outcomes = outcomes;
+        latency
     }
 
     /// Store an entry in the zpool, dropping its data if the pool cannot

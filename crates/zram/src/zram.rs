@@ -62,6 +62,8 @@ pub struct LruScheme {
     lru: PageLru,
     device: SwapDevice,
     name: &'static str,
+    /// Whether the two page logs below are kept ([`LruScheme::keep_page_logs`]).
+    page_logs: bool,
     /// Order in which pages were compressed (the Figure 4 analysis sorts
     /// compressed data by compression time).
     compression_log: Vec<PageId>,
@@ -104,19 +106,30 @@ impl LruScheme {
             lru: PageLru::default(),
             device,
             name,
+            page_logs: false,
             compression_log: Vec::new(),
             swapin_sectors: Vec::new(),
             victims: Vec::new(),
         }
     }
 
-    /// Every page compressed so far, in compression order.
+    /// Start keeping the two page logs, [`LruScheme::compression_log`] and
+    /// [`LruScheme::swapin_sectors`], which grow with every compression and
+    /// every zpool swap-in. Only the analyses that read them (Figure 4 and
+    /// Table 3) ask for them; without this call both stay empty.
+    pub fn keep_page_logs(&mut self) {
+        self.page_logs = true;
+    }
+
+    /// Every page compressed since [`LruScheme::keep_page_logs`], in
+    /// compression order.
     #[must_use]
     pub fn compression_log(&self) -> &[PageId] {
         &self.compression_log
     }
 
-    /// The zpool sector of every swap-in so far, in access order.
+    /// The zpool sector of every swap-in since
+    /// [`LruScheme::keep_page_logs`], in access order.
     #[must_use]
     pub fn swapin_sectors(&self) -> &[u64] {
         &self.swapin_sectors
@@ -166,16 +179,13 @@ impl LruScheme {
                     let scan = ctx.timing.reclaim_scan(victims.len().max(1));
                     clock.charge_cpu(CpuActivity::ReclaimScan, scan);
                 }
-                for &page in &victims {
-                    self.compression_log.push(page);
-                    let cost =
-                        self.tiers
-                            .compress(&[page], ChunkSize::k4(), Hotness::Cold, clock, ctx);
-                    if synchronous {
-                        latency += cost;
-                        clock.advance(cost);
-                    }
+                if self.page_logs {
+                    self.compression_log.extend_from_slice(&victims);
                 }
+                let groups = victims
+                    .iter()
+                    .map(|page| (std::slice::from_ref(page), ChunkSize::k4(), Hotness::Cold));
+                latency = self.tiers.compress_batch(groups, synchronous, clock, ctx);
                 victims.len()
             }
             SwapDevice::Flash if victims.is_empty() => 0,
@@ -273,7 +283,9 @@ impl SwapScheme for LruScheme {
 
         let found_in = if let Some(entry) = self.tiers.take_from_zpool(page) {
             latency += self.tiers.decompress(&entry, clock, ctx);
-            self.swapin_sectors.push(entry.sector.value());
+            if self.page_logs {
+                self.swapin_sectors.push(entry.sector.value());
+            }
             PageLocation::Zpool
         } else if let Some(fault) = self.tiers.take_from_flash(page, clock) {
             // A ZSWAP object is one compressed 4 KiB page; a SWAP object is
@@ -422,6 +434,7 @@ mod tests {
     #[test]
     fn faulting_a_compressed_page_pays_decompression_latency() {
         let (mut scheme, ctx, mut clock, pages) = setup(4096, 1024);
+        scheme.keep_page_logs();
         for &page in pages.iter().take(40) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -507,6 +520,7 @@ mod tests {
     #[test]
     fn zpool_overflow_drops_oldest_entries_by_default() {
         let (mut scheme, ctx, mut clock, pages) = setup(4096, 4);
+        scheme.keep_page_logs();
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -550,6 +564,7 @@ mod tests {
         let (_, ctx, mut clock, pages) = setup(4096, 4);
         let config = tiny_config(4096, 4).with_writeback(WritebackPolicy::WritebackToFlash);
         let mut scheme = LruScheme::zram(config);
+        scheme.keep_page_logs();
         for &page in pages.iter().take(64) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -572,8 +587,35 @@ mod tests {
     }
 
     #[test]
+    fn page_logs_stay_empty_without_the_opt_in() {
+        let (mut quiet, ctx, mut clock, pages) = setup(8, 1024);
+        churn(&mut quiet, &ctx, &mut clock, &pages);
+        assert!(quiet.stats().compression_ops > 0);
+        assert!(quiet.stats().decompression_ops > 0);
+        assert!(quiet.compression_log().is_empty());
+        assert!(quiet.swapin_sectors().is_empty());
+
+        // The same churn with the logs kept fills both and changes nothing
+        // else.
+        let (mut logged, ctx, mut logged_clock, _) = setup(8, 1024);
+        logged.keep_page_logs();
+        churn(&mut logged, &ctx, &mut logged_clock, &pages);
+        assert_eq!(
+            logged.compression_log().len(),
+            logged.stats().pages_compressed
+        );
+        assert_eq!(
+            logged.swapin_sectors().len(),
+            logged.stats().decompression_ops
+        );
+        assert_eq!(logged.stats(), quiet.stats());
+        assert_eq!(logged_clock.now(), clock.now());
+    }
+
+    #[test]
     fn compression_log_preserves_lru_order() {
         let (mut scheme, ctx, mut clock, pages) = setup(4096, 1024);
+        scheme.keep_page_logs();
         for &page in pages.iter().take(20) {
             scheme.register_page(page, &mut clock, &ctx);
         }
@@ -841,6 +883,7 @@ mod tests {
     #[test]
     fn swap_never_compresses_or_stores_a_zpool_entry() {
         let (mut scheme, ctx, mut clock, pages) = swap_setup(8);
+        scheme.keep_page_logs();
         churn(&mut scheme, &ctx, &mut clock, &pages);
         let stats = scheme.stats();
         assert!(stats.flash.writes > 0);
