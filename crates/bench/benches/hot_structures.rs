@@ -2,13 +2,13 @@
 //!
 //! The repository benchmark (`perfbench/`, declared by `BENCHMARK.json`)
 //! times whole workloads; this bench isolates the data structures those
-//! workloads hammer — zpool store/fault/release, flash store/fault/release,
-//! oracle lookup/admit, the baselines' LRU victim pick, a reclaim pass's
-//! codec batch, and the word-wide compression kernels (timed against the
-//! retired scalar loops they replaced) — so a regression in one of them is
-//! attributable directly instead of showing up as a diffuse slowdown across
-//! every workload. CI runs it as a smoke step and uploads the output as an
-//! artifact.
+//! workloads hammer — zpool store/fault/release and sector-order queries,
+//! flash store/fault/release, oracle lookup/admit, the baselines' LRU
+//! victim pick, a reclaim pass's codec batch, and the word-wide compression
+//! kernels (timed against the retired scalar loops they replaced) — so a
+//! regression in one of them is attributable directly instead of showing up
+//! as a diffuse slowdown across every workload. CI runs it as a smoke step
+//! and uploads the output as an artifact.
 
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize};
@@ -58,6 +58,108 @@ fn zpool_store_fault_release(c: &mut Criterion) {
                 zpool.release_app(AppId::new(app));
             }
             zpool.stats().entries
+        })
+    });
+}
+
+/// A steady zpool of mixed hotness, 1–4 pages an entry, driven the way
+/// Ariadne drives it (see [`zpool_sector_queries`]).
+struct SectorTraffic {
+    zpool: Zpool,
+    /// First page of every stored entry; a page whose entry a look-ahead or
+    /// writeback took is dropped when a fault picks it.
+    firsts: Vec<PageId>,
+    next_pfn: u64,
+    rng: u64,
+}
+
+impl SectorTraffic {
+    const ENTRIES: usize = 16_384;
+
+    fn new() -> Self {
+        let mut traffic = SectorTraffic {
+            zpool: Zpool::new(1 << 30),
+            firsts: Vec::new(),
+            next_pfn: 0,
+            rng: 0x2545_F491_4F6C_DD1D,
+        };
+        traffic.refill();
+        traffic
+    }
+
+    /// xorshift64: a fixed, cheap sequence of rolls.
+    fn roll(&mut self) -> u64 {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.rng
+    }
+
+    /// Store entries until the pool is back at [`Self::ENTRIES`].
+    fn refill(&mut self) {
+        while self.zpool.len() < Self::ENTRIES {
+            let roll = self.roll();
+            let pages = roll % 4 + 1;
+            let app = (roll >> 8) as u32 % APPS + 1;
+            let hotness = [Hotness::Hot, Hotness::Warm, Hotness::Cold][(roll >> 16) as usize % 3];
+            let group: Vec<PageId> = (0..pages).map(|i| page(app, self.next_pfn + i)).collect();
+            let chunk = if pages == 1 {
+                ChunkSize::k4()
+            } else {
+                ChunkSize::k16()
+            };
+            self.firsts.push(group[0]);
+            self.next_pfn += pages;
+            let bytes = group.len() * PAGE_SIZE;
+            self.zpool
+                .store(group, bytes, bytes / 2, chunk, hotness)
+                .expect("store fits");
+        }
+    }
+
+    /// Fault a random entry in, with its one-entry look-ahead.
+    fn fault(&mut self) {
+        let handle = loop {
+            let pick = self.roll() as usize % self.firsts.len();
+            if let Some(handle) = self.zpool.handle_for(self.firsts.swap_remove(pick)) {
+                break handle;
+            }
+        };
+        let faulted = self.zpool.remove(handle).expect("picked entry is live");
+        let next = self
+            .zpool
+            .next_by_sector(faulted.sector)
+            .filter(|(_, e)| e.pages.len() == 1)
+            .map(|(h, _)| h);
+        if let Some(next) = next {
+            self.zpool.remove(next).expect("look-ahead entry is live");
+        }
+    }
+
+    /// Take one writeback victim: the oldest cold entry, else the oldest.
+    fn writeback(&mut self) {
+        let (victim, _) = self
+            .zpool
+            .oldest_cold()
+            .or_else(|| self.zpool.oldest())
+            .expect("the pool is not empty");
+        self.zpool.remove(victim).expect("victim is live");
+    }
+}
+
+/// Ariadne's sector-order traffic on a steady pool of 16,384 entries: each
+/// iteration faults a random entry in (remove it, ask for its sector's
+/// successor, take that look-ahead entry when it holds one page), makes one
+/// writeback pick, then stores replacements. `zpool_store_fault_release`
+/// asks none of these sector-order queries.
+fn zpool_sector_queries(c: &mut Criterion) {
+    let mut traffic = SectorTraffic::new();
+    c.bench_function("zpool_sector_queries", |b| {
+        b.iter(|| {
+            traffic.fault();
+            traffic.writeback();
+            traffic.refill();
+            traffic.zpool.len()
         })
     });
 }
@@ -296,8 +398,8 @@ fn obs_primitives(c: &mut Criterion) {
 criterion_group! {
     name = structures;
     config = Criterion::default().sample_size(10);
-    targets = zpool_store_fault_release, flash_store_fault_release, oracle_lookup_admit,
-        lru_pick_foreground_tail, codec_batches, obs_primitives
+    targets = zpool_store_fault_release, zpool_sector_queries, flash_store_fault_release,
+        oracle_lookup_admit, lru_pick_foreground_tail, codec_batches, obs_primitives
 }
 // The kernel rows compare builds a few percent apart, so they take more
 // samples.

@@ -15,9 +15,8 @@
 //! records which pages get used afterwards, and emits one
 //! [`IdentificationMetrics`] sample per completed prediction window.
 
-use ariadne_mem::{AppId, PageId};
+use ariadne_mem::{AppId, FxHashMap, FxHashSet, PageId};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Coverage and accuracy of one prediction window (one relaunch-to-relaunch
 /// interval of one application).
@@ -36,16 +35,16 @@ pub struct IdentificationMetrics {
 
 #[derive(Debug, Clone, Default)]
 struct Window {
-    predicted: HashSet<PageId>,
-    relaunch_used: HashSet<PageId>,
-    used_since: HashSet<PageId>,
+    predicted: FxHashSet<PageId>,
+    relaunch_used: FxHashSet<PageId>,
+    used_since: FxHashSet<PageId>,
     relaunch_done: bool,
 }
 
 /// Tracks prediction windows per application.
 #[derive(Debug, Clone, Default)]
 pub struct IdentificationTracker {
-    windows: HashMap<AppId, Window>,
+    windows: FxHashMap<AppId, Window>,
     completed: Vec<(AppId, IdentificationMetrics)>,
 }
 
@@ -97,15 +96,11 @@ impl IdentificationTracker {
         }
     }
 
-    /// Close every open window and return all completed samples.
+    /// Close every finished window (in ascending app-id order) and return
+    /// all completed samples.
     #[must_use]
     pub fn finish(mut self) -> Vec<(AppId, IdentificationMetrics)> {
-        let windows = std::mem::take(&mut self.windows);
-        for (app, window) in windows {
-            if window.relaunch_done {
-                self.completed.push((app, Self::score(&window)));
-            }
-        }
+        self.close_finished();
         self.completed
     }
 
@@ -123,15 +118,17 @@ impl IdentificationTracker {
     }
 
     /// Score every window whose relaunch already finished and move it to the
-    /// completed list, without waiting for the next relaunch. Used at the end
-    /// of an experiment so the final prediction window is not lost.
+    /// completed list, in ascending app-id order, without waiting for the next
+    /// relaunch. Used at the end of an experiment so the final prediction
+    /// window is not lost.
     pub fn close_finished(&mut self) {
-        let finished: Vec<AppId> = self
+        let mut finished: Vec<AppId> = self
             .windows
             .iter()
             .filter(|(_, w)| w.relaunch_done)
             .map(|(app, _)| *app)
             .collect();
+        finished.sort_unstable();
         for app in finished {
             if let Some(window) = self.windows.remove(&app) {
                 self.completed.push((app, Self::score(&window)));
@@ -241,6 +238,26 @@ mod tests {
         tracker.on_relaunch_access(APP, page(0));
         // No on_relaunch_end.
         assert!(tracker.finish().is_empty());
+    }
+
+    #[test]
+    fn finished_windows_close_in_app_id_order() {
+        let apps = [7u32, 2, 11, 5, 3, 13, 1, 8, 6];
+        let mut tracker = IdentificationTracker::new();
+        for &id in &apps {
+            let app = AppId::new(id);
+            tracker.on_relaunch_start(app, vec![PageId::new(app, Pfn::new(0))]);
+            tracker.on_relaunch_end(app);
+        }
+        let mut sorted: Vec<AppId> = apps.iter().map(|&id| AppId::new(id)).collect();
+        sorted.sort_unstable();
+        let mut closed = tracker.clone();
+        closed.close_finished();
+        let order = |samples: &[(AppId, IdentificationMetrics)]| {
+            samples.iter().map(|(app, _)| *app).collect::<Vec<_>>()
+        };
+        assert_eq!(order(closed.completed()), sorted);
+        assert_eq!(order(&tracker.finish()), sorted);
     }
 
     #[test]

@@ -10,19 +10,28 @@
 //! Entries live in a generation-checked [`Slab`]: a [`ZpoolHandle`] packs the
 //! slot index and its generation, so a handle held across a remove/reuse
 //! cycle reports [`MemError::StaleHandle`] instead of aliasing the new
-//! occupant. Three sector-ordered indices (all entries / cold entries /
-//! hot single-page entries) turn the old full-table scans — writeback victim
-//! selection, PreDecomp's next-sector lookup, the hot-refill sweep — into
-//! O(log n) range queries, and per-app membership is an intrusive chain
-//! through the slab slots so kill storms stay linear in the victim's own
-//! entries.
+//! occupant.
+//!
+//! Sector order needs no search tree: [`Zpool::store`] hands out sectors in
+//! increasing order and never reuses them, so store order is sector order,
+//! and an entry never changes after it is stored. Hence:
+//!
+//! * cold entries (writeback's preferred victims) and hot single-page
+//!   entries (PreDecomp's refill candidates) each sit on a store-ordered
+//!   [`Chain`] — no entry is both, so one link channel threads the two;
+//! * every entry is appended to a sector log that stays sorted. Removing an
+//!   entry leaves its handle in the log, where it reads as stale and is
+//!   skipped; `live_from` marks the oldest live entry, a successor query is
+//!   a binary search, and a store that finds the log at 2 × live + 64 slots
+//!   drops the stale ones first, so the log stays O(live);
+//! * per-app membership is an intrusive chain through the slab slots, so
+//!   kill storms stay linear in the victim's own entries.
 
 use crate::error::MemError;
 use crate::page::{Hotness, PageId};
 use crate::slab::{Chain, FxHashMap, Slab, SlabKey};
 use ariadne_compress::ChunkSize;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Size of one zpool block (and of one zram sector) in bytes.
@@ -30,6 +39,19 @@ pub const ZPOOL_BLOCK_SIZE: usize = 4096;
 
 /// Link channel of the per-app entry chain.
 const APP_CHANNEL: usize = 0;
+
+/// Link channel of the cold and hot single-page chains.
+const ORDER_CHANNEL: usize = 1;
+
+/// Index into [`Zpool::order`] of the cold chain.
+const COLD: usize = 0;
+
+/// Index into [`Zpool::order`] of the hot single-page chain.
+const HOT_SINGLE: usize = 1;
+
+/// A store compacts the sector log once it holds `2 × live + LOG_SLACK`
+/// slots; the slack keeps a small pool from compacting on every store.
+const LOG_SLACK: usize = 64;
 
 /// Handle to an entry stored in the zpool.
 ///
@@ -170,16 +192,18 @@ pub struct Zpool {
     /// Per-application entry chain, threaded through the slab slots. Keeps
     /// `release_app` (kill storms) linear in the victim's own entries, in a
     /// deterministic order: entries are only ever appended, so chain order is
-    /// store order — exactly the ascending-handle order the old `BTreeSet`
-    /// index iterated in.
+    /// store order.
     app_chains: FxHashMap<crate::page::AppId, Chain>,
-    /// All live entries keyed by sector: O(log n) successor queries for
-    /// PreDecomp and O(log n) oldest-entry lookup for writeback.
-    by_sector: BTreeMap<u64, ZpoolHandle>,
-    /// Cold entries keyed by sector (writeback's preferred victims).
-    cold_by_sector: BTreeMap<u64, ZpoolHandle>,
-    /// Hot single-page entries keyed by sector (PreDecomp refill candidates).
-    hot_single_by_sector: BTreeMap<u64, ZpoolHandle>,
+    /// The cold chain ([`COLD`]: writeback's preferred victims) and the hot
+    /// single-page chain ([`HOT_SINGLE`]: PreDecomp refill candidates), both
+    /// in store (= sector) order on [`ORDER_CHANNEL`].
+    order: [Chain; 2],
+    /// Every stored entry as `(sector, handle)`, in store (= sector) order.
+    /// A removed entry's handle stays until the next compaction and reads
+    /// as stale.
+    log: Vec<(u64, ZpoolHandle)>,
+    /// Index of the first live entry of `log` (`log.len()` when empty).
+    live_from: usize,
     /// Running totals so [`Zpool::stats`] is O(1) instead of a full scan.
     original_total: usize,
     compressed_total: usize,
@@ -289,8 +313,15 @@ impl Zpool {
         self.original_total += entry.original_bytes;
         self.compressed_total += entry.compressed_bytes;
         let sector = entry.sector.value();
-        let hot_single = entry.is_hot_single();
-        let cold = entry.hotness == Hotness::Cold;
+        let order = order_of(&entry);
+        // Drop the stale log slots once they outnumber the live ones: the log
+        // stays O(live), and a stale handle leaves it long before its slot's
+        // generation could wrap round to a live one.
+        if self.log.len() >= 2 * self.entries.len() + LOG_SLACK {
+            let entries = &self.entries;
+            self.log.retain(|(_, h)| entries.contains(h.key()));
+            self.live_from = 0;
+        }
         let key = self.entries.insert(entry);
         let handle = ZpoolHandle::from_key(key);
         for page in &self.entries.get(key).expect("just inserted").pages {
@@ -301,13 +332,10 @@ impl Zpool {
             APP_CHANNEL,
             key.index(),
         );
-        self.by_sector.insert(sector, handle);
-        if cold {
-            self.cold_by_sector.insert(sector, handle);
+        if let Some(order) = order {
+            self.order[order].push_back(&mut self.entries, ORDER_CHANNEL, key.index());
         }
-        if hot_single {
-            self.hot_single_by_sector.insert(sector, handle);
-        }
+        self.log.push((sector, handle));
         self.stores += 1;
         Ok(handle)
     }
@@ -340,37 +368,43 @@ impl Zpool {
     /// Returns [`MemError::StaleHandle`] if the entry was already removed.
     pub fn remove(&mut self, handle: ZpoolHandle) -> Result<ZpoolEntry, MemError> {
         let key = handle.key();
-        if !self.entries.contains(key) {
-            return Err(MemError::StaleHandle);
-        }
-        let app = self.entries.get(key).expect("checked live").pages[0].app();
+        let app = self.entry(handle)?.pages[0].app();
         let chain = self.app_chains.get_mut(&app).expect("app chain exists");
         chain.unlink(&mut self.entries, APP_CHANNEL, key.index());
         if chain.is_empty() {
             self.app_chains.remove(&app);
         }
-        let entry = self.entries.remove(key).expect("checked live");
-        self.discard_indexed(handle, &entry);
-        self.removals += 1;
+        let entry = self.take(key);
+        self.skip_stale_log_head();
         Ok(entry)
     }
 
-    /// Drop an entry's secondary-index footprint and running totals.
-    fn discard_indexed(&mut self, handle: ZpoolHandle, entry: &ZpoolEntry) {
-        let _ = handle;
+    /// Free the live entry at `key`, which the caller has unlinked from its
+    /// app chain: unlink it from its order chain, drop its page index and
+    /// running totals. Its log slot turns stale.
+    fn take(&mut self, key: SlabKey) -> ZpoolEntry {
+        if let Some(order) = order_of(self.entries.get(key).expect("taken entry is live")) {
+            self.order[order].unlink(&mut self.entries, ORDER_CHANNEL, key.index());
+        }
+        let entry = self.entries.remove(key).expect("taken entry is live");
         self.used -= entry.blocks() * ZPOOL_BLOCK_SIZE;
         self.original_total -= entry.original_bytes;
         self.compressed_total -= entry.compressed_bytes;
         for page in &entry.pages {
             self.page_index.remove(page);
         }
-        let sector = entry.sector.value();
-        self.by_sector.remove(&sector);
-        if entry.hotness == Hotness::Cold {
-            self.cold_by_sector.remove(&sector);
-        }
-        if entry.is_hot_single() {
-            self.hot_single_by_sector.remove(&sector);
+        self.removals += 1;
+        entry
+    }
+
+    /// Move `live_from` past the log slots whose entries were removed.
+    fn skip_stale_log_head(&mut self) {
+        while self
+            .log
+            .get(self.live_from)
+            .is_some_and(|(_, h)| !self.entries.contains(h.key()))
+        {
+            self.live_from += 1;
         }
     }
 
@@ -380,30 +414,24 @@ impl Zpool {
     /// Served by the per-app chain: the cost is proportional to the victim's
     /// own entries, not to the pool size, so lmkd kill storms stay linear
     /// instead of going quadratic in zpool entries. Entries are released in
-    /// chain (= store) order, the same deterministic order the old
-    /// ascending-handle `BTreeSet` produced.
+    /// chain (= store) order.
     pub fn release_app(&mut self, app: crate::page::AppId) -> (usize, usize) {
-        let Some(chain) = self.app_chains.remove(&app) else {
+        let Some(mut chain) = self.app_chains.remove(&app) else {
             return (0, 0);
         };
-        let doomed: Vec<SlabKey> = chain
-            .indices(&self.entries, APP_CHANNEL)
-            .map(|i| self.entries.key_at(i))
-            .collect();
-        let mut pages = 0usize;
-        let mut chain = chain;
-        for key in &doomed {
-            chain.unlink(&mut self.entries, APP_CHANNEL, key.index());
-            let entry = self.entries.remove(*key).expect("doomed handle is live");
+        let (mut entries, mut pages) = (0usize, 0usize);
+        while let Some(index) = chain.head() {
+            chain.unlink(&mut self.entries, APP_CHANNEL, index);
+            let entry = self.take(self.entries.key_at(index));
             debug_assert!(
                 entry.pages.iter().all(|p| p.app() == app),
                 "zpool entry mixes applications"
             );
-            self.discard_indexed(ZpoolHandle::from_key(*key), &entry);
+            entries += 1;
             pages += entry.pages.len();
-            self.removals += 1;
         }
-        (doomed.len(), pages)
+        self.skip_stale_log_head();
+        (entries, pages)
     }
 
     /// The entry whose sector immediately follows `sector`, if any.
@@ -411,30 +439,29 @@ impl Zpool {
     /// PreDecomp uses this to find the "next" compressed data after the one
     /// being faulted in, because adjacent sectors were compressed together
     /// and — per the paper's Insight 3 — are likely to be accessed together.
+    /// `sector` need not be live: the faulted entry is removed first.
     #[must_use]
     pub fn next_by_sector(&self, sector: ZpoolSector) -> Option<(ZpoolHandle, &ZpoolEntry)> {
-        self.by_sector
-            .range(sector.value() + 1..)
-            .next()
-            .map(|(_, h)| (*h, self.entries.get(h.key()).expect("indexed entry live")))
+        let log = &self.log[self.live_from..];
+        let after = log.partition_point(|(s, _)| *s <= sector.value());
+        log[after..].iter().find_map(|&(_, h)| self.live(h))
     }
 
     /// The live entry with the lowest sector (the oldest data in the pool).
     #[must_use]
     pub fn oldest(&self) -> Option<(ZpoolHandle, &ZpoolEntry)> {
-        self.by_sector
-            .iter()
-            .next()
-            .map(|(_, h)| (*h, self.entries.get(h.key()).expect("indexed entry live")))
+        let (_, handle) = *self.log.get(self.live_from)?;
+        Some((handle, self.entry(handle).expect("log head is live")))
     }
 
     /// The cold entry with the lowest sector (writeback's preferred victim).
     #[must_use]
     pub fn oldest_cold(&self) -> Option<(ZpoolHandle, &ZpoolEntry)> {
-        self.cold_by_sector
-            .iter()
-            .next()
-            .map(|(_, h)| (*h, self.entries.get(h.key()).expect("indexed entry live")))
+        let index = self.order[COLD].head()?;
+        Some((
+            ZpoolHandle::from_key(self.entries.key_at(index)),
+            self.entries.value_at(index),
+        ))
     }
 
     /// Number of hot single-page entries (pre-decompression refill
@@ -442,24 +469,29 @@ impl Zpool {
     /// work do not scan the pool.
     #[must_use]
     pub fn hot_single_count(&self) -> usize {
-        self.hot_single_by_sector.len()
+        self.order[HOT_SINGLE].len()
     }
 
     /// Up to `limit` hot single-page entries, oldest (lowest sector) first.
     #[must_use]
     pub fn hot_single_oldest(&self, limit: usize) -> Vec<ZpoolHandle> {
-        self.hot_single_by_sector
-            .values()
+        self.order[HOT_SINGLE]
+            .indices(&self.entries, ORDER_CHANNEL)
             .take(limit)
-            .copied()
+            .map(|index| ZpoolHandle::from_key(self.entries.key_at(index)))
             .collect()
     }
 
     /// Iterate over all entries in ascending sector order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (ZpoolHandle, &ZpoolEntry)> {
-        self.by_sector
-            .values()
-            .map(|h| (*h, self.entries.get(h.key()).expect("indexed entry live")))
+        self.log[self.live_from..]
+            .iter()
+            .filter_map(|&(_, h)| self.live(h))
+    }
+
+    /// The entry behind a log handle, unless it was removed.
+    fn live(&self, handle: ZpoolHandle) -> Option<(ZpoolHandle, &ZpoolEntry)> {
+        self.entries.get(handle.key()).map(|entry| (handle, entry))
     }
 
     /// Aggregate usage statistics (O(1): served from running totals).
@@ -472,6 +504,19 @@ impl Zpool {
             stores: self.stores,
             removals: self.removals,
         }
+    }
+}
+
+/// Index into [`Zpool::order`] of the chain `entry` belongs on: cold
+/// entries on [`COLD`], hot single-page entries on [`HOT_SINGLE`], others on
+/// neither.
+fn order_of(entry: &ZpoolEntry) -> Option<usize> {
+    if entry.hotness == Hotness::Cold {
+        Some(COLD)
+    } else if entry.is_hot_single() {
+        Some(HOT_SINGLE)
+    } else {
+        None
     }
 }
 
@@ -761,6 +806,31 @@ mod tests {
         assert_eq!(stats.original_bytes, original);
         assert_eq!(stats.compressed_bytes, compressed);
         assert_eq!(stats.entries, pool.len());
+    }
+
+    #[test]
+    fn sector_log_stays_within_twice_the_live_entries() {
+        let mut pool = Zpool::new(1 << 30);
+        let mut live = std::collections::VecDeque::new();
+        for pfn in 0..5_000u64 {
+            live.push_back(store_one(&mut pool, 1 + (pfn % 3) as u32, pfn, 1000));
+            assert!(pool.log.len() <= 2 * pool.len() + LOG_SLACK);
+            // Keep about 100 entries live: remove the oldest (first in,
+            // first out) past that, and the newest (last in, first out) on
+            // every seventh step.
+            if live.len() > 100 {
+                pool.remove(live.pop_front().unwrap()).unwrap();
+            }
+            if pfn % 7 == 0 {
+                pool.remove(live.pop_back().unwrap()).unwrap();
+            }
+            if pfn % 997 == 0 {
+                pool.release_app(AppId::new(2));
+                live.retain(|h| pool.entry(*h).is_ok());
+            }
+        }
+        let oldest = live.iter().map(|h| pool.entry(*h).unwrap().sector).min();
+        assert_eq!(pool.oldest().map(|(_, e)| e.sector), oldest);
     }
 
     #[test]
